@@ -143,13 +143,6 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
     def v0(x):
         return -np.asarray(x, dtype=float)[:4]
 
-    def jacobian(x):
-        vals = brockett_vtilde(p, x)
-        jac = np.zeros((6, 10))
-        xt = np.asarray(x, dtype=float)[4:10]
-        np.fill_diagonal(jac[:, 4:], -0.5 * (2.0 * p - 1.0) * np.abs(xt) ** (2.0 * p - 2.0))
-        return vals, jac
-
     return user_law(
         sys, gamma, eps, v0=v0,
         vtilde=tuple((lambda x, q=q: float(brockett_vtilde(p, x)[q]))

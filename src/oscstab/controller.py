@@ -28,7 +28,8 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dualnum, linsolve
-from .vecfield import VectorFieldSystem, _bracket_columns, input_matrix, lie_bracket
+from .vecfield import (VectorFieldSystem, _bracket_columns, _pair_brackets,
+                       input_matrix)
 
 __all__ = [
     "OscillatorAssignment", "FeedbackLaw", "SynthesisError",
@@ -303,12 +304,39 @@ def drift_field(law: FeedbackLaw, x) -> np.ndarray:
     return input_matrix(law.system, x) @ np.asarray(law.v0(x), dtype=float)
 
 
-def pair_bracket_field(law: FeedbackLaw, q: int, x,
-                       vt: Optional[float] = None,
-                       vt_grad: Optional[np.ndarray] = None) -> np.ndarray:
-    """Bracket of the two oscillatory fields of pair ``q`` (0-based).
+def _pair_bracket_terms(sys: VectorFieldSystem, x, vals,
+                        jac) -> Tuple[np.ndarray, np.ndarray]:
+    """Input brackets and pair-bracket fields of all pairs at one point.
 
-    For ``g_i = v_i f_i`` and ``g_j = v_j f_j`` with the split components,
+    Returns ``(B, P)``, both of shape (|S|, n) in pair order: ``B[q]`` is
+    ``[f_i, f_j](x)`` and ``P[q]`` the bracket of the two oscillatory fields
+    of pair ``q`` for the profile values ``vals`` and gradient rows ``jac``
+    (see :func:`pair_bracket_field`).  Fields and brackets come from one
+    evaluation of each field and Jacobian (``vecfield._pair_brackets``).
+    """
+    fi, fj, b = _pair_brackets(sys, x)
+    vals = np.asarray(vals, dtype=float)
+    jac = np.asarray(jac, dtype=float)
+    live = vals != 0.0
+    bad = live & ~(np.isfinite(vals) & np.isfinite(jac).all(axis=1))
+    if bad.any():
+        raise ArithmeticError(
+            f"profile or gradient for pair {sys.pairs[int(np.argmax(bad))]} "
+            f"not finite at x={np.asarray(x, dtype=float).tolist()}")
+    # gradient rows at switch points may be anything; their rows are zeroed
+    jac = np.where(live[:, None], jac, 0.0)
+    gi = np.einsum("qk,qk->q", jac, fi)[:, None]  # grad vtilde . f_i
+    gj = np.einsum("qk,qk->q", jac, fj)[:, None]
+    p = vals[:, None] * b + 0.5 * (gi * fj - gj * fi)
+    p[~live] = 0.0
+    return b, p
+
+
+def pair_bracket_field(law: FeedbackLaw, x) -> np.ndarray:
+    """Brackets of the two oscillatory fields of every pair, shape (|S|, n).
+
+    Row ``q`` belongs to pair ``q`` in pair order.  For ``g_i = v_i f_i`` and
+    ``g_j = v_j f_j`` with the split components,
 
         [g_i, g_j] = vtilde [f_i, f_j]
                      + (grad vtilde . f_i) f_j / 2
@@ -316,23 +344,11 @@ def pair_bracket_field(law: FeedbackLaw, q: int, x,
 
     using that ``v_i grad v_j`` and ``v_j grad v_i`` both reduce to
     ``grad vtilde / 2`` away from sign switches.  At a switch point
-    (``vtilde = 0``) every term carries a vanishing split factor and the
-    bracket is taken as zero; the affected terms of downstream certificates
-    vanish there by the same convention.
+    (``vtilde = 0``) every term carries a vanishing split factor and the row
+    is exactly zero; the affected terms of downstream certificates vanish
+    there by the same convention.  Each input field and Jacobian is
+    evaluated once for all pairs.  A non-finite profile or gradient on a
+    pair away from a switch raises ``ArithmeticError`` naming the pair.
     """
-    sys = law.system
-    x = np.asarray(x, dtype=float)
-    if vt is None:
-        vals, jac = law.vtilde_values_and_grads(x)
-        vt, vt_grad = float(vals[q]), jac[q]
-    if vt == 0.0:
-        return np.zeros(sys.n)
-    if not np.isfinite(vt) or not np.all(np.isfinite(vt_grad)):
-        raise ArithmeticError(
-            f"profile or gradient for pair {sys.pairs[q]} not finite "
-            f"at x={x.tolist()}")
-    i, j = sys.pairs[q]
-    fi = sys.field(i, x)
-    fj = sys.field(j, x)
-    br = lie_bracket(sys, i, j, x)
-    return vt * br + 0.5 * ((vt_grad @ fi) * fj - (vt_grad @ fj) * fi)
+    vals, jac = law.vtilde_values_and_grads(x)
+    return _pair_bracket_terms(law.system, x, vals, jac)[1]

@@ -90,16 +90,11 @@ class Trajectory:
     v: Optional[np.ndarray] = None
     windows: Optional[WindowTable] = None
     diverged: bool = False
-    solver_order: int = 4
     solver_path: str = "generic"
 
     @property
     def n_windows(self) -> int:
         return 0 if self.windows is None else len(self.windows.j)
-
-    def window_states(self) -> np.ndarray:
-        stride = self.substeps
-        return self.states[::stride]
 
 
 def _plan(law: FeedbackLaw, T: float, substeps: int) -> Tuple[int, float]:
@@ -276,10 +271,7 @@ def chen_fliess_predict(sys: VectorFieldSystem, law: FeedbackLaw,
     """
     x0 = np.asarray(x0, dtype=float)
     g0 = drift_field(law, x0)
-    acc = np.zeros(sys.n)
-    vals, jac = law.vtilde_values_and_grads(x0)
-    for q in range(len(sys.pairs)):
-        acc += pair_bracket_field(law, q, x0, vt=float(vals[q]), vt_grad=jac[q])
+    acc = np.sum(pair_bracket_field(law, x0), axis=0)
     predicted = x0 + law.eps * (g0 + law.gamma ** 2 * acc)
     return OneStepPrediction(x0=x0, eps=law.eps, predicted=predicted,
                              drift_term=g0, bracket_term=acc)

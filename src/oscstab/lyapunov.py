@@ -16,14 +16,16 @@ point is the honest artifact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .controller import FeedbackLaw, drift_field, pair_bracket_field, _dual_synthesis
+from .controller import (FeedbackLaw, _dual_synthesis, _pair_bracket_terms,
+                         drift_field, pair_bracket_field)
 from .sampling import Region, sample_region
-from .vecfield import VectorFieldSystem, lie_bracket
+from .vecfield import VectorFieldSystem
 
 __all__ = [
     "LyapunovSpec", "DefinitenessReport", "DecreaseRate", "GainBound",
@@ -108,8 +110,8 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     """Certificate terms at one point: ``w = alpha + gamma**2 * beta``.
 
     ``alpha`` is the derivative of V along the averaged drift, ``beta`` the
-    summed derivative along the pair-bracket fields (evaluated through the
-    split-component expansion of :func:`~oscstab.controller.pair_bracket_field`).
+    summed derivative along the pair-bracket fields (all pairs evaluated at
+    once by :func:`~oscstab.controller.pair_bracket_field`).
     ``gamma`` defaults to the law's gain; passing a value rescales only the
     oscillatory term, which is exactly how the gain enters.
     """
@@ -118,12 +120,14 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     x = np.asarray(x, dtype=float)
     g = np.asarray(lyap.grad(x), dtype=float)
     alpha = float(g @ drift_field(law, x))
-    vals, jac = law.vtilde_values_and_grads(x)
-    beta = 0.0
-    for q in range(len(sys.pairs)):
-        beta += float(g @ pair_bracket_field(law, q, x, vt=float(vals[q]),
-                                             vt_grad=jac[q]))
+    beta = float(np.sum(pair_bracket_field(law, x) @ g))
     return DecreaseRate(alpha + gamma * gamma * beta, alpha, beta)
+
+
+def _worse(value: float, worst: float) -> bool:
+    """Whether ``value`` replaces the running ``worst``; a NaN, once held,
+    stays, so the report names the first non-finite point."""
+    return math.isnan(value) or (not math.isnan(worst) and value > worst)
 
 
 def negdef_scan(fn: Callable[[np.ndarray], float], region: Region,
@@ -148,7 +152,7 @@ def negdef_scan(fn: Callable[[np.ndarray], float], region: Region,
         val = float(fn(x))
         if not val < 0.0:
             violations += 1
-        if not val <= worst:  # also catches nan
+        if _worse(val, worst):
             worst = val
             worst_point = x
     return DefinitenessReport(n_samples=n_samples, violations=violations,
@@ -174,7 +178,9 @@ def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
     nonpositive ``ratio_sup`` (beta never fights alpha) yields the
     ``inf`` sentinel.  Points with ``|alpha| <= tol_alpha`` and
     ``||x|| >= r_min`` stand in for the set where the drift term vanishes;
-    there ``beta < 0`` is required and violations are reported.
+    there ``beta < 0`` is required and violations are reported.  A point
+    where ``alpha`` or ``beta`` is not finite counts as a violation (with a
+    NaN value), as in :func:`negdef_scan`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -189,15 +195,18 @@ def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
     worst_point = pts[0]
     for x in pts:
         _, alpha, beta = decrease_rate(sys, law, lyap, x, gamma=1.0)
-        if abs(alpha) > tol_alpha:
+        finite = np.isfinite(alpha) and np.isfinite(beta)
+        if finite and abs(alpha) > tol_alpha:
             n_ratio += 1
             ratio_sup = max(ratio_sup, -beta / alpha)
         else:
+            # a non-finite term bounds nothing and counts as a violation
+            value = beta if finite else np.nan
             n_checked += 1
-            if not beta < 0.0:
+            if not value < 0.0:
                 violations += 1
-            if not beta <= worst:
-                worst = beta
+            if _worse(value, worst):
+                worst = value
                 worst_point = x
     if n_ratio == 0 and n_checked == 0:
         raise ValueError("no admissible samples in the region; enlarge it")
@@ -217,18 +226,26 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     certificate satisfies ``w(x) = -||grad V(x)||^2 + grad V(x) . Phi(x)``
     with Phi the field computed here:
 
-        Phi = sum_I ( (gamma^2 - 1) vtilde^I [f_i, f_j]
-                      + gamma^2 ((grad vtilde^I . f_i) f_j
-                                 - (grad vtilde^I . f_j) f_i) / 2 ).
+        Phi = gamma^2 sum_I P^I - sum_I vtilde^I [f_i, f_j],
 
-    Pairs at a sign switch (``vtilde = 0``) contribute nothing, matching the
-    convention of :func:`~oscstab.controller.pair_bracket_field` so the
-    identity above holds pointwise.
+    where ``P^I`` are the pair-bracket fields of
+    :func:`~oscstab.controller.pair_bracket_field`; each input field and
+    Jacobian is evaluated once.  Pairs at a sign switch (``vtilde = 0``)
+    contribute nothing, by the same convention, so the identity above holds
+    pointwise.  A non-finite profile or gradient raises ``ArithmeticError``
+    naming the pair.
     """
     if gamma is None:
         gamma = law.gamma
-    probe = _CorrectionProbe(sys, law.vtilde_values_and_grads)
-    return probe(np.asarray(x, dtype=float), gamma)
+    x = np.asarray(x, dtype=float)
+    vals, jac = law.vtilde_values_and_grads(x)
+    return _correction(sys, x, vals, jac, gamma)
+
+
+def _correction(sys: VectorFieldSystem, x, vals, jac,
+                gamma: float) -> np.ndarray:
+    brackets, pair_fields = _pair_bracket_terms(sys, x, vals, jac)
+    return gamma * gamma * np.sum(pair_fields, axis=0) - vals @ brackets
 
 
 class CorrectionSup(NamedTuple):
@@ -246,9 +263,11 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
     An estimate below 1 means the synthesis term ``-||grad V||^2`` dominates
     the mismatch, which is the margin condition for the synthesized law.
     Points where the gradient norm falls below ``grad_floor`` are skipped and
-    counted.  ``law`` may supply profile evaluators (its gain is ignored in
-    favor of ``gamma``); without one the profiles are synthesized pointwise,
-    with gradients pushed through the solve by dual numbers.
+    counted.  A non-finite ratio (from a field, profile or gradient that is
+    not finite) raises ``ArithmeticError``.  ``law`` may supply profile
+    evaluators (its gain is ignored in favor of ``gamma``); without one the
+    profiles are synthesized pointwise, with gradients pushed through the
+    solve by dual numbers.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -262,39 +281,18 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
         values_and_grads = law.vtilde_values_and_grads
     sup = -np.inf
     skipped = 0
-    probe = _CorrectionProbe(sys, values_and_grads)
     for x in pts:
         g = np.asarray(lyap.grad(x), dtype=float)
         gn2 = float(g @ g)
         if gn2 < grad_floor * grad_floor:
             skipped += 1
             continue
-        sup = max(sup, float(g @ probe(x, gamma)) / gn2)
+        vals, jac = values_and_grads(x)
+        ratio = float(g @ _correction(sys, x, vals, jac, gamma)) / gn2
+        if not np.isfinite(ratio):
+            raise ArithmeticError(
+                f"margin ratio not finite at x={np.asarray(x).tolist()}")
+        sup = max(sup, ratio)
     if skipped == n_samples:
         raise ValueError("every sampled point had a vanishing gradient")
     return CorrectionSup(float(sup), skipped)
-
-
-class _CorrectionProbe:
-    """Correction-field evaluator bound to a profile source."""
-
-    def __init__(self, sys: VectorFieldSystem, values_and_grads):
-        self.sys = sys
-        self.values_and_grads = values_and_grads
-
-    def __call__(self, x, gamma: float) -> np.ndarray:
-        sys = self.sys
-        g2 = gamma * gamma
-        vals, jac = self.values_and_grads(x)
-        phi = np.zeros(sys.n)
-        for q, (i, j) in enumerate(sys.pairs):
-            vt = float(vals[q])
-            if vt == 0.0:
-                continue
-            br = lie_bracket(sys, i, j, x)
-            fi = sys.field(i, x)
-            fj = sys.field(j, x)
-            gv = jac[q]
-            phi += (g2 - 1.0) * vt * br
-            phi += g2 * 0.5 * ((gv @ fi) * fj - (gv @ fj) * fi)
-        return phi

@@ -11,6 +11,7 @@ so systems can be shared freely across concurrent workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -144,9 +145,46 @@ def lie_bracket(sys: VectorFieldSystem, i: int, j: int, x) -> np.ndarray:
     dfi = sys.jacobian(i, x)
     dfj = sys.jacobian(j, x)
     if x.dtype != object:
-        if not (np.all(np.isfinite(dfi)) and np.all(np.isfinite(dfj))):
-            raise ValueError("non-finite Jacobian entries at the evaluation point")
+        _check_jacobians(dfi, dfj)
     return dfj @ fi - dfi @ fj
+
+
+def _check_jacobians(*jacs) -> None:
+    for d in jacs:
+        if not np.all(np.isfinite(d)):
+            raise ValueError("non-finite Jacobian entries at the evaluation point")
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_rows(pairs: Tuple[Tuple[int, int], ...]):
+    """Inputs named by ``pairs`` (1-based) and, per pair, the rows of its
+    ``f_i`` and ``f_j`` among them (read-only index arrays)."""
+    used = sorted({k for pair in pairs for k in pair})
+    row = {k: r for r, k in enumerate(used)}
+    i = np.array([row[a] for a, _ in pairs])
+    j = np.array([row[b] for _, b in pairs])
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return tuple(used), i, j
+
+
+def _pair_brackets(sys: VectorFieldSystem,
+                   x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fields and brackets of every pair at one float point.
+
+    Returns ``(Fi, Fj, B)``, each of shape (|S|, n) in pair order: for pair
+    ``q = (i, j)``, ``Fi[q] = f_i(x)``, ``Fj[q] = f_j(x)`` and
+    ``B[q] = [f_i, f_j](x)`` as in :func:`lie_bracket`.  Each input field
+    that appears in a pair, and its Jacobian, is evaluated once; all
+    brackets come from ``DF = D @ F.T`` as ``B = DF[J, :, I] - DF[I, :, J]``.
+    """
+    x = _check_point(sys, np.asarray(x, dtype=float))
+    used, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
+    f = np.array([sys.fields[k - 1](x) for k in used], dtype=float)
+    d = np.array([sys.jacobians[k - 1](x) for k in used], dtype=float)
+    _check_jacobians(d)
+    df = d @ f.T  # df[k, :, l] = Df_k(x) f_l(x)
+    return f[i], f[j], df[j, :, i] - df[i, :, j]
 
 
 def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:

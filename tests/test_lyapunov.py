@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -259,3 +260,105 @@ def test_certificate_equals_margin_identity(bsys, lyap_p1, law_p1):
             rhs = -float(g @ g) + float(g @ correction_field(bsys, law_p1, x,
                                                              gamma=gamma))
             assert abs(w - rhs) <= 1e-10 * max(1.0, abs(w))
+
+
+def test_gain_bound_counts_nonfinite_alpha_as_violation():
+    # v0 is NaN on x[0] > 0, so alpha is NaN there; such a point bounds
+    # nothing and must never pass the vanishing-drift check
+    nan = float("nan")
+    sys_, law = _heis_law(
+        lambda x: -0.5 * x[2], lambda x: np.array([0.0, 0.0, -0.5]),
+        v0_fn=lambda x: (np.full(2, nan) if x[0] > 0
+                         else -np.asarray(x[:2], dtype=float)))
+    lyap = LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x),
+                        grad=lambda x: np.asarray(x, dtype=float))
+    n_nan = int(np.sum(sample_region(Region.ball(3, 1.0), 256, 1e-6, 3)[:, 0] > 0))
+    assert n_nan == 128
+    gb = gain_bound_scan(sys_, law, lyap, Region.ball(3, 1.0), 256, seed=3)
+    assert gb.report.n_samples == n_nan
+    assert gb.report.violations == n_nan
+    assert math.isfinite(gb.ratio_sup)
+    assert math.isnan(gb.report.worst_value)
+
+    # zero drift on x[0] >= 0 puts finite points into the vanishing-drift
+    # check next to NaN ones on x[0] < 0; the sample ends on a finite point,
+    # and the report must still keep a NaN worst value
+    sys_, law = _heis_law(
+        lambda x: -0.5 * x[2], lambda x: np.array([0.0, 0.0, -0.5]),
+        v0_fn=lambda x: np.full(2, nan) if x[0] < 0 else np.zeros(2))
+    pts = sample_region(Region.ball(3, 1.0), 256, 1e-6, 3)
+    assert pts[-1][0] >= 0
+    finite = pts[pts[:, 0] >= 0]
+    # beta = grad V . [g_1, g_2] = (x1^2 + x2^2) / 4 - x3^2 for this profile
+    n_bad = int(np.sum(0.25 * (finite[:, 0] ** 2 + finite[:, 1] ** 2)
+                       - finite[:, 2] ** 2 >= 0.0))
+    gb = gain_bound_scan(sys_, law, lyap, Region.ball(3, 1.0), 256, seed=3)
+    assert gb.report.n_samples == 256
+    assert gb.report.violations == 256 - len(finite) + n_bad
+    assert math.isnan(gb.report.worst_value)
+    assert gb.report.worst_point[0] < 0
+
+
+def test_negdef_scan_keeps_first_nan_as_worst():
+    reg = Region.ball(3, 1.0)
+    pts = sample_region(reg, 64, 1e-6, 5)
+    bad = pts[10]
+    rep = negdef_scan(lambda x: float("nan") if np.array_equal(x, bad)
+                      else -float(x @ x), reg, 64, seed=5)
+    assert rep.violations == 1
+    assert math.isnan(rep.worst_value)
+    assert np.array_equal(rep.worst_point, bad)
+
+
+def _nan_field_heis_law():
+    base = heis3_system()
+
+    def f2(x):
+        return (np.full(3, float("nan")) if x[0] > 0
+                else base.fields[1](x))
+
+    sys_ = dataclasses.replace(base, fields=(base.fields[0], f2))
+    return sys_, user_law(sys_, 1.0, 0.1, v0=lambda x: np.zeros(2),
+                          vtilde=(lambda x: -0.5 * x[2],),
+                          vtilde_grads=(lambda x: np.array([0.0, 0.0, -0.5]),))
+
+
+def _unit_ball_lyap(grad):
+    return LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x), grad=grad)
+
+
+def _inf_profile_gradient_case():
+    # an infinite profile gradient on x[0] > 0
+    inf = float("inf")
+    sys_, law = _heis_law(
+        lambda x: -0.5 * x[2],
+        lambda x: np.array([inf if x[0] > 0 else 0.0, 0.0, -0.5]))
+    return (sys_, law, _unit_ball_lyap(lambda x: np.asarray(x, dtype=float)),
+            r"pair \(1, 2\) not finite")
+
+
+def _nan_field_case():
+    # input field f2 is NaN on x[0] > 0, so the brackets there are NaN
+    sys_, law = _nan_field_heis_law()
+    return (sys_, law, _unit_ball_lyap(lambda x: np.asarray(x, dtype=float)),
+            "margin ratio not finite")
+
+
+def _inf_lyapunov_gradient_case():
+    # grad V is infinite on x[0] > 0: the ratio there is inf / inf
+    sys_, law = _heis_law(lambda x: -0.5 * x[2],
+                          lambda x: np.array([0.0, 0.0, -0.5]))
+    inf = float("inf")
+    grad = lambda x: (np.full(3, inf) if x[0] > 0
+                      else np.asarray(x, dtype=float))
+    return sys_, law, _unit_ball_lyap(grad), "margin ratio not finite"
+
+
+@pytest.mark.parametrize("case", [_inf_profile_gradient_case, _nan_field_case,
+                                  _inf_lyapunov_gradient_case])
+def test_margin_nonfinite_ratio_raises(case):
+    # each of these used to vanish from the supremum as a NaN ratio
+    sys_, law, lyap, message = case()
+    with pytest.raises(ArithmeticError, match=message):
+        correction_ratio_sup(sys_, lyap, 0.5, Region.ball(3, 1.0), 256,
+                             seed=3, law=law)
