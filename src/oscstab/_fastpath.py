@@ -28,6 +28,9 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 BLOWUP_SQ = 1e12
+# pair order of the case study; the kernel's bracket rows assume it
+PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+LAW_KIND = "brockett-closed-form"
 COMPILERS = ("cc", "gcc")
 # no FMA contraction: keeps the arithmetic rounding like the numpy generic path
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -221,14 +224,14 @@ def _vec(a, dtype, size: int, name: str) -> np.ndarray:
     return out
 
 
-def brockett_trajectory(x0, J, substeps, h, p, gamma, kw, gamma_amp,
-                        i_idx, j_idx, sampled) -> Tuple[np.ndarray, int]:
+def brockett_trajectory(x0, J, substeps, h, p, kw, gamma_amp, i_idx, j_idx,
+                        sampled) -> Tuple[np.ndarray, int]:
     """RK4 states of the case-study loop, ``(states, n_valid)``.
 
     ``states`` has ``J * substeps + 1`` rows; only the first ``n_valid`` are
     meaningful (fewer than all when the norm squared passed 1e12 or an entry
-    went non-finite).  ``gamma`` is already folded into ``gamma_amp``; the
-    kernel does not read it.
+    went non-finite).  ``gamma_amp`` holds the gain times each pair's
+    oscillator amplitude.
     """
     lib = kernel()
     J, substeps = int(J), int(substeps)
@@ -246,3 +249,30 @@ def brockett_trajectory(x0, J, substeps, h, p, gamma, kw, gamma_amp,
                                       gamma_amp, i_idx, j_idx, int(bool(sampled)),
                                       xs)
     return xs, int(n_valid)
+
+
+def closed_loop(sys, law, x0, J, substeps, h,
+                sampled) -> Tuple[np.ndarray, int]:
+    """Closed-loop states from the kernel, ``(states, n_valid)`` exactly like
+    the generic stepper of :mod:`oscstab.integrator`.
+
+    Raises :class:`KernelUnavailable` naming why the kernel declines: a law
+    of another kind, parameters that are not the case study's, no compiler
+    or a failed build.
+    """
+    kind = law.fast_params.get("kind", "")
+    if kind != LAW_KIND:
+        raise KernelUnavailable(f"no compiled kernel for kind {kind!r}")
+    p = law.fast_params.get("p")
+    if p is None or sys.n != 10 or sys.m != 4 or sys.pairs != PAIRS:
+        raise KernelUnavailable(
+            "law parameters do not match the ten-state case study")
+    a = law.assignment
+    kap = np.array(a.kappas, dtype=float)
+    kw = kap * a.omega
+    gamma_amp = law.gamma * 2.0 * np.sqrt(kap * np.pi / a.eps)
+    i_idx = np.array([i - 1 for i, _ in PAIRS], dtype=np.int64)
+    j_idx = np.array([j - 1 for _, j in PAIRS], dtype=np.int64)
+    return brockett_trajectory(np.asarray(x0, dtype=float), J, substeps, h,
+                               float(p), kw, gamma_amp, i_idx, j_idx,
+                               bool(sampled))

@@ -17,26 +17,25 @@ slower (polynomial-looking) tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _fastpath, dualnum
 from .controller import FeedbackLaw, user_law
-from .integrator import register_fast_integrator
 from .lyapunov import LyapunovSpec
 from .vecfield import VectorFieldSystem, register_system
 
 __all__ = [
-    "BrockettConfig", "PRESETS", "brockett_system", "brockett_lyapunov",
-    "brockett_law", "brockett_vtilde", "brockett_decrease_rate",
-    "brockett_decrease_parts", "stable_gain_interval",
+    "PRESETS", "brockett_system", "brockett_lyapunov", "brockett_law",
+    "brockett_vtilde", "brockett_decrease_rate", "brockett_decrease_parts",
+    "stable_gain_interval",
 ]
 
-_PAIRS: Tuple[Tuple[int, int], ...] = ((1, 2), (1, 3), (1, 4),
-                                       (2, 3), (2, 4), (3, 4))
-# bracket coordinate (0-based) of pair q is 4 + q
+# (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4): the order the compiled
+# kernel's bracket rows are written in; bracket coordinate (0-based) of
+# pair q is 4 + q
+_PAIRS: Tuple[Tuple[int, int], ...] = _fastpath.PAIRS
 
 
 def _f1(x):
@@ -112,15 +111,13 @@ def brockett_vtilde(p: float, x) -> np.ndarray:
     return -0.5 * np.sign(xt) * np.abs(xt) ** (2.0 * p - 1.0)
 
 
-def _vtilde_grad_factory(p: float, q: int):
-    c = 4 + q
-
-    def grad(x):
-        g = np.zeros(10)
-        g[c] = -0.5 * (2.0 * p - 1.0) * abs(float(x[c])) ** (2.0 * p - 2.0)
-        return g
-
-    return grad
+def _profiles_jac(p: float, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed-form profiles and their (6, 10) Jacobian; profile q depends on
+    the bracket coordinate 4 + q alone."""
+    jac = np.zeros((6, 10))
+    xt = np.asarray(x, dtype=float)[4:10]
+    jac[:, 4:] = np.diag(-0.5 * (2.0 * p - 1.0) * np.abs(xt) ** (2.0 * p - 2.0))
+    return brockett_vtilde(p, x), jac
 
 
 def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
@@ -145,12 +142,10 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
 
     return user_law(
         sys, gamma, eps, v0=v0,
-        vtilde=tuple((lambda x, q=q: float(brockett_vtilde(p, x)[q]))
-                     for q in range(6)),
-        vtilde_grads=tuple(_vtilde_grad_factory(p, q) for q in range(6)),
-        vtilde_all=lambda x: brockett_vtilde(p, x),
+        profiles=lambda x: brockett_vtilde(p, x),
+        profiles_jac=lambda x: _profiles_jac(p, x),
         kappas=kappas,
-        fast_params={"kind": "brockett-closed-form", "p": float(p)},
+        fast_params={"kind": _fastpath.LAW_KIND, "p": float(p)},
     )
 
 
@@ -218,7 +213,7 @@ def stable_gain_interval(p: float, H: Optional[float] = None) -> Tuple[float, fl
                                      * (1.0 + H))))
 
 
-# --- configuration and presets ----------------------------------------------
+# --- presets and registration -----------------------------------------------
 
 _X0_FIG1_LEFT = (1.0, -1.0, 1.5, -0.5, 2.0, -2.0, 2.5, -2.5, 3.0, -3.0)
 _X0_FIG1_RIGHT = (1.0, -1.0) * 5
@@ -228,52 +223,4 @@ PRESETS = {
     "fig1-right": {"p": 1.5, "x0": _X0_FIG1_RIGHT},
 }
 
-
-@dataclass(frozen=True)
-class BrockettConfig:
-    """Case-study parameters with the published defaults."""
-
-    p: float = 1.0
-    gamma: float = 0.5
-    eps: float = 0.1
-    H: float = 1.0
-    x0: Tuple[float, ...] = _X0_FIG1_LEFT
-
-    def __post_init__(self):
-        if self.p < 1.0 or self.gamma <= 0 or self.eps <= 0 or self.H <= 0:
-            raise ValueError("need p >= 1, gamma > 0, eps > 0, H > 0")
-        if len(self.x0) != 10:
-            raise ValueError("x0 must have 10 entries")
-
-    @staticmethod
-    def from_preset(name: str, **overrides) -> "BrockettConfig":
-        try:
-            base = dict(PRESETS[name])
-        except KeyError:
-            raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
-        base.update(overrides)
-        return BrockettConfig(**base)
-
-
-# --- registration -------------------------------------------------------------
-
 register_system("brockett10", brockett_system)
-
-
-def _fast_provider(sys, law, x0, J, substeps, h, sampled):
-    p = law.fast_params.get("p")
-    if p is None or sys.n != 10 or sys.m != 4 or sys.pairs != _PAIRS:
-        raise _fastpath.KernelUnavailable(
-            "law parameters do not match the ten-state case study")
-    a = law.assignment
-    kap = np.array(a.kappas, dtype=float)
-    kw = kap * a.omega
-    gamma_amp = law.gamma * 2.0 * np.sqrt(kap * np.pi / a.eps)
-    i_idx = np.array([i - 1 for i, _ in _PAIRS], dtype=np.int64)
-    j_idx = np.array([j - 1 for _, j in _PAIRS], dtype=np.int64)
-    return _fastpath.brockett_trajectory(
-        np.asarray(x0, dtype=float), J, substeps, h, float(p), float(law.gamma),
-        kw, gamma_amp, i_idx, j_idx, bool(sampled))
-
-
-register_fast_integrator("brockett-closed-form", _fast_provider)

@@ -251,12 +251,11 @@ def _exit_code(run_sections: Sequence[dict]) -> int:
     return 3
 
 
-def run(config: RunConfig) -> Tuple[dict, int]:
-    """Execute the configured integration(s) and write all artifacts."""
-    t_start = time.perf_counter()
-    sys_, lyap, law, p = _build(config)
+def _integrate_and_write(config: RunConfig, modes: Sequence[str]):
+    """Integrate each mode, write its trajectory and window artifacts, and
+    return ``(trajectories, summary sections, output directory)``."""
+    sys_, lyap, law, _ = _build(config)
     x0 = config.resolved_x0()
-    modes = ("classical", "sampled") if config.mode == "both" else (config.mode,)
     trajs: Dict[str, Trajectory] = {}
     for mode in modes:
         integrate = integrate_classical if mode == "classical" else integrate_sampled
@@ -268,6 +267,14 @@ def run(config: RunConfig) -> Tuple[dict, int]:
         write_trajectory_csv(traj, os.path.join(outdir, f"trajectory_{mode}.csv"))
         write_windows_json(traj, os.path.join(outdir, f"windows_{mode}.json"))
         sections[mode] = _run_summary(traj, config)
+    return trajs, sections, outdir
+
+
+def run(config: RunConfig) -> Tuple[dict, int]:
+    """Execute the configured integration(s) and write all artifacts."""
+    t_start = time.perf_counter()
+    modes = ("classical", "sampled") if config.mode == "both" else (config.mode,)
+    _, sections, outdir = _integrate_and_write(config, modes)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "run",
@@ -283,16 +290,9 @@ def compare(config: RunConfig) -> Tuple[dict, int]:
     """Classical and sampled runs from one seed plus their norm gap table."""
     t_start = time.perf_counter()
     config = dataclasses.replace(config, mode="both")
-    sys_, lyap, law, p = _build(config)
-    x0 = config.resolved_x0()
-    tc = integrate_classical(sys_, law, x0, config.T, config.substeps, lyap)
-    ts = integrate_sampled(sys_, law, x0, config.T, config.substeps, lyap)
-    outdir = config.resolved_outdir()
-    os.makedirs(outdir, exist_ok=True)
-    write_trajectory_csv(tc, os.path.join(outdir, "trajectory_classical.csv"))
-    write_windows_json(tc, os.path.join(outdir, "windows_classical.json"))
-    write_trajectory_csv(ts, os.path.join(outdir, "trajectory_sampled.csv"))
-    write_windows_json(ts, os.path.join(outdir, "windows_sampled.json"))
+    trajs, sections, outdir = _integrate_and_write(config,
+                                                   ("classical", "sampled"))
+    tc, ts = trajs["classical"], trajs["sampled"]
     k = min(tc.t.shape[0], ts.t.shape[0])
     diff = np.abs(tc.norms[:k] - ts.norms[:k])
     with open(os.path.join(outdir, "compare.csv"), "w", newline="\n") as fh:
@@ -301,8 +301,6 @@ def compare(config: RunConfig) -> Tuple[dict, int]:
             fh.write("%.17g,%.17g,%.17g,%.17g\n"
                      % (tc.t[i], tc.norms[i], ts.norms[i], diff[i]))
     stride = config.substeps
-    sections = {"classical": _run_summary(tc, config),
-                "sampled": _run_summary(ts, config)}
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "compare",

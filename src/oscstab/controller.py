@@ -16,7 +16,11 @@ pairs do not cross-couple over a period.
 Laws are either synthesized pointwise by solving
 ``F(x) * (v0, vtilde) = -grad V(x)^T`` against the bracket matrix ``F``, or
 supplied in closed form by the caller; both modes share the same evaluation
-path so they can cross-validate each other.
+path so they can cross-validate each other.  The synthesis solves with
+LAPACK, and the profile Jacobian follows from differentiating the solve
+implicitly, ``ds = -F^-1 (dF s + dg)`` (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, ch. 15), with ``dF`` and ``dg`` from one dual
+evaluation of the bracket matrix and ``grad V``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dualnum, linsolve
-from .vecfield import (VectorFieldSystem, _bracket_columns, _pair_brackets,
-                       input_matrix)
+from . import dualnum
+from .vecfield import (VectorFieldSystem, _bracket_columns, _condition_1norm,
+                       _pair_brackets, input_matrix)
 
 __all__ = [
     "OscillatorAssignment", "FeedbackLaw", "SynthesisError",
@@ -135,67 +139,73 @@ _MAX_CONDITION = 1e12
 _RESIDUAL_TOL = 1e-10
 
 
-def synthesize_components(sys: VectorFieldSystem, lyap, x):
-    """Solve the bracket matrix against ``-grad V`` at one point.
-
-    Returns ``(v0, vtilde)``: the first ``m`` entries of the solution and the
-    per-pair profiles in pair order.  The solve is refused when the condition
-    estimate exceeds 1e12, and the residual is checked against
-    ``1e-10 * max(1, ||grad V||)``.
-    """
-    x = np.asarray(x, dtype=float)
-    mat = _bracket_columns(sys, x)
-    cond = linsolve.condition_1norm(mat)
+def _solve(mat: np.ndarray, g: np.ndarray, x) -> np.ndarray:
+    """Solution of ``mat @ s = -g``, refused when ill-conditioned and
+    checked against the residual tolerance."""
+    cond = _condition_1norm(mat)
     if not cond < _MAX_CONDITION:
         raise SynthesisError(
             f"bracket matrix too ill-conditioned at x={x.tolist()} "
             f"(condition {cond:.3e})", cond)
-    g = np.asarray(lyap.grad(x), dtype=float)
-    sol = linsolve.solve(mat, -g)
+    sol = np.linalg.solve(mat, -g)
     res = float(np.linalg.norm(mat @ sol + g))
     if res > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(g))):
         raise SynthesisError(
             f"synthesis residual {res:.3e} exceeds tolerance at x={x.tolist()}",
             cond)
+    return sol
+
+
+def synthesize_components(sys: VectorFieldSystem, lyap, x):
+    """Solve the bracket matrix against ``-grad V`` at one point.
+
+    Returns ``(v0, vtilde)``: the first ``m`` entries of the solution and the
+    per-pair profiles in pair order.  The solve is refused when the 1-norm
+    condition number exceeds 1e12 (``inf`` for a singular matrix), and the
+    residual is checked against ``1e-10 * max(1, ||grad V||)``.
+    """
+    x = np.asarray(x, dtype=float)
+    sol = _solve(_bracket_columns(sys, x),
+                 np.asarray(lyap.grad(x), dtype=float), x)
     return sol[:sys.m], sol[sys.m:]
 
 
-def _dual_synthesis(sys: VectorFieldSystem, lyap, x):
-    """Profiles and their Jacobian via dual evaluation through the solve."""
-    xd = dualnum.seed_state(np.asarray(x, dtype=float))
-    mat = _bracket_columns(sys, xd)
-    g = lyap.grad(xd)
-    sol = linsolve.solve(mat, np.array([-e for e in g], dtype=object))
-    vt = sol[sys.m:]
-    vals = np.array([dualnum.value(e) for e in vt])
-    jac = np.vstack([
-        e.grad if isinstance(e, dualnum.Dual) else np.zeros(sys.n) for e in vt])
-    return vals, jac
+def _synthesized_profiles_jac(sys: VectorFieldSystem, lyap, x):
+    """Synthesized profiles and their Jacobian, shapes (|S|,) and (|S|, n).
+
+    One dual evaluation gives ``F``, ``g = grad V`` and their derivatives;
+    the solution ``s`` and its derivative ``ds = -F^-1 (dF s + dg)`` then
+    come from float solves with the checks of :func:`synthesize_components`.
+    """
+    x = np.asarray(x, dtype=float)
+    xd = dualnum.seed_state(x)
+    mat, dmat = dualnum.tangents(_bracket_columns(sys, xd), sys.n)
+    g, dg = dualnum.tangents(lyap.grad(xd), sys.n)
+    sol = _solve(mat, g, x)
+    # column k: (dF/dx_k) s + dg/dx_k, the x_k-derivative of F s + g at fixed s
+    dsol = -np.linalg.solve(mat, np.einsum("ijk,j->ik", dmat, sol) + dg)
+    return sol[sys.m:], dsol[sys.m:]
 
 
 @dataclass(frozen=True)
 class FeedbackLaw:
     """Immutable bundle of control components for one system.
 
-    ``vtilde`` holds one scalar profile per bracket pair in pair order;
-    ``vtilde_grads`` optionally carries analytic gradients (otherwise
-    gradients fall back to dual evaluation of the profile closures).
-    ``vtilde_all``/``vtilde_jacobian`` are batched evaluators used by the
-    certificate and prediction code to avoid repeated synthesis solves.
-    ``fast_params`` advertises a compiled integration kernel to the
-    integrator; it never changes semantics.  Evaluation is pure and
-    reentrant, so laws are safe to share across sweep workers.
+    ``profiles(x)`` returns the scalar pair profiles in pair order, shape
+    (|S|,); ``profiles_jac(x)`` returns them together with their Jacobian,
+    ``(vals, jac)`` with ``jac`` of shape (|S|, n), for the certificate and
+    prediction code.  ``fast_params`` advertises a compiled integration
+    kernel to the integrator; it never changes semantics.  Evaluation is
+    pure and reentrant, so laws are safe to share across sweep workers.
     """
 
     system: VectorFieldSystem
     gamma: float
     assignment: OscillatorAssignment
     v0: Callable[[np.ndarray], np.ndarray]
-    vtilde: Tuple[Callable[[np.ndarray], float], ...]
+    profiles: Callable[[np.ndarray], np.ndarray]
+    profiles_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     mode: str
-    vtilde_grads: Optional[Tuple[Callable[[np.ndarray], np.ndarray], ...]] = None
-    vtilde_all: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    vtilde_jacobian: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
     fast_params: Optional[Mapping] = None
 
     def __post_init__(self):
@@ -203,8 +213,6 @@ class FeedbackLaw:
             raise ValueError("gamma must be >= 0")
         if self.assignment.pairs != self.system.pairs:
             raise ValueError("assignment pairs must match the system pair set")
-        if len(self.vtilde) != len(self.system.pairs):
-            raise ValueError("need one profile per bracket pair")
         if self.mode not in ("synthesized", "user"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -212,60 +220,49 @@ class FeedbackLaw:
     def eps(self) -> float:
         return self.assignment.eps
 
-    def vtilde_values(self, x) -> np.ndarray:
-        if self.vtilde_all is not None:
-            return np.asarray(self.vtilde_all(x), dtype=float)
-        return np.array([f(x) for f in self.vtilde], dtype=float)
-
-    def vtilde_values_and_grads(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """Profiles and gradient rows at ``x``, shape (|S|,) and (|S|, n)."""
-        if self.vtilde_jacobian is not None:
-            vals, jac = self.vtilde_jacobian(x)
-            return np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
-        vals = self.vtilde_values(x)
-        if self.vtilde_grads is not None:
-            jac = np.vstack([g(x) for g in self.vtilde_grads])
-        else:
-            jac = np.vstack([dualnum.gradient(f, x)[1] for f in self.vtilde])
-        return vals, jac
-
 
 def synthesized_law(sys: VectorFieldSystem, lyap, gamma: float, eps: float,
                     kappas: Optional[Sequence[int]] = None) -> FeedbackLaw:
-    """Law whose components solve the bracket matrix against ``-grad V``."""
+    """Law whose components solve the bracket matrix against ``-grad V``.
+
+    ``lyap.grad`` must accept a state of duals (see :mod:`oscstab.dualnum`)
+    for the profile Jacobian.
+    """
     assignment = OscillatorAssignment(sys.pairs,
                                       assign_frequencies(sys.pairs, kappas), eps)
     return FeedbackLaw(
         system=sys, gamma=float(gamma), assignment=assignment,
         v0=lambda x: synthesize_components(sys, lyap, x)[0],
-        vtilde=tuple(
-            (lambda x, q=q: float(synthesize_components(sys, lyap, x)[1][q]))
-            for q in range(len(sys.pairs))),
+        profiles=lambda x: synthesize_components(sys, lyap, x)[1],
+        profiles_jac=lambda x: _synthesized_profiles_jac(sys, lyap, x),
         mode="synthesized",
-        vtilde_all=lambda x: synthesize_components(sys, lyap, x)[1],
-        vtilde_jacobian=lambda x: _dual_synthesis(sys, lyap, x),
     )
 
 
 def user_law(sys: VectorFieldSystem, gamma: float, eps: float,
              v0: Callable[[np.ndarray], np.ndarray],
-             vtilde: Sequence[Callable[[np.ndarray], float]],
-             vtilde_grads: Optional[Sequence[Callable]] = None,
-             vtilde_all: Optional[Callable] = None,
+             profiles: Callable[[np.ndarray], np.ndarray],
+             profiles_jac: Optional[Callable] = None,
              kappas: Optional[Sequence[int]] = None,
              fast_params: Optional[Mapping] = None) -> FeedbackLaw:
     """Law with caller-supplied closed-form components.
 
-    The components must satisfy the same split identities as synthesized
-    ones; nothing else is assumed.
+    ``profiles(x)`` returns one profile per bracket pair, in pair order;
+    this is checked once, at the origin.  Without ``profiles_jac`` the
+    Jacobian comes from dual evaluation of ``profiles``, which must then
+    stick to dual-compatible operations.  The components must satisfy the
+    same split identities as synthesized ones; nothing else is assumed.
     """
     assignment = OscillatorAssignment(sys.pairs,
                                       assign_frequencies(sys.pairs, kappas), eps)
+    if np.shape(profiles(np.zeros(sys.n))) != (len(sys.pairs),):
+        raise ValueError("need one profile per bracket pair")
+    if profiles_jac is None:
+        profiles_jac = lambda x: dualnum.jacobian(profiles, x)
     return FeedbackLaw(
         system=sys, gamma=float(gamma), assignment=assignment, v0=v0,
-        vtilde=tuple(vtilde), mode="user",
-        vtilde_grads=tuple(vtilde_grads) if vtilde_grads is not None else None,
-        vtilde_all=vtilde_all, fast_params=fast_params)
+        profiles=profiles, profiles_jac=profiles_jac, mode="user",
+        fast_params=fast_params)
 
 
 def law_with_period(law: FeedbackLaw, eps: float) -> FeedbackLaw:
@@ -282,7 +279,7 @@ def feedback_eval(law: FeedbackLaw, x, t: float) -> np.ndarray:
     if law.gamma == 0.0:
         return u
     a = law.assignment
-    vts = law.vtilde_values(x)
+    vts = np.asarray(law.profiles(x), dtype=float)
     for q, (i, j) in enumerate(a.pairs):
         vt = vts[q]
         if not np.isfinite(vt):
@@ -350,5 +347,5 @@ def pair_bracket_field(law: FeedbackLaw, x) -> np.ndarray:
     evaluated once for all pairs.  A non-finite profile or gradient on a
     pair away from a switch raises ``ArithmeticError`` naming the pair.
     """
-    vals, jac = law.vtilde_values_and_grads(x)
+    vals, jac = law.profiles_jac(x)
     return _pair_bracket_terms(law.system, x, vals, jac)[1]

@@ -1,17 +1,24 @@
 """Forward-mode automatic differentiation with vector-tangent dual numbers.
 
-A :class:`Dual` carries a float value together with the full gradient row with
+A :class:`Dual` carries a value together with the full gradient row with
 respect to the seed coordinates, so one evaluation of a closure on a seeded
 state yields the exact Jacobian row by row.  Closures stay ordinary Python:
 they receive an object ndarray of duals and may use ``+ - * / **``, ``abs``,
 ``np.sqrt`` / ``np.sin`` / ``np.cos`` / ``np.exp`` / ``np.log`` (numpy
 dispatches these to the methods below on object arrays) and the module-level
-:func:`sign`.
+:func:`sign`.  An ndarray operand is left to numpy, which applies the
+operation entry by entry.
+
+Duals nest: seeding a state whose entries are themselves duals (see
+:func:`jacobian`) gives values and gradient rows that carry the outer
+derivative, which is how Jacobians derived from field closures are
+differentiated once more.
 
 Analytic derivatives are preferred wherever they exist; this module is the
-fallback for user closures and for differentiating through the linear solve
-of the feedback synthesis.  Central finite differences are deliberately not
-provided here: they belong to test oracles.
+fallback for user closures, and it supplies the derivatives of the bracket
+matrix and of ``grad V`` that the feedback synthesis differentiates through
+its linear solve.  Central finite differences are deliberately not provided
+here: they belong to test oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Dual", "sign", "value", "seed_state", "gradient", "jacobian"]
+__all__ = ["Dual", "sign", "seed_state", "gradient", "jacobian", "tangents"]
 
 
 class Dual:
@@ -37,6 +44,8 @@ class Dual:
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         if isinstance(other, Dual):
             return Dual(self.val + other.val, self.grad + other.grad)
         return Dual(self.val + other, self.grad)
@@ -44,6 +53,8 @@ class Dual:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         if isinstance(other, Dual):
             return Dual(self.val - other.val, self.grad - other.grad)
         return Dual(self.val - other, self.grad)
@@ -52,6 +63,8 @@ class Dual:
         return Dual(other - self.val, -self.grad)
 
     def __mul__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         if isinstance(other, Dual):
             return Dual(self.val * other.val,
                         self.val * other.grad + other.val * self.grad)
@@ -60,6 +73,8 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         if isinstance(other, Dual):
             inv = 1.0 / other.val
             return Dual(self.val * inv,
@@ -118,21 +133,26 @@ class Dual:
         if self.val == 0.0:
             # meaningful only when the tangent also vanishes (kink convention)
             return Dual(0.0, 0.0 * self.grad)
-        r = math.sqrt(self.val)
+        r = _apply("sqrt", self.val)
         return Dual(r, (0.5 / r) * self.grad)
 
     def sin(self):
-        return Dual(math.sin(self.val), math.cos(self.val) * self.grad)
+        return Dual(_apply("sin", self.val), _apply("cos", self.val) * self.grad)
 
     def cos(self):
-        return Dual(math.cos(self.val), -math.sin(self.val) * self.grad)
+        return Dual(_apply("cos", self.val), -_apply("sin", self.val) * self.grad)
 
     def exp(self):
-        e = math.exp(self.val)
+        e = _apply("exp", self.val)
         return Dual(e, e * self.grad)
 
     def log(self):
-        return Dual(math.log(self.val), self.grad / self.val)
+        return Dual(_apply("log", self.val), self.grad / self.val)
+
+
+def _apply(name: str, v):
+    """Elementary function ``name`` of a float or (nested) dual value."""
+    return getattr(v, name)() if isinstance(v, Dual) else getattr(math, name)(v)
 
 
 def sign(x):
@@ -146,15 +166,6 @@ def sign(x):
     if isinstance(x, np.ndarray) and x.dtype == object:
         return np.array([sign(e) for e in x])
     return np.sign(x)
-
-
-def value(x):
-    """Strip dual parts: float for Dual input, float ndarray for object arrays."""
-    if isinstance(x, Dual):
-        return x.val
-    if isinstance(x, np.ndarray) and x.dtype == object:
-        return np.array([value(e) for e in x], dtype=float)
-    return x
 
 
 def seed_state(x):
@@ -185,17 +196,30 @@ def gradient(f, x):
 def jacobian(f, x):
     """Value and Jacobian of a vector-valued closure at ``x``.
 
-    Returns ``(f(x), J)`` with ``J[k, i] = d f_k / d x_i``.
+    Returns ``(f(x), J)`` with ``J[k, i] = d f_k / d x_i``.  A state of
+    duals (an object array) is seeded one level deeper, and the value and
+    Jacobian come back as object arrays carrying its derivatives.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    r = f(seed_state(x))
-    vals = np.empty(len(r))
-    jac = np.zeros((len(r), n))
-    for k, e in enumerate(r):
+    x = np.asarray(x)
+    if x.dtype != object:
+        x = x.astype(float)
+    return tangents(f(seed_state(x)), x.shape[0], x.dtype)
+
+
+def tangents(a, n: int, dtype=float):
+    """Values and tangents of an array whose entries are duals seeded over
+    ``n`` coordinates, or constants.
+
+    Returns ``(vals, tan)`` with ``vals.shape == a.shape`` and
+    ``tan.shape == a.shape + (n,)``; a constant entry has a zero tangent.
+    """
+    a = np.asarray(a)
+    vals = np.empty(a.size, dtype=dtype)
+    tan = np.zeros((a.size, n), dtype=dtype)
+    for k, e in enumerate(a.flat):
         if isinstance(e, Dual):
             vals[k] = e.val
-            jac[k] = e.grad
+            tan[k] = e.grad
         else:
             vals[k] = e
-    return vals, jac
+    return vals.reshape(a.shape), tan.reshape(a.shape + (n,))

@@ -13,12 +13,12 @@ The right-hand side is merely continuous at profile sign switches for the
 low-exponent candidate families, so the classical order theory does not
 apply there; correctness is established by step-halving checks instead.
 
-A compiled fast path can be registered per law kind (see
-:func:`register_fast_integrator`); results are interchangeable with the
-generic path and the generic path always remains available.  Every
-trajectory records in ``solver_path`` which path produced it, and a law that
-advertises a compiled kernel but falls back to the generic path raises one
-``RuntimeWarning`` per process naming the reason.
+Laws that advertise the case-study kernel through ``fast_params`` run on the
+compiled trajectory kernel of :mod:`oscstab._fastpath`; results are
+interchangeable with the generic path and the generic path always remains
+available.  Every trajectory records in ``solver_path`` which path produced
+it, and a law that advertises a compiled kernel but falls back to the
+generic path raises one ``RuntimeWarning`` per process naming the reason.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from ._fastpath import KernelUnavailable
+from . import _fastpath
 from .controller import (FeedbackLaw, OscillatorAssignment, drift_field,
                          feedback_eval, law_with_period, pair_bracket_field)
 from .lyapunov import LyapunovSpec, decrease_rate
@@ -42,7 +42,7 @@ __all__ = [
     "integrate_classical", "integrate_sampled", "chen_fliess_predict",
     "prediction_order_probe", "increment_diagnostics",
     "iterated_integral_coefficient", "oscillator_coupling",
-    "write_trajectory_csv", "write_windows_json", "register_fast_integrator",
+    "write_trajectory_csv", "write_windows_json",
 ]
 
 BLOWUP_NORM = 1e6
@@ -137,21 +137,6 @@ def _generic_steps(sys, law, x0, J, substeps, h, sampled: bool) -> Tuple[np.ndar
     return xs, K
 
 
-# compiled trajectory providers, keyed by law.fast_params["kind"]
-_FAST_PROVIDERS: Dict[str, Callable] = {}
-
-
-def register_fast_integrator(kind: str, provider: Callable) -> None:
-    """Register a compiled trajectory provider for a law kind.
-
-    ``provider(sys, law, x0, J, substeps, h, sampled)`` must return
-    ``(states, n_valid)`` exactly like the generic stepper, or raise
-    :class:`~oscstab._fastpath.KernelUnavailable` naming why it declines
-    (e.g. unsupported parameters or missing compiler).
-    """
-    _FAST_PROVIDERS[kind] = provider
-
-
 _fallback_warned = False
 
 
@@ -172,16 +157,12 @@ def _steps(sys, law, x0, J, substeps, h, sampled,
     elif law.fast_params is None:
         reason = "no fast_params"
     else:
-        kind = law.fast_params.get("kind", "")
-        provider = _FAST_PROVIDERS.get(kind)
-        if provider is None:
-            reason = f"no compiled kernel for kind {kind!r}"
-        else:
-            try:
-                xs, n_valid = provider(sys, law, x0, J, substeps, h, sampled)
-                return xs, n_valid, "compiled"
-            except KernelUnavailable as exc:
-                reason = str(exc)
+        try:
+            xs, n_valid = _fastpath.closed_loop(sys, law, x0, J, substeps, h,
+                                                sampled)
+            return xs, n_valid, "compiled"
+        except _fastpath.KernelUnavailable as exc:
+            reason = str(exc)
         _warn_fallback(reason)
     xs, n_valid = _generic_steps(sys, law, x0, J, substeps, h, sampled)
     return xs, n_valid, f"generic ({reason})"

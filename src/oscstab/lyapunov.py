@@ -22,8 +22,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .controller import (FeedbackLaw, _dual_synthesis, _pair_bracket_terms,
-                         drift_field, pair_bracket_field)
+from .controller import (FeedbackLaw, _pair_bracket_terms,
+                         _synthesized_profiles_jac, drift_field,
+                         pair_bracket_field)
 from .sampling import Region, sample_region
 from .vecfield import VectorFieldSystem
 
@@ -238,7 +239,7 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
-    vals, jac = law.vtilde_values_and_grads(x)
+    vals, jac = law.profiles_jac(x)
     return _correction(sys, x, vals, jac, gamma)
 
 
@@ -266,19 +267,19 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
     counted.  A non-finite ratio (from a field, profile or gradient that is
     not finite) raises ``ArithmeticError``.  ``law`` may supply profile
     evaluators (its gain is ignored in favor of ``gamma``); without one the
-    profiles are synthesized pointwise, with gradients pushed through the
-    solve by dual numbers.
+    profiles are synthesized pointwise, with their Jacobian from implicit
+    differentiation of the solve.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
     if law is None:
-        values_and_grads = lambda x: _dual_synthesis(sys, lyap, x)
+        profiles_jac = lambda x: _synthesized_profiles_jac(sys, lyap, x)
     else:
         ls = law.system
         if (ls.n, ls.m, ls.pairs) != (sys.n, sys.m, sys.pairs):
             raise ValueError("law was built for a structurally different system")
-        values_and_grads = law.vtilde_values_and_grads
+        profiles_jac = law.profiles_jac
     sup = -np.inf
     skipped = 0
     for x in pts:
@@ -287,8 +288,12 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
         if gn2 < grad_floor * grad_floor:
             skipped += 1
             continue
-        vals, jac = values_and_grads(x)
-        ratio = float(g @ _correction(sys, x, vals, jac, gamma)) / gn2
+        vals, jac = profiles_jac(x)
+        phi = _correction(sys, x, vals, jac, gamma)
+        with np.errstate(invalid="ignore"):
+            # a non-finite term (e.g. inf * 0) gives a non-finite ratio, on
+            # which the check below raises
+            ratio = float(g @ phi) / gn2
         if not np.isfinite(ratio):
             raise ArithmeticError(
                 f"margin ratio not finite at x={np.asarray(x).tolist()}")

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from . import dualnum, linsolve
+from . import dualnum
 
 __all__ = [
     "VectorFieldSystem", "BracketMatrix", "system_from_fields", "input_matrix",
@@ -99,7 +99,9 @@ def system_from_fields(n: int, m: int, fields: Sequence[FieldFn],
 
     Jacobians are derived by forward-mode dual evaluation of the closures, so
     the closures must stick to dual-compatible operations (see
-    :mod:`oscstab.dualnum`).
+    :mod:`oscstab.dualnum`).  On a state of duals the derived Jacobian is
+    itself differentiated (nested duals), so these systems work wherever
+    analytic Jacobians do, synthesized laws included.
     """
     jacs = tuple(_dual_jacobian(f) for f in fields)
     return VectorFieldSystem(n=n, m=m, fields=tuple(fields), jacobians=jacs,
@@ -108,11 +110,6 @@ def system_from_fields(n: int, m: int, fields: Sequence[FieldFn],
 
 def _dual_jacobian(f: FieldFn) -> JacFn:
     def jac(x):
-        if isinstance(x, np.ndarray) and x.dtype == object:
-            # nested-dual path: seed on values, lift rows back to duals
-            raise NotImplementedError(
-                "dual evaluation of a dual-derived Jacobian is not supported; "
-                "provide analytic Jacobians for this use")
         return dualnum.jacobian(f, x)[1]
     return jac
 
@@ -193,8 +190,16 @@ def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _condition_1norm(mat: np.ndarray) -> float:
+    """Exact 1-norm condition number ``||F||_1 ||F^-1||_1`` of a square
+    matrix; ``inf`` when it is singular or has a non-finite entry."""
+    if not np.all(np.isfinite(mat)):
+        return float("inf")
+    return float(np.linalg.cond(mat, 1))
+
+
 def assemble_bracket_matrix(sys: VectorFieldSystem, x) -> BracketMatrix:
-    """Matrix of field and bracket columns with a condition estimate.
+    """Matrix of field and bracket columns with its condition number.
 
     Column order is ``f_1, ..., f_m`` followed by the brackets in pair-set
     order.  Singularity is reported through ``condition = inf`` rather than
@@ -202,8 +207,7 @@ def assemble_bracket_matrix(sys: VectorFieldSystem, x) -> BracketMatrix:
     """
     x = _check_point(sys, np.asarray(x, dtype=float))
     mat = _bracket_columns(sys, x)
-    return BracketMatrix(x=x, matrix=mat,
-                         condition=linsolve.condition_1norm(mat))
+    return BracketMatrix(x=x, matrix=mat, condition=_condition_1norm(mat))
 
 
 def bracket_generating_check(sys: VectorFieldSystem, x,

@@ -135,19 +135,10 @@ def test_bracket_matrix_columns_constant(bsys):
         assert np.array_equal(cols, ref)
 
 
-def test_config_and_presets():
-    cfg = bk.BrockettConfig.from_preset("fig1-left")
-    assert cfg.p == 1.0
-    assert cfg.x0 == bk.PRESETS["fig1-left"]["x0"]
-    cfg = bk.BrockettConfig.from_preset("fig1-right", gamma=0.7)
-    assert cfg.p == 1.5 and cfg.gamma == 0.7
-    assert cfg.x0 == (1.0, -1.0) * 5
-    with pytest.raises(KeyError):
-        bk.BrockettConfig.from_preset("fig3")
-    with pytest.raises(ValueError):
-        bk.BrockettConfig(p=0.5)
-    with pytest.raises(ValueError):
-        bk.BrockettConfig(x0=(1.0, 2.0))
+def test_presets():
+    assert bk.PRESETS["fig1-left"]["p"] == 1.0
+    assert bk.PRESETS["fig1-right"]["p"] == 1.5
+    assert bk.PRESETS["fig1-right"]["x0"] == (1.0, -1.0) * 5
 
 
 def test_law_modes_and_bad_mode():

@@ -209,7 +209,7 @@ def test_split_identity_holds_along_law(law_p1, law_p15):
     for law, p in ((law_p1, 1.0), (law_p15, 1.5)):
         for _ in range(20):
             x = rng.uniform(-2, 2, 10)
-            vts = law.vtilde_values(x)
+            vts = law.profiles(x)
             for q, vt in enumerate(vts):
                 vi, vj = split_component(vt)
                 assert abs(vi * vj - vt) <= 2 * math.ulp(abs(vt))
@@ -219,16 +219,17 @@ def test_split_identity_holds_along_law(law_p1, law_p15):
 def test_user_law_requires_matching_profile_count():
     sys_ = heis3_system()
     with pytest.raises(ValueError, match="one profile"):
-        user_law(sys_, 0.5, 0.1, v0=lambda x: np.zeros(2), vtilde=())
+        user_law(sys_, 0.5, 0.1, v0=lambda x: np.zeros(2),
+                 profiles=lambda x: np.zeros(0))
 
 
 def test_synthesized_law_components_match_pointwise(bsys, lyap_p1):
     slaw = synthesized_law(bsys, lyap_p1, 0.5, 0.1)
     rng = np.random.default_rng(14)
     x = rng.uniform(-1, 1, 10)
-    assert np.allclose(slaw.vtilde_values(x), -0.5 * x[4:], atol=1e-12)
-    assert math.isclose(slaw.vtilde[2](x), -0.5 * x[6], rel_tol=1e-12)
-    vals, jac = slaw.vtilde_values_and_grads(x)
+    assert np.allclose(slaw.profiles(x), -0.5 * x[4:], atol=1e-12)
+    assert math.isclose(slaw.profiles(x)[2], -0.5 * x[6], rel_tol=1e-12)
+    vals, jac = slaw.profiles_jac(x)
     expected = np.zeros((6, 10))
     expected[:, 4:] = -0.5 * np.eye(6)
     assert np.allclose(jac, expected, atol=1e-12)

@@ -87,3 +87,37 @@ def test_division_and_rsub():
 def test_dual_exponent_rejected():
     with pytest.raises(TypeError):
         Dual(1.0, np.array([1.0])) ** Dual(2.0, np.array([0.0]))
+
+
+def test_ndarray_operand_is_left_to_numpy():
+    # a dual with an ndarray operand acts entry by entry, like a float does
+    d = Dual(2.0, np.array([1.0, 0.0]))
+    a = np.array([3.0, 4.0])
+    cases = [(d * a, [6.0, 8.0], [3.0, 4.0]), (a * d, [6.0, 8.0], [3.0, 4.0]),
+             (d + a, [5.0, 6.0], [1.0, 1.0]), (d - a, [-1.0, -2.0], [1.0, 1.0]),
+             (d / a, [2.0 / 3.0, 0.5], [1.0 / 3.0, 0.25])]
+    for got, vals, d0 in cases:
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert all(isinstance(e, Dual) for e in got)
+        assert np.allclose([e.val for e in got], vals, rtol=1e-15)
+        assert np.allclose([e.grad for e in got], np.column_stack([d0, [0, 0]]),
+                           rtol=1e-15)
+
+
+def test_nested_duals_give_second_derivatives():
+    def f(x):
+        return np.array([x[0] * x[1] * x[1], np.sin(x[0]) + np.sqrt(x[1])])
+
+    x = np.array([0.7, 1.3])
+    vals, jac = jacobian(f, seed_state(x))
+    # the value carries the gradient of f, each Jacobian entry a Hessian row
+    val, grad = dualnum.tangents(vals, 2)
+    assert np.allclose(val, [0.7 * 1.3 ** 2, math.sin(0.7) + math.sqrt(1.3)],
+                       rtol=1e-14)
+    assert np.allclose(grad, [[1.3 ** 2, 2 * 0.7 * 1.3],
+                              [math.cos(0.7), 0.5 / math.sqrt(1.3)]], rtol=1e-14)
+    first, hess = dualnum.tangents(jac, 2)
+    assert np.allclose(first, grad, rtol=1e-14)
+    assert np.allclose(hess, [[[0.0, 2 * 1.3], [2 * 1.3, 2 * 0.7]],
+                              [[-math.sin(0.7), 0.0], [0.0, -0.25 * 1.3 ** -1.5]]],
+                       rtol=1e-14, atol=1e-15)

@@ -19,8 +19,8 @@ def _linear_law(gamma=0.0, scale=1.0, eps=0.1):
     sys_ = const_fields_system()
     return sys_, user_law(sys_, gamma, eps,
                           v0=lambda x: -scale * np.asarray(x[:2], dtype=float),
-                          vtilde=(lambda x: 0.0,),
-                          vtilde_grads=(lambda x: np.zeros(3),))
+                          profiles=lambda x: np.zeros(1),
+                          profiles_jac=lambda x: (np.zeros(1), np.zeros((1, 3))))
 
 
 # --- step plan validation ------------------------------------------------------
@@ -115,8 +115,9 @@ def test_evaluation_failure_carries_pair_information():
     sys_ = const_fields_system()
     law = user_law(sys_, 0.5, 0.1,
                    v0=lambda x: np.zeros(2),
-                   vtilde=(lambda x: float("nan"),),
-                   vtilde_grads=(lambda x: np.zeros(3),))
+                   profiles=lambda x: np.full(1, float("nan")),
+                   profiles_jac=lambda x: (np.full(1, float("nan")),
+                                           np.zeros((1, 3))))
     from oscstab.controller import feedback_eval
 
     with pytest.raises(ArithmeticError, match="pair"):
@@ -208,8 +209,8 @@ def test_divergence_flag_truncates():
     sys_, _ = _linear_law()
     blow = user_law(sys_, 0.0, 0.1,
                     v0=lambda x: 1e3 * np.asarray(x[:2], dtype=float),
-                    vtilde=(lambda x: 0.0,),
-                    vtilde_grads=(lambda x: np.zeros(3),))
+                    profiles=lambda x: np.zeros(1),
+                    profiles_jac=lambda x: (np.zeros(1), np.zeros((1, 3))))
     traj = integrate_classical(sys_, blow, np.array([1.0, 1.0, 0.0]), T=1.0,
                                substeps=100)
     assert traj.diverged

@@ -160,8 +160,10 @@ def test_gain_bound_consistency_with_certificate(bsys, lyap_p1, law_p1):
 def _heis_law(vt_fn, vt_grad, v0_fn=None):
     sys_ = heis3_system()
     v0 = v0_fn if v0_fn is not None else (lambda x: np.zeros(2))
-    return sys_, user_law(sys_, 1.0, 0.1, v0=v0, vtilde=(vt_fn,),
-                          vtilde_grads=(vt_grad,))
+    return sys_, user_law(sys_, 1.0, 0.1, v0=v0,
+                          profiles=lambda x: np.array([vt_fn(x)]),
+                          profiles_jac=lambda x: (np.array([vt_fn(x)]),
+                                                  vt_grad(x)[None, :]))
 
 
 def test_gain_bound_sentinel_when_beta_never_fights():
@@ -222,7 +224,7 @@ def test_margin_unit_gain_equals_gradient_terms_only(bsys, lyap_p1, law_p1):
     sup_direct = -np.inf
     for x in pts:
         g = lyap_p1.grad(x)
-        vals, jac = law_p1.vtilde_values_and_grads(x)
+        vals, jac = law_p1.profiles_jac(x)
         phi = np.zeros(10)
         for q, (i, j) in enumerate(bsys.pairs):
             if vals[q] == 0.0:
@@ -319,8 +321,9 @@ def _nan_field_heis_law():
 
     sys_ = dataclasses.replace(base, fields=(base.fields[0], f2))
     return sys_, user_law(sys_, 1.0, 0.1, v0=lambda x: np.zeros(2),
-                          vtilde=(lambda x: -0.5 * x[2],),
-                          vtilde_grads=(lambda x: np.array([0.0, 0.0, -0.5]),))
+                          profiles=lambda x: np.array([-0.5 * x[2]]),
+                          profiles_jac=lambda x: (np.array([-0.5 * x[2]]),
+                                                  np.array([[0.0, 0.0, -0.5]])))
 
 
 def _unit_ball_lyap(grad):
