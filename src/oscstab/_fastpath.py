@@ -28,7 +28,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 BLOWUP_SQ = 1e12
-# pair order of the case study; the kernel's bracket rows assume it
+# pair order of the case study; the kernel's bracket rows and input channels
+# assume it
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 LAW_KIND = "brockett-closed-form"
 COMPILERS = ("cc", "gcc")
@@ -42,12 +43,15 @@ SOURCE = r"""
 
 #define BLOWUP_SQ %(blowup)r
 
+/* 0-based input channels i - 1 and j - 1 of each pair, in PAIRS order */
+static const int I_IDX[6] = {0, 0, 0, 1, 1, 2};
+static const int J_IDX[6] = {1, 2, 3, 2, 3, 3};
+
 static double sgn(double v) { return v > 0.0 ? 1.0 : (v < 0.0 ? -1.0 : 0.0); }
 
 /* control from the (possibly frozen) state xf, fields from x */
 static void rhs(const double *x, const double *xf, double t, double p,
-                const double *kw, const double *gamma_amp,
-                const int64_t *i_idx, const int64_t *j_idx, double *out)
+                const double *kw, const double *gamma_amp, double *out)
 {
     double u[4] = {-xf[0], -xf[1], -xf[2], -xf[3]};
     for (int q = 0; q < 6; ++q) {
@@ -56,8 +60,8 @@ static void rhs(const double *x, const double *xf, double t, double p,
         double vi = sqrt(fabs(vt));
         double vj = vi * sgn(vt);
         double th = kw[q] * t;
-        u[i_idx[q]] += gamma_amp[q] * vi * cos(th);
-        u[j_idx[q]] += gamma_amp[q] * vj * sin(th);
+        u[I_IDX[q]] += gamma_amp[q] * vi * cos(th);
+        u[J_IDX[q]] += gamma_amp[q] * vj * sin(th);
     }
     out[0] = u[0];
     out[1] = u[1];
@@ -75,8 +79,7 @@ static void rhs(const double *x, const double *xf, double t, double p,
    Returns the number of valid rows (fewer on blow-up). */
 int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
                             double h, double p, const double *kw,
-                            const double *gamma_amp, const int64_t *i_idx,
-                            const int64_t *j_idx, int sampled, double *xs)
+                            const double *gamma_amp, int sampled, double *xs)
 {
     const int64_t K = J * substeps + 1;
     double x[10], xf[10], xt[10], k1[10], k2[10], k3[10], k4[10];
@@ -87,13 +90,13 @@ int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
         if (sampled && step %% substeps == 0)
             for (int d = 0; d < 10; ++d) xf[d] = x[d];
         double t = step * h;
-        rhs(x, sampled ? xf : x, t, p, kw, gamma_amp, i_idx, j_idx, k1);
+        rhs(x, sampled ? xf : x, t, p, kw, gamma_amp, k1);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + 0.5 * h * k1[d];
-        rhs(xt, sampled ? xf : xt, t + 0.5 * h, p, kw, gamma_amp, i_idx, j_idx, k2);
+        rhs(xt, sampled ? xf : xt, t + 0.5 * h, p, kw, gamma_amp, k2);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + 0.5 * h * k2[d];
-        rhs(xt, sampled ? xf : xt, t + 0.5 * h, p, kw, gamma_amp, i_idx, j_idx, k3);
+        rhs(xt, sampled ? xf : xt, t + 0.5 * h, p, kw, gamma_amp, k3);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + h * k3[d];
-        rhs(xt, sampled ? xf : xt, t + h, p, kw, gamma_amp, i_idx, j_idx, k4);
+        rhs(xt, sampled ? xf : xt, t + h, p, kw, gamma_amp, k4);
         double nrm = 0.0;
         int ok = 1;
         double *row = xs + 10 * (step + 1);
@@ -115,7 +118,6 @@ class KernelUnavailable(RuntimeError):
 
 
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 
 # the loaded library, or the reason it could not be had (tried once a process)
 _kernel: Union[ctypes.CDLL, str, None] = None
@@ -195,7 +197,7 @@ def _load(path: str) -> ctypes.CDLL:
         raise KernelUnavailable(f"build failed: cannot load {path}: {exc}") from exc
     fn = lib.brockett_trajectory
     fn.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-                   ctypes.c_double, _F64, _F64, _I64, _I64, ctypes.c_int, _F64]
+                   ctypes.c_double, _F64, _F64, ctypes.c_int, _F64]
     fn.restype = ctypes.c_int64
     return lib
 
@@ -224,7 +226,7 @@ def _vec(a, dtype, size: int, name: str) -> np.ndarray:
     return out
 
 
-def brockett_trajectory(x0, J, substeps, h, p, kw, gamma_amp, i_idx, j_idx,
+def brockett_trajectory(x0, J, substeps, h, p, kw, gamma_amp,
                         sampled) -> Tuple[np.ndarray, int]:
     """RK4 states of the case-study loop, ``(states, n_valid)``.
 
@@ -240,14 +242,9 @@ def brockett_trajectory(x0, J, substeps, h, p, kw, gamma_amp, i_idx, j_idx,
     x0 = _vec(x0, np.float64, 10, "x0")
     kw = _vec(kw, np.float64, 6, "kw")
     gamma_amp = _vec(gamma_amp, np.float64, 6, "gamma_amp")
-    i_idx = _vec(i_idx, np.int64, 6, "i_idx")
-    j_idx = _vec(j_idx, np.int64, 6, "j_idx")
-    if np.any((i_idx < 0) | (i_idx > 3) | (j_idx < 0) | (j_idx > 3)):
-        raise ValueError("input indices must lie in 0..3")
     xs = np.empty((J * substeps + 1, 10))
     n_valid = lib.brockett_trajectory(x0, J, substeps, float(h), float(p), kw,
-                                      gamma_amp, i_idx, j_idx, int(bool(sampled)),
-                                      xs)
+                                      gamma_amp, int(bool(sampled)), xs)
     return xs, int(n_valid)
 
 
@@ -271,8 +268,5 @@ def closed_loop(sys, law, x0, J, substeps, h,
     kap = np.array(a.kappas, dtype=float)
     kw = kap * a.omega
     gamma_amp = law.gamma * 2.0 * np.sqrt(kap * np.pi / a.eps)
-    i_idx = np.array([i - 1 for i, _ in PAIRS], dtype=np.int64)
-    j_idx = np.array([j - 1 for _, j in PAIRS], dtype=np.int64)
     return brockett_trajectory(np.asarray(x0, dtype=float), J, substeps, h,
-                               float(p), kw, gamma_amp, i_idx, j_idx,
-                               bool(sampled))
+                               float(p), kw, gamma_amp, bool(sampled))

@@ -105,12 +105,12 @@ class RunConfig:
 
 _TUPLE_FLOAT_KEYS = {"cf_eps"}
 _TUPLE_INT_KEYS = {"kappas"}
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key not in _FIELD_TYPES:
+    if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
     if key in _TUPLE_INT_KEYS:
         return tuple(int(v) for v in raw.split(",")) if raw else None
@@ -122,8 +122,6 @@ def _parse_value(key: str, raw: str):
         return tuple(float(v) for v in raw.split(","))
     if key == "p":
         return None if raw.lower() in ("", "none") else float(raw)
-    if key == "resonance_witness":
-        return raw.lower() in ("1", "true", "yes", "on")
     default = getattr(RunConfig(), key)
     if isinstance(default, bool):
         return raw.lower() in ("1", "true", "yes", "on")

@@ -171,7 +171,8 @@ def synthesize_components(sys: VectorFieldSystem, lyap, x):
 
 
 def _synthesized_profiles_jac(sys: VectorFieldSystem, lyap, x):
-    """Synthesized profiles and their Jacobian, shapes (|S|,) and (|S|, n).
+    """``(v0, vtilde, jac)``: the synthesized components and the profile
+    Jacobian, shapes (m,), (|S|,) and (|S|, n).
 
     One dual evaluation gives ``F``, ``g = grad V`` and their derivatives;
     the solution ``s`` and its derivative ``ds = -F^-1 (dF s + dg)`` then
@@ -184,28 +185,29 @@ def _synthesized_profiles_jac(sys: VectorFieldSystem, lyap, x):
     sol = _solve(mat, g, x)
     # column k: (dF/dx_k) s + dg/dx_k, the x_k-derivative of F s + g at fixed s
     dsol = -np.linalg.solve(mat, np.einsum("ijk,j->ik", dmat, sol) + dg)
-    return sol[sys.m:], dsol[sys.m:]
+    return sol[:sys.m], sol[sys.m:], dsol[sys.m:]
 
 
 @dataclass(frozen=True)
 class FeedbackLaw:
     """Immutable bundle of control components for one system.
 
-    ``profiles(x)`` returns the scalar pair profiles in pair order, shape
-    (|S|,); ``profiles_jac(x)`` returns them together with their Jacobian,
-    ``(vals, jac)`` with ``jac`` of shape (|S|, n), for the certificate and
-    prediction code.  ``fast_params`` advertises a compiled integration
-    kernel to the integrator; it never changes semantics.  Evaluation is
-    pure and reentrant, so laws are safe to share across sweep workers.
+    ``components(x)`` returns ``(v0, vtilde)``: the time-invariant part,
+    shape (m,), and the scalar pair profiles in pair order, shape (|S|,).
+    ``components_jac(x)`` returns ``(v0, vtilde, jac)`` with the profile
+    Jacobian ``jac`` of shape (|S|, n), for the certificate and prediction
+    code.  A synthesized law gets both halves from one solve per call.
+    ``fast_params`` advertises a compiled integration kernel to the
+    integrator; it never changes semantics.  Evaluation is pure and
+    reentrant, so laws are safe to share across sweep workers.
     """
 
     system: VectorFieldSystem
     gamma: float
     assignment: OscillatorAssignment
-    v0: Callable[[np.ndarray], np.ndarray]
-    profiles: Callable[[np.ndarray], np.ndarray]
-    profiles_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    mode: str
+    components: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    components_jac: Callable[[np.ndarray],
+                             Tuple[np.ndarray, np.ndarray, np.ndarray]]
     fast_params: Optional[Mapping] = None
 
     def __post_init__(self):
@@ -213,8 +215,6 @@ class FeedbackLaw:
             raise ValueError("gamma must be >= 0")
         if self.assignment.pairs != self.system.pairs:
             raise ValueError("assignment pairs must match the system pair set")
-        if self.mode not in ("synthesized", "user"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def eps(self) -> float:
@@ -232,10 +232,8 @@ def synthesized_law(sys: VectorFieldSystem, lyap, gamma: float, eps: float,
                                       assign_frequencies(sys.pairs, kappas), eps)
     return FeedbackLaw(
         system=sys, gamma=float(gamma), assignment=assignment,
-        v0=lambda x: synthesize_components(sys, lyap, x)[0],
-        profiles=lambda x: synthesize_components(sys, lyap, x)[1],
-        profiles_jac=lambda x: _synthesized_profiles_jac(sys, lyap, x),
-        mode="synthesized",
+        components=lambda x: synthesize_components(sys, lyap, x),
+        components_jac=lambda x: _synthesized_profiles_jac(sys, lyap, x),
     )
 
 
@@ -260,8 +258,9 @@ def user_law(sys: VectorFieldSystem, gamma: float, eps: float,
     if profiles_jac is None:
         profiles_jac = lambda x: dualnum.jacobian(profiles, x)
     return FeedbackLaw(
-        system=sys, gamma=float(gamma), assignment=assignment, v0=v0,
-        profiles=profiles, profiles_jac=profiles_jac, mode="user",
+        system=sys, gamma=float(gamma), assignment=assignment,
+        components=lambda x: (v0(x), profiles(x)),
+        components_jac=lambda x: (v0(x), *profiles_jac(x)),
         fast_params=fast_params)
 
 
@@ -273,13 +272,14 @@ def law_with_period(law: FeedbackLaw, eps: float) -> FeedbackLaw:
 def feedback_eval(law: FeedbackLaw, x, t: float) -> np.ndarray:
     """Control vector ``u(x, t)``; the time origin is the simulation start."""
     x = np.asarray(x, dtype=float)
-    u = np.array(law.v0(x), dtype=float, copy=True)
+    v0, vts = law.components(x)
+    u = np.array(v0, dtype=float, copy=True)
     if u.shape != (law.system.m,):
         raise ValueError("v0 must return one value per input")
     if law.gamma == 0.0:
         return u
     a = law.assignment
-    vts = np.asarray(law.profiles(x), dtype=float)
+    vts = np.asarray(vts, dtype=float)
     for q, (i, j) in enumerate(a.pairs):
         vt = vts[q]
         if not np.isfinite(vt):
@@ -298,7 +298,8 @@ def feedback_eval(law: FeedbackLaw, x, t: float) -> np.ndarray:
 def drift_field(law: FeedbackLaw, x) -> np.ndarray:
     """Averaged drift ``g_0(x) = sum_k v0_k(x) f_k(x)``."""
     x = np.asarray(x, dtype=float)
-    return input_matrix(law.system, x) @ np.asarray(law.v0(x), dtype=float)
+    return input_matrix(law.system, x) @ np.asarray(law.components(x)[0],
+                                                    dtype=float)
 
 
 def _pair_bracket_terms(sys: VectorFieldSystem, x, vals,
@@ -347,5 +348,5 @@ def pair_bracket_field(law: FeedbackLaw, x) -> np.ndarray:
     evaluated once for all pairs.  A non-finite profile or gradient on a
     pair away from a switch raises ``ArithmeticError`` naming the pair.
     """
-    vals, jac = law.profiles_jac(x)
+    _, vals, jac = law.components_jac(x)
     return _pair_bracket_terms(law.system, x, vals, jac)[1]

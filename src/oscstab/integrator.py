@@ -186,19 +186,28 @@ def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory
         substeps=substeps, mode="sampled" if sampled else "classical",
         diverged=diverged, solver_path=solver_path)
     if lyap is not None:
-        traj.v = (np.asarray(lyap.batch_v(xs), dtype=float)
-                  if lyap.batch_v is not None
-                  else np.array([float(lyap.v(x)) for x in xs]))
+        traj.v = _v_channel(lyap, xs)
         n_windows = (n_valid - 1) // substeps
         jj = np.arange(n_windows)
-        vb = traj.v[::substeps]
         wb = np.array([
             decrease_rate(sys, law, lyap, xs[j * substeps]).w
             for j in range(n_windows)])
-        r_hat = ((vb[1:n_windows + 1] - vb[:n_windows]) / law.eps - wb) / math.sqrt(law.eps)
-        traj.windows = WindowTable(j=jj, t=jj * law.eps, v=vb[:n_windows],
-                                   w=wb, r_hat=r_hat)
+        traj.windows = WindowTable(j=jj, t=jj * law.eps,
+                                   v=traj.v[::substeps][:n_windows], w=wb,
+                                   r_hat=_remainder(traj, wb))
     return traj
+
+
+def _v_channel(lyap: LyapunovSpec, states: np.ndarray) -> np.ndarray:
+    if lyap.batch_v is not None:
+        return np.asarray(lyap.batch_v(states), dtype=float)
+    return np.array([float(lyap.v(x)) for x in states])
+
+
+def _remainder(traj: Trajectory, w: np.ndarray) -> np.ndarray:
+    """``r_hat`` (see :func:`increment_diagnostics`) for the values ``w``."""
+    vb, nw = traj.v[::traj.substeps], len(w)
+    return ((vb[1:nw + 1] - vb[:nw]) / traj.eps - w) / math.sqrt(traj.eps)
 
 
 def integrate_classical(sys: VectorFieldSystem, law: FeedbackLaw, x0,
@@ -320,13 +329,8 @@ def increment_diagnostics(traj: Trajectory,
         raise ValueError("trajectory carries no window records with "
                          "certificate values; integrate with a candidate")
     if traj.v is None:
-        traj.v = (np.asarray(lyap.batch_v(traj.states), dtype=float)
-                  if lyap.batch_v is not None
-                  else np.array([float(lyap.v(x)) for x in traj.states]))
-    nw = len(traj.windows.j)
-    vb = traj.v[::traj.substeps]
-    r_hat = ((vb[1:nw + 1] - vb[:nw]) / traj.eps
-             - traj.windows.w) / math.sqrt(traj.eps)
+        traj.v = _v_channel(lyap, traj.states)
+    r_hat = _remainder(traj, traj.windows.w)
     traj.windows.r_hat = r_hat
     return r_hat, float(np.max(np.abs(r_hat)))
 

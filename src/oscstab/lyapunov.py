@@ -23,10 +23,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .controller import (FeedbackLaw, _pair_bracket_terms,
-                         _synthesized_profiles_jac, drift_field,
-                         pair_bracket_field)
+                         _synthesized_profiles_jac)
 from .sampling import Region, sample_region
-from .vecfield import VectorFieldSystem
+from .vecfield import VectorFieldSystem, input_matrix
 
 __all__ = [
     "LyapunovSpec", "DefinitenessReport", "DecreaseRate", "GainBound",
@@ -111,17 +110,19 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     """Certificate terms at one point: ``w = alpha + gamma**2 * beta``.
 
     ``alpha`` is the derivative of V along the averaged drift, ``beta`` the
-    summed derivative along the pair-bracket fields (all pairs evaluated at
-    once by :func:`~oscstab.controller.pair_bracket_field`).
-    ``gamma`` defaults to the law's gain; passing a value rescales only the
-    oscillatory term, which is exactly how the gain enters.
+    summed derivative along the pair-bracket fields of all pairs; both come
+    from one ``components_jac`` call.  ``gamma`` defaults to the law's gain;
+    passing a value rescales only the oscillatory term, which is exactly how
+    the gain enters.
     """
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
     g = np.asarray(lyap.grad(x), dtype=float)
-    alpha = float(g @ drift_field(law, x))
-    beta = float(np.sum(pair_bracket_field(law, x) @ g))
+    v0, vals, jac = law.components_jac(x)
+    drift = input_matrix(law.system, x) @ np.asarray(v0, dtype=float)
+    alpha = float(g @ drift)
+    beta = float(np.sum(_pair_bracket_terms(law.system, x, vals, jac)[1] @ g))
     return DecreaseRate(alpha + gamma * gamma * beta, alpha, beta)
 
 
@@ -239,7 +240,7 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
-    vals, jac = law.profiles_jac(x)
+    _, vals, jac = law.components_jac(x)
     return _correction(sys, x, vals, jac, gamma)
 
 
@@ -274,12 +275,12 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
     if law is None:
-        profiles_jac = lambda x: _synthesized_profiles_jac(sys, lyap, x)
+        components_jac = lambda x: _synthesized_profiles_jac(sys, lyap, x)
     else:
         ls = law.system
         if (ls.n, ls.m, ls.pairs) != (sys.n, sys.m, sys.pairs):
             raise ValueError("law was built for a structurally different system")
-        profiles_jac = law.profiles_jac
+        components_jac = law.components_jac
     sup = -np.inf
     skipped = 0
     for x in pts:
@@ -288,7 +289,7 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
         if gn2 < grad_floor * grad_floor:
             skipped += 1
             continue
-        vals, jac = profiles_jac(x)
+        _, vals, jac = components_jac(x)
         phi = _correction(sys, x, vals, jac, gamma)
         with np.errstate(invalid="ignore"):
             # a non-finite term (e.g. inf * 0) gives a non-finite ratio, on

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscstab import controller
 from oscstab.controller import (OscillatorAssignment, SynthesisError,
                                 assign_frequencies, feedback_eval,
                                 law_with_period, oscillator, split_component,
                                 synthesize_components, synthesized_law,
                                 user_law)
+from oscstab.lyapunov import decrease_rate
 from scipy.integrate import simpson
 
 from conftest import heis3_system, merging_fields_system
@@ -209,7 +211,7 @@ def test_split_identity_holds_along_law(law_p1, law_p15):
     for law, p in ((law_p1, 1.0), (law_p15, 1.5)):
         for _ in range(20):
             x = rng.uniform(-2, 2, 10)
-            vts = law.profiles(x)
+            vts = law.components(x)[1]
             for q, vt in enumerate(vts):
                 vi, vj = split_component(vt)
                 assert abs(vi * vj - vt) <= 2 * math.ulp(abs(vt))
@@ -227,9 +229,36 @@ def test_synthesized_law_components_match_pointwise(bsys, lyap_p1):
     slaw = synthesized_law(bsys, lyap_p1, 0.5, 0.1)
     rng = np.random.default_rng(14)
     x = rng.uniform(-1, 1, 10)
-    assert np.allclose(slaw.profiles(x), -0.5 * x[4:], atol=1e-12)
-    assert math.isclose(slaw.profiles(x)[2], -0.5 * x[6], rel_tol=1e-12)
-    vals, jac = slaw.profiles_jac(x)
+    assert np.allclose(slaw.components(x)[1], -0.5 * x[4:], atol=1e-12)
+    assert math.isclose(slaw.components(x)[1][2], -0.5 * x[6], rel_tol=1e-12)
+    _, vals, jac = slaw.components_jac(x)
     expected = np.zeros((6, 10))
     expected[:, 4:] = -0.5 * np.eye(6)
     assert np.allclose(jac, expected, atol=1e-12)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(controller, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(controller, name, counted)
+    return calls
+
+
+def test_synthesized_feedback_eval_solves_once(monkeypatch, bsys, lyap_p1):
+    slaw = synthesized_law(bsys, lyap_p1, 0.5, 0.1)
+    calls = _count_calls(monkeypatch, "synthesize_components")
+    feedback_eval(slaw, np.linspace(-1.0, 1.0, 10), 0.013)
+    assert len(calls) == 1
+
+
+def test_synthesized_decrease_rate_builds_bracket_matrix_once(
+        monkeypatch, bsys, lyap_p1):
+    slaw = synthesized_law(bsys, lyap_p1, 0.5, 0.1)
+    calls = _count_calls(monkeypatch, "_bracket_columns")
+    decrease_rate(bsys, slaw, lyap_p1, np.linspace(-1.0, 1.0, 10))
+    assert len(calls) == 1

@@ -224,7 +224,7 @@ def test_margin_unit_gain_equals_gradient_terms_only(bsys, lyap_p1, law_p1):
     sup_direct = -np.inf
     for x in pts:
         g = lyap_p1.grad(x)
-        vals, jac = law_p1.profiles_jac(x)
+        _, vals, jac = law_p1.components_jac(x)
         phi = np.zeros(10)
         for q, (i, j) in enumerate(bsys.pairs):
             if vals[q] == 0.0:

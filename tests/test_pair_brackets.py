@@ -25,7 +25,7 @@ from conftest import _dt, fd_jacobian, heis3_system
 
 def reference_pair_fields(law, x) -> np.ndarray:
     sys_ = law.system
-    vals, jac = law.profiles_jac(x)
+    _, vals, jac = law.components_jac(x)
     rows = []
     for q, (i, j) in enumerate(sys_.pairs):
         vt, gv = float(vals[q]), jac[q]
@@ -97,7 +97,7 @@ def test_all_pair_rows_match_per_pair_reference(case):
         got = pair_bracket_field(law, x)
         assert got.shape == (n_pairs, n)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-        vals = law.profiles(x)
+        vals = law.components(x)[1]
         for q in np.flatnonzero(vals == 0.0):
             assert np.all(got[q] == 0.0)
             zero_rows += 1
@@ -248,7 +248,7 @@ def test_synthesized_profile_jacobian_matches_finite_differences():
     rng = np.random.default_rng(29)
     for _ in range(20):
         x = rng.uniform(-0.8, 0.8, 3)
-        vals, jac = law.profiles_jac(x)
+        _, vals, jac = law.components_jac(x)
         assert jac.shape == (1, 3)
         assert np.all(np.abs(vals - profiles(x)) <= 1e-12)
         fd = fd_jacobian(profiles, x)
