@@ -20,8 +20,7 @@ from .lyapunov import (DefinitenessReport, LyapunovSpec, correction_ratio_sup,
 from .sampling import Region, sample_region
 from .vecfield import (BracketMatrix, VectorFieldSystem,
                        assemble_bracket_matrix, bracket_generating_check,
-                       input_matrix, lie_bracket, make_system, register_system,
-                       registered_systems, system_from_fields)
+                       input_matrix, lie_bracket, system_from_fields)
 
 __version__ = "0.1.0"
 

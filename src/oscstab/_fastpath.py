@@ -31,7 +31,6 @@ BLOWUP_SQ = 1e12
 # pair order of the case study; the kernel's bracket rows and input channels
 # assume it
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-LAW_KIND = "brockett-closed-form"
 COMPILERS = ("cc", "gcc")
 # no FMA contraction: keeps the arithmetic rounding like the numpy generic path
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -253,20 +252,17 @@ def closed_loop(sys, law, x0, J, substeps, h,
     """Closed-loop states from the kernel, ``(states, n_valid)`` exactly like
     the generic stepper of :mod:`oscstab.integrator`.
 
-    Raises :class:`KernelUnavailable` naming why the kernel declines: a law
-    of another kind, parameters that are not the case study's, no compiler
-    or a failed build.
+    ``law.kernel_p`` is the candidate exponent of the closed-form profiles.
+    Raises :class:`KernelUnavailable` naming why the kernel declines: a
+    system that is not the case study's, no compiler or a failed build.
     """
-    kind = law.fast_params.get("kind", "")
-    if kind != LAW_KIND:
-        raise KernelUnavailable(f"no compiled kernel for kind {kind!r}")
-    p = law.fast_params.get("p")
-    if p is None or sys.n != 10 or sys.m != 4 or sys.pairs != PAIRS:
+    if sys.n != 10 or sys.m != 4 or sys.pairs != PAIRS:
         raise KernelUnavailable(
-            "law parameters do not match the ten-state case study")
+            "the law's system is not the ten-state case study")
     a = law.assignment
     kap = np.array(a.kappas, dtype=float)
     kw = kap * a.omega
     gamma_amp = law.gamma * 2.0 * np.sqrt(kap * np.pi / a.eps)
     return brockett_trajectory(np.asarray(x0, dtype=float), J, substeps, h,
-                               float(p), kw, gamma_amp, bool(sampled))
+                               float(law.kernel_p), kw, gamma_amp,
+                               bool(sampled))

@@ -17,14 +17,15 @@ slower (polynomial-looking) tail.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _fastpath, dualnum
-from .controller import FeedbackLaw, user_law
+from .controller import FeedbackLaw, synthesized_law, user_law
 from .lyapunov import LyapunovSpec
-from .vecfield import VectorFieldSystem, register_system
+from .vecfield import VectorFieldSystem
 
 __all__ = [
     "PRESETS", "brockett_system", "brockett_lyapunov", "brockett_law",
@@ -39,23 +40,19 @@ _PAIRS: Tuple[Tuple[int, int], ...] = _fastpath.PAIRS
 
 
 def _f1(x):
-    return np.array([1.0, 0.0, 0.0, 0.0, -x[1], -x[2], -x[3], 0.0, 0.0, 0.0],
-                    dtype=object if isinstance(x[0], dualnum.Dual) else float)
+    return np.array([1.0, 0.0, 0.0, 0.0, -x[1], -x[2], -x[3], 0.0, 0.0, 0.0])
 
 
 def _f2(x):
-    return np.array([0.0, 1.0, 0.0, 0.0, x[0], 0.0, 0.0, -x[2], -x[3], 0.0],
-                    dtype=object if isinstance(x[0], dualnum.Dual) else float)
+    return np.array([0.0, 1.0, 0.0, 0.0, x[0], 0.0, 0.0, -x[2], -x[3], 0.0])
 
 
 def _f3(x):
-    return np.array([0.0, 0.0, 1.0, 0.0, 0.0, x[0], 0.0, x[1], 0.0, -x[3]],
-                    dtype=object if isinstance(x[0], dualnum.Dual) else float)
+    return np.array([0.0, 0.0, 1.0, 0.0, 0.0, x[0], 0.0, x[1], 0.0, -x[3]])
 
 
 def _f4(x):
-    return np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, x[0], 0.0, x[1], x[2]],
-                    dtype=object if isinstance(x[0], dualnum.Dual) else float)
+    return np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, x[0], 0.0, x[1], x[2]])
 
 
 def _const_jacobian(rows):
@@ -92,16 +89,14 @@ def brockett_lyapunov(p: float = 1.0) -> LyapunovSpec:
         out = list(x[:4])
         for c in range(4, 10):
             out.append(dualnum.sign(x[c]) * abs(x[c]) ** (2.0 * p - 1.0))
-        if isinstance(x[0], dualnum.Dual):
-            return np.array(out, dtype=object)
-        return np.array(out, dtype=float)
+        return np.array(out)
 
     def batch_v(xs):
         xs = np.asarray(xs, dtype=float)
         return (0.5 * np.sum(xs[:, :4] ** 2, axis=1)
                 + np.sum(np.abs(xs[:, 4:]) ** (2.0 * p), axis=1) / (2.0 * p))
 
-    return LyapunovSpec(n=10, v=v, grad=grad, p=p, batch_v=batch_v)
+    return LyapunovSpec(n=10, v=v, grad=grad, batch_v=batch_v)
 
 
 def brockett_vtilde(p: float, x) -> np.ndarray:
@@ -125,14 +120,13 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
                  mode: str = "closed-form") -> FeedbackLaw:
     """Feedback law for the case study.
 
-    ``closed-form`` uses the explicit profiles (and advertises the compiled
-    integration kernel); ``synthesized`` solves the bracket matrix pointwise
-    and must agree with the closed forms, which the test-suite checks.
+    ``closed-form`` uses the explicit profiles and sets ``kernel_p``, so it
+    runs on the compiled integration kernel; ``synthesized`` solves the
+    bracket matrix pointwise and must agree with the closed forms, which the
+    test-suite checks.
     """
     sys = brockett_system()
     if mode == "synthesized":
-        from .controller import synthesized_law
-
         return synthesized_law(sys, brockett_lyapunov(p), gamma, eps, kappas)
     if mode != "closed-form":
         raise ValueError(f"unknown law mode {mode!r}")
@@ -140,13 +134,10 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
     def v0(x):
         return -np.asarray(x, dtype=float)[:4]
 
-    return user_law(
-        sys, gamma, eps, v0=v0,
-        profiles=lambda x: brockett_vtilde(p, x),
-        profiles_jac=lambda x: _profiles_jac(p, x),
-        kappas=kappas,
-        fast_params={"kind": _fastpath.LAW_KIND, "p": float(p)},
-    )
+    law = user_law(sys, gamma, eps, v0=v0,
+                   profiles=lambda x: brockett_vtilde(p, x),
+                   profiles_jac=lambda x: _profiles_jac(p, x), kappas=kappas)
+    return replace(law, kernel_p=float(p))
 
 
 def brockett_decrease_parts(p: float, gamma: float, x):
@@ -213,7 +204,7 @@ def stable_gain_interval(p: float, H: Optional[float] = None) -> Tuple[float, fl
                                      * (1.0 + H))))
 
 
-# --- presets and registration -----------------------------------------------
+# --- presets ------------------------------------------------------------------
 
 _X0_FIG1_LEFT = (1.0, -1.0, 1.5, -0.5, 2.0, -2.0, 2.5, -2.5, 3.0, -3.0)
 _X0_FIG1_RIGHT = (1.0, -1.0) * 5
@@ -222,5 +213,3 @@ PRESETS = {
     "fig1-left": {"p": 1.0, "x0": _X0_FIG1_LEFT},
     "fig1-right": {"p": 1.5, "x0": _X0_FIG1_RIGHT},
 }
-
-register_system("brockett10", brockett_system)

@@ -28,7 +28,7 @@ from .integrator import (Trajectory, integrate_classical,
                          write_trajectory_csv, write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
 from .sampling import Region, sample_region
-from .vecfield import bracket_generating_check, make_system, registered_systems
+from .vecfield import bracket_generating_check
 
 __all__ = ["RunConfig", "load_config_file", "run", "compare", "verify",
            "fit_exponential", "fit_powerlaw", "main"]
@@ -49,7 +49,6 @@ class RunConfig:
     p: Optional[float] = None          # defaults from the preset, else 1.0
     gamma: float = 0.5
     eps: float = 0.1
-    H: float = 1.0
     T: float = 50.0
     substeps: int = 400
     kappas: Optional[Tuple[int, ...]] = None
@@ -148,15 +147,13 @@ def load_config_file(path: str) -> Dict[str, object]:
 
 
 def _build(config: RunConfig):
-    if config.system not in registered_systems():
-        raise ConfigError(f"unknown system {config.system!r}; "
-                          f"registered: {registered_systems()}")
     if config.system != "brockett10":
-        raise ConfigError("only the brockett10 bundle is wired to the CLI")
+        raise ConfigError(f"unknown system {config.system!r}; "
+                          "known: ('brockett10',)")
     if config.mode not in ("classical", "sampled", "both"):
         raise ConfigError(f"bad mode {config.mode!r}")
     p = config.resolved_p()
-    sys_ = make_system(config.system)
+    sys_ = brockett.brockett_system()
     lyap = brockett.brockett_lyapunov(p)
     try:
         law = brockett.brockett_law(p, config.gamma, config.eps,
@@ -293,11 +290,10 @@ def compare(config: RunConfig) -> Tuple[dict, int]:
     tc, ts = trajs["classical"], trajs["sampled"]
     k = min(tc.t.shape[0], ts.t.shape[0])
     diff = np.abs(tc.norms[:k] - ts.norms[:k])
+    table = np.column_stack((tc.t[:k], tc.norms[:k], ts.norms[:k], diff))
     with open(os.path.join(outdir, "compare.csv"), "w", newline="\n") as fh:
-        fh.write("t,norm_classical,norm_sampled,abs_diff\n")
-        for i in range(k):
-            fh.write("%.17g,%.17g,%.17g,%.17g\n"
-                     % (tc.t[i], tc.norms[i], ts.norms[i], diff[i]))
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",",
+                   header="t,norm_classical,norm_sampled,abs_diff", comments="")
     stride = config.substeps
     payload = {
         "schema": SCHEMA_VERSION,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,9 +197,11 @@ class FeedbackLaw:
     ``components_jac(x)`` returns ``(v0, vtilde, jac)`` with the profile
     Jacobian ``jac`` of shape (|S|, n), for the certificate and prediction
     code.  A synthesized law gets both halves from one solve per call.
-    ``fast_params`` advertises a compiled integration kernel to the
-    integrator; it never changes semantics.  Evaluation is pure and
-    reentrant, so laws are safe to share across sweep workers.
+    ``kernel_p`` is set only on the case-study closed-form law of
+    :func:`oscstab.brockett.brockett_law`, whose candidate exponent it
+    holds; it lets the integrator run the compiled trajectory kernel and
+    never changes semantics.  Evaluation is pure and reentrant, so laws are
+    safe to share across sweep workers.
     """
 
     system: VectorFieldSystem
@@ -208,7 +210,7 @@ class FeedbackLaw:
     components: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     components_jac: Callable[[np.ndarray],
                              Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    fast_params: Optional[Mapping] = None
+    kernel_p: Optional[float] = None
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -241,8 +243,7 @@ def user_law(sys: VectorFieldSystem, gamma: float, eps: float,
              v0: Callable[[np.ndarray], np.ndarray],
              profiles: Callable[[np.ndarray], np.ndarray],
              profiles_jac: Optional[Callable] = None,
-             kappas: Optional[Sequence[int]] = None,
-             fast_params: Optional[Mapping] = None) -> FeedbackLaw:
+             kappas: Optional[Sequence[int]] = None) -> FeedbackLaw:
     """Law with caller-supplied closed-form components.
 
     ``profiles(x)`` returns one profile per bracket pair, in pair order;
@@ -260,8 +261,7 @@ def user_law(sys: VectorFieldSystem, gamma: float, eps: float,
     return FeedbackLaw(
         system=sys, gamma=float(gamma), assignment=assignment,
         components=lambda x: (v0(x), profiles(x)),
-        components_jac=lambda x: (v0(x), *profiles_jac(x)),
-        fast_params=fast_params)
+        components_jac=lambda x: (v0(x), *profiles_jac(x)))
 
 
 def law_with_period(law: FeedbackLaw, eps: float) -> FeedbackLaw:

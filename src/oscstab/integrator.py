@@ -13,12 +13,12 @@ The right-hand side is merely continuous at profile sign switches for the
 low-exponent candidate families, so the classical order theory does not
 apply there; correctness is established by step-halving checks instead.
 
-Laws that advertise the case-study kernel through ``fast_params`` run on the
-compiled trajectory kernel of :mod:`oscstab._fastpath`; results are
+The case-study closed-form law (the one law with ``kernel_p`` set) runs on
+the compiled trajectory kernel of :mod:`oscstab._fastpath`; results are
 interchangeable with the generic path and the generic path always remains
 available.  Every trajectory records in ``solver_path`` which path produced
-it, and a law that advertises a compiled kernel but falls back to the
-generic path raises one ``RuntimeWarning`` per process naming the reason.
+it, and a law with ``kernel_p`` set that falls back to the generic path
+raises one ``RuntimeWarning`` per process naming the reason.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 MIN_SUBSTEPS_PER_KAPPA = 50
+# reference steps of the order probe: 16 times the default 400 per window
+PROBE_SUBSTEPS = 16 * 400
 
 
 @dataclass
@@ -77,7 +79,7 @@ class Trajectory:
     substep count divides the period).  ``windows`` covers every completed
     window when a Lyapunov candidate was supplied to the integrator.
     ``solver_path`` is ``"compiled"`` or ``"generic (<reason>)"``, the reason
-    being why no compiled kernel ran (``use_fast=False``, no ``fast_params``,
+    being why no compiled kernel ran (``use_fast=False``, no ``kernel_p``,
     no compiler, build failed, ...).
     """
 
@@ -154,8 +156,8 @@ def _steps(sys, law, x0, J, substeps, h, sampled,
            use_fast) -> Tuple[np.ndarray, int, str]:
     if not use_fast:
         reason = "use_fast=False"
-    elif law.fast_params is None:
-        reason = "no fast_params"
+    elif law.kernel_p is None:
+        reason = "no kernel_p"
     else:
         try:
             xs, n_valid = _fastpath.closed_loop(sys, law, x0, J, substeps, h,
@@ -275,13 +277,11 @@ class OrderProbeResult(NamedTuple):
 
 
 def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
-                           eps_list: Sequence[float], substeps: int = 400,
-                           refine: int = 16,
-                           use_fast: bool = True) -> OrderProbeResult:
+                           eps_list: Sequence[float]) -> OrderProbeResult:
     """Fit the decay exponent of the one-step prediction residual.
 
     For each period the law is rebuilt (oscillator amplitudes scale with the
-    period), integrated over a single window with ``refine``-times finer
+    period), integrated over a single window with ``PROBE_SUBSTEPS`` (6400)
     steps as the reference, and the residual against the truncated
     prediction is recorded; the exponent is the log-log slope.  Residuals at
     solver-noise level (below 1e-13) are excluded and reported.
@@ -293,8 +293,7 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
     excluded: List[float] = []
     for e in eps_list:
         lo = law_with_period(law, e)
-        traj = integrate_classical(sys, lo, x0, T=e, substeps=substeps * refine,
-                                   use_fast=use_fast)
+        traj = integrate_classical(sys, lo, x0, T=e, substeps=PROBE_SUBSTEPS)
         if traj.diverged:
             raise ArithmeticError(f"one-window integration diverged at eps={e}")
         rho = float(np.linalg.norm(traj.states[-1]
@@ -378,12 +377,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         raise ValueError("trajectory has no V channel; integrate with a candidate")
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",V,norm"
-    fmt = ",".join(["%.17g"] * (n + 3))
+    table = np.column_stack((traj.t, traj.states, traj.v, traj.norms))
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(traj.t.shape[0]):
-            row = (traj.t[k], *traj.states[k], traj.v[k], traj.norms[k])
-            fh.write(fmt % row + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
 
 
 def write_windows_json(traj: Trajectory, path) -> None:

@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .controller import (FeedbackLaw, _pair_bracket_terms,
-                         _synthesized_profiles_jac)
+from .controller import FeedbackLaw, _pair_bracket_terms, synthesized_law
 from .sampling import Region, sample_region
 from .vecfield import VectorFieldSystem, input_matrix
 
@@ -33,6 +32,11 @@ __all__ = [
     "correction_field", "correction_ratio_sup",
 ]
 
+# radius of the ball on which candidates are checked positive
+CHECK_RADIUS = 1.0
+# gain-bound scan: |alpha| at or below this counts as a vanishing drift term
+TOL_ALPHA = 1e-6
+
 
 @dataclass(frozen=True)
 class LyapunovSpec:
@@ -41,15 +45,12 @@ class LyapunovSpec:
     ``grad`` returns the gradient as a flat array, understood as a row
     covector (it multiplies vector fields from the left).  Positive
     definiteness is checked at construction on a deterministic sample of the
-    ball of radius ``check_radius``; ``p`` records the exponent for the
-    power-family candidates used by the case studies.
+    ball of radius ``CHECK_RADIUS`` (1.0).
     """
 
     n: int
     v: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    p: Optional[float] = None
-    check_radius: float = 1.0
     # optional row-wise evaluator for (k, n) sample blocks; must agree with v
     batch_v: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -62,8 +63,8 @@ class LyapunovSpec:
             raise ValueError(f"grad must return shape ({self.n},)")
         if np.linalg.norm(g0) > 1e-12:
             raise ValueError("grad V(0) must vanish")
-        pts = sample_region(Region.ball(self.n, self.check_radius), 64,
-                            r_min=1e-3 * self.check_radius, seed=7)
+        pts = sample_region(Region.ball(self.n, CHECK_RADIUS), 64,
+                            r_min=1e-3 * CHECK_RADIUS, seed=7)
         vals = np.array([float(self.v(x)) for x in pts])
         if np.any(vals <= 0.0):
             bad = pts[int(np.argmin(vals))]
@@ -170,15 +171,14 @@ class GainBound(NamedTuple):
 
 def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
                     lyap: LyapunovSpec, region: Region, n_samples: int,
-                    tol_alpha: float = 1e-6, seed: int = 0,
-                    r_min: float = 1e-6) -> GainBound:
+                    seed: int = 0, r_min: float = 1e-6) -> GainBound:
     """Sampled admissible-gain estimate from the certificate terms.
 
-    Over points with ``|alpha| > tol_alpha`` the scan estimates
+    Over points with ``|alpha| > TOL_ALPHA`` (1e-6) the scan estimates
     ``ratio_sup = sup(-beta / alpha)``; any gain with
     ``gamma**2 < 1 / ratio_sup`` keeps ``w`` negative on those samples, and a
     nonpositive ``ratio_sup`` (beta never fights alpha) yields the
-    ``inf`` sentinel.  Points with ``|alpha| <= tol_alpha`` and
+    ``inf`` sentinel.  Points with ``|alpha| <= TOL_ALPHA`` and
     ``||x|| >= r_min`` stand in for the set where the drift term vanishes;
     there ``beta < 0`` is required and violations are reported.  A point
     where ``alpha`` or ``beta`` is not finite counts as a violation (with a
@@ -186,8 +186,6 @@ def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if tol_alpha <= 0:
-        raise ValueError("tol_alpha must be positive")
     pts = sample_region(region, n_samples, r_min, seed)
     ratio_sup = -np.inf
     n_ratio = 0
@@ -198,7 +196,7 @@ def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
     for x in pts:
         _, alpha, beta = decrease_rate(sys, law, lyap, x, gamma=1.0)
         finite = np.isfinite(alpha) and np.isfinite(beta)
-        if finite and abs(alpha) > tol_alpha:
+        if finite and abs(alpha) > TOL_ALPHA:
             n_ratio += 1
             ratio_sup = max(ratio_sup, -beta / alpha)
         else:
@@ -268,19 +266,18 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
     counted.  A non-finite ratio (from a field, profile or gradient that is
     not finite) raises ``ArithmeticError``.  ``law`` may supply profile
     evaluators (its gain is ignored in favor of ``gamma``); without one the
-    profiles are synthesized pointwise, with their Jacobian from implicit
-    differentiation of the solve.
+    profiles are synthesized pointwise (:func:`synthesized_law`), with their
+    Jacobian from implicit differentiation of the solve.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
     if law is None:
-        components_jac = lambda x: _synthesized_profiles_jac(sys, lyap, x)
-    else:
-        ls = law.system
-        if (ls.n, ls.m, ls.pairs) != (sys.n, sys.m, sys.pairs):
-            raise ValueError("law was built for a structurally different system")
-        components_jac = law.components_jac
+        # neither the gain nor the period enters components_jac
+        law = synthesized_law(sys, lyap, 0.0, 1.0)
+    ls = law.system
+    if (ls.n, ls.m, ls.pairs) != (sys.n, sys.m, sys.pairs):
+        raise ValueError("law was built for a structurally different system")
     sup = -np.inf
     skipped = 0
     for x in pts:
@@ -289,7 +286,7 @@ def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
         if gn2 < grad_floor * grad_floor:
             skipped += 1
             continue
-        _, vals, jac = components_jac(x)
+        _, vals, jac = law.components_jac(x)
         phi = _correction(sys, x, vals, jac, gamma)
         with np.errstate(invalid="ignore"):
             # a non-finite term (e.g. inf * 0) gives a non-finite ratio, on

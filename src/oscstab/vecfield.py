@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -22,11 +22,13 @@ from . import dualnum
 __all__ = [
     "VectorFieldSystem", "BracketMatrix", "system_from_fields", "input_matrix",
     "lie_bracket", "assemble_bracket_matrix", "bracket_generating_check",
-    "register_system", "make_system", "registered_systems",
 ]
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
 JacFn = Callable[[np.ndarray], np.ndarray]
+
+# relative singular-value floor of the spanning test
+SPAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -210,37 +212,15 @@ def assemble_bracket_matrix(sys: VectorFieldSystem, x) -> BracketMatrix:
     return BracketMatrix(x=x, matrix=mat, condition=_condition_1norm(mat))
 
 
-def bracket_generating_check(sys: VectorFieldSystem, x,
-                             tol: float = 1e-10) -> Tuple[bool, float]:
+def bracket_generating_check(sys: VectorFieldSystem, x) -> Tuple[bool, float]:
     """Spanning test for the field-plus-bracket columns at ``x``.
 
-    Passes iff every singular value of the bracket matrix exceeds ``tol``
-    times the largest one; returns the verdict and the smallest singular
-    value.  Singular values make the test insensitive to the column scaling
-    that bracket columns typically carry.
+    Passes iff every singular value of the bracket matrix exceeds
+    ``SPAN_TOL`` (1e-10) times the largest one; returns the verdict and the
+    smallest singular value.  Singular values make the test insensitive to
+    the column scaling that bracket columns typically carry.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
     x = _check_point(sys, np.asarray(x, dtype=float))
     svals = np.linalg.svd(_bracket_columns(sys, x), compute_uv=False)
-    return bool(svals[-1] > tol * svals[0]), float(svals[-1])
+    return bool(svals[-1] > SPAN_TOL * svals[0]), float(svals[-1])
 
-
-# --- registry of built-in systems (CLI selection by name) -------------------
-
-_REGISTRY: Dict[str, Callable[[], VectorFieldSystem]] = {}
-
-
-def register_system(name: str, factory: Callable[[], VectorFieldSystem]) -> None:
-    _REGISTRY[name] = factory
-
-
-def make_system(name: str) -> VectorFieldSystem:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown system {name!r}; known: {sorted(_REGISTRY)}") from None
-
-
-def registered_systems() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))

@@ -143,9 +143,9 @@ def test_presets():
 
 def test_law_modes_and_bad_mode():
     law = bk.brockett_law(1.0, 0.5, 0.1, mode="closed-form")
-    assert law.fast_params["kind"] == "brockett-closed-form"
+    assert law.kernel_p == 1.0
     slaw = bk.brockett_law(1.0, 0.5, 0.1, mode="synthesized")
-    assert slaw.fast_params is None
+    assert slaw.kernel_p is None
     with pytest.raises(ValueError, match="mode"):
         bk.brockett_law(1.0, 0.5, 0.1, mode="magic")
 

@@ -38,9 +38,10 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     f = tmp_path / "run.cfg"
-    f.write_text("gamm = 0.4\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config_file(str(f))
+    for line in ("gamm = 0.4\n", "H = 1.0\n"):
+        f.write_text(line)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config_file(str(f))
     f.write_text("gamma 0.4\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config_file(str(f))

@@ -148,7 +148,7 @@ def test_order_probe_unforced_flow_matches_closed_form(bsys, law_p1):
     x0[4] = 1.0
     x0[0] = 0.5
     eps_list = (0.1, 0.05, 0.025)
-    probe = prediction_order_probe(bsys, law0, x0, eps_list, substeps=400)
+    probe = prediction_order_probe(bsys, law0, x0, eps_list)
     # actuated block decays exactly exponentially and the tail is constant,
     # so the residual is |e^-eps - 1 + eps| * ||x0 head||
     for e, rho in zip(probe.eps_values, probe.residuals):

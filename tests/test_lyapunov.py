@@ -26,7 +26,6 @@ ORACLE_C1_SUP_P1_BALL1 = 0.749594
 def test_candidate_accepts_case_study_family():
     for p in (1.0, 1.25, 1.5):
         lyap = bk.brockett_lyapunov(p)
-        assert lyap.p == p
         assert lyap.v(np.zeros(10)) == 0.0
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from oscstab.vecfield import (VectorFieldSystem, assemble_bracket_matrix,
                               bracket_generating_check, input_matrix,
-                              lie_bracket, make_system, registered_systems,
-                              system_from_fields)
+                              lie_bracket, system_from_fields)
 
 from conftest import (fd_bracket, heis3_system, merging_fields_system,
                       random_polynomial_system)
@@ -95,13 +94,13 @@ def test_duplicate_columns_give_condition_sentinel():
 
 
 def test_bracket_generating_brockett_everywhere(bsys):
-    ok, smin = bracket_generating_check(bsys, np.zeros(10), tol=1e-10)
+    ok, smin = bracket_generating_check(bsys, np.zeros(10))
     assert ok and np.isclose(smin, 1.0)
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = rng.uniform(-1, 1, 10)
         x *= 5.0 * rng.uniform() / np.linalg.norm(x)
-        ok, smin = bracket_generating_check(bsys, x, tol=1e-10)
+        ok, smin = bracket_generating_check(bsys, x)
         assert ok and smin > 0
 
 
@@ -113,13 +112,6 @@ def test_bracket_generating_fails_on_rank_deficiency():
     zero_bracket = heis3_system()
     ok0, _ = bracket_generating_check(zero_bracket, np.zeros(3))
     assert ok0  # the 3-state integrator does span
-
-
-def test_tol_validation(bsys):
-    with pytest.raises(ValueError):
-        bracket_generating_check(bsys, np.zeros(10), tol=0.0)
-    with pytest.raises(ValueError):
-        bracket_generating_check(bsys, np.zeros(10), tol=1.0)
 
 
 def test_index_and_state_validation(bsys):
@@ -168,10 +160,3 @@ def test_input_matrix_stacks_fields(bsys):
     for k in range(1, 5):
         assert np.array_equal(b[:, k - 1], bsys.field(k, x))
 
-
-def test_registry_contains_case_study():
-    assert "brockett10" in registered_systems()
-    sys_ = make_system("brockett10")
-    assert sys_.n == 10 and sys_.m == 4
-    with pytest.raises(KeyError):
-        make_system("nope")
