@@ -218,51 +218,35 @@ def kernel() -> ctypes.CDLL:
     return _kernel
 
 
-def _vec(a, dtype, size: int, name: str) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if out.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {out.shape}")
-    return out
-
-
-def brockett_trajectory(x0, J, substeps, h, p, kw, gamma_amp,
+def brockett_trajectory(sys, law, x0, J, substeps, h,
                         sampled) -> Tuple[np.ndarray, int]:
-    """RK4 states of the case-study loop, ``(states, n_valid)``.
+    """RK4 states of the case-study closed loop, ``(states, n_valid)``,
+    exactly like the generic stepper of :mod:`oscstab.integrator`.
 
     ``states`` has ``J * substeps + 1`` rows; only the first ``n_valid`` are
-    meaningful (fewer than all when the norm squared passed 1e12 or an entry
-    went non-finite).  ``gamma_amp`` holds the gain times each pair's
-    oscillator amplitude.
-    """
-    lib = kernel()
-    J, substeps = int(J), int(substeps)
-    if J < 1 or substeps < 1:
-        raise ValueError("need J >= 1 and substeps >= 1")
-    x0 = _vec(x0, np.float64, 10, "x0")
-    kw = _vec(kw, np.float64, 6, "kw")
-    gamma_amp = _vec(gamma_amp, np.float64, 6, "gamma_amp")
-    xs = np.empty((J * substeps + 1, 10))
-    n_valid = lib.brockett_trajectory(x0, J, substeps, float(h), float(p), kw,
-                                      gamma_amp, int(bool(sampled)), xs)
-    return xs, int(n_valid)
-
-
-def closed_loop(sys, law, x0, J, substeps, h,
-                sampled) -> Tuple[np.ndarray, int]:
-    """Closed-loop states from the kernel, ``(states, n_valid)`` exactly like
-    the generic stepper of :mod:`oscstab.integrator`.
-
-    ``law.kernel_p`` is the candidate exponent of the closed-form profiles.
-    Raises :class:`KernelUnavailable` naming why the kernel declines: a
-    system that is not the case study's, no compiler or a failed build.
+    meaningful (fewer than all when the norm squared passed ``BLOWUP_SQ``
+    or an entry went non-finite).  ``law.kernel_p`` is the candidate
+    exponent of the closed-form profiles.  Raises
+    :class:`KernelUnavailable` naming why the kernel declines: a system
+    that is not the case study's, no compiler or a failed build.
     """
     if sys.n != 10 or sys.m != 4 or sys.pairs != PAIRS:
         raise KernelUnavailable(
             "the law's system is not the ten-state case study")
+    lib = kernel()
+    J, substeps = int(J), int(substeps)
+    if J < 1 or substeps < 1:
+        raise ValueError("need J >= 1 and substeps >= 1")
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    if x0.shape != (10,):
+        raise ValueError(f"x0 must have shape (10,), got {x0.shape}")
     a = law.assignment
     kap = np.array(a.kappas, dtype=float)
     kw = kap * a.omega
+    # the gain times each pair's oscillator amplitude
     gamma_amp = law.gamma * 2.0 * np.sqrt(kap * np.pi / a.eps)
-    return brockett_trajectory(np.asarray(x0, dtype=float), J, substeps, h,
-                               float(law.kernel_p), kw, gamma_amp,
-                               bool(sampled))
+    xs = np.empty((J * substeps + 1, 10))
+    n_valid = lib.brockett_trajectory(x0, J, substeps, float(h),
+                                      float(law.kernel_p), kw, gamma_amp,
+                                      int(bool(sampled)), xs)
+    return xs, int(n_valid)

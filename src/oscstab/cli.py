@@ -24,8 +24,8 @@ import numpy as np
 from . import brockett
 from .integrator import (Trajectory, integrate_classical,
                          integrate_sampled, iterated_integral_coefficient,
-                         oscillator_coupling, prediction_order_probe,
-                         write_trajectory_csv, write_windows_json)
+                         prediction_order_probe, write_trajectory_csv,
+                         write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
 from .sampling import Region, sample_region
 from .vecfield import bracket_generating_check
@@ -35,6 +35,19 @@ __all__ = ["RunConfig", "load_config_file", "run", "compare", "verify",
 
 ENV_OUTPUT_ROOT = "OSCSTAB_OUT"
 SCHEMA_VERSION = 1
+
+# run summaries: converged means a terminal norm at most CONV_THRESHOLD times
+# the initial one; rates are fitted on the FIT_LO..FIT_HI band of the windows
+# whose norm is above NORM_FLOOR
+CONV_THRESHOLD = 1e-2
+NORM_FLOOR = 1e-6
+FIT_LO = 0.15
+FIT_HI = 0.85
+# verify: radii of the sampled balls of the span, negdef, gain and margin scans
+SPAN_RADIUS = 5.0
+NEGDEF_RADIUS = 2.0
+GAIN_RADIUS = 2.0
+C1_RADIUS = 1.0
 
 
 class ConfigError(ValueError):
@@ -55,22 +68,13 @@ class RunConfig:
     law_mode: str = "closed-form"      # closed-form | synthesized
     seed: int = 2024
     outdir: str = "out"
-    conv_threshold: float = 1e-2       # terminal norm relative to initial
-    norm_floor: float = 1e-6
-    fit_lo: float = 0.15
-    fit_hi: float = 0.85
     # verification knobs
     span_n: int = 128
-    span_radius: float = 5.0
     negdef_n: int = 10000
-    negdef_radius: float = 2.0
     gain_n: int = 4096
-    gain_radius: float = 2.0
     c1_n: int = 2048
-    c1_radius: float = 1.0
     cf_eps: Tuple[float, ...] = (0.1, 0.05, 0.025)
     quad_steps: int = 20000
-    resonance_witness: bool = False
 
     def resolved_p(self) -> float:
         if self.p is not None:
@@ -102,8 +106,6 @@ class RunConfig:
         return d
 
 
-_TUPLE_FLOAT_KEYS = {"cf_eps"}
-_TUPLE_INT_KEYS = {"kappas"}
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
@@ -111,9 +113,9 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
-    if key in _TUPLE_INT_KEYS:
+    if key == "kappas":
         return tuple(int(v) for v in raw.split(",")) if raw else None
-    if key in _TUPLE_FLOAT_KEYS:
+    if key == "cf_eps":
         return tuple(float(v) for v in raw.split(","))
     if key == "x0":
         if any(c.isalpha() for c in raw):
@@ -122,8 +124,6 @@ def _parse_value(key: str, raw: str):
     if key == "p":
         return None if raw.lower() in ("", "none") else float(raw)
     default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -153,14 +153,13 @@ def _build(config: RunConfig):
     if config.mode not in ("classical", "sampled", "both"):
         raise ConfigError(f"bad mode {config.mode!r}")
     p = config.resolved_p()
-    sys_ = brockett.brockett_system()
     lyap = brockett.brockett_lyapunov(p)
     try:
         law = brockett.brockett_law(p, config.gamma, config.eps,
                                     kappas=config.kappas, mode=config.law_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return sys_, lyap, law, p
+    return law.system, lyap, law, p
 
 
 # --- convergence-rate estimation ---------------------------------------------
@@ -186,18 +185,17 @@ def fit_powerlaw(t, y) -> float:
     return float(np.polyfit(np.log(t[keep]), np.log(y[keep]), 1)[0])
 
 
-def _fit_window(norms: np.ndarray, lo_frac: float, hi_frac: float,
-                floor: float) -> np.ndarray:
+def _fit_window(norms: np.ndarray) -> np.ndarray:
     """Indices of the middle band of windows whose norm is above the floor."""
-    idx = np.flatnonzero(norms > floor)
+    idx = np.flatnonzero(norms > NORM_FLOOR)
     if idx.size < 3:
         return idx
-    lo = int(math.floor(lo_frac * idx.size))
-    hi = max(lo + 2, int(math.ceil(hi_frac * idx.size)))
+    lo = int(math.floor(FIT_LO * idx.size))
+    hi = max(lo + 2, int(math.ceil(FIT_HI * idx.size)))
     return idx[lo:hi]
 
 
-def _run_summary(traj: Trajectory, config: RunConfig) -> dict:
+def _run_summary(traj: Trajectory) -> dict:
     nw = traj.norms[::traj.substeps]
     tw = traj.t[::traj.substeps]
     initial = float(traj.norms[0])
@@ -206,7 +204,7 @@ def _run_summary(traj: Trajectory, config: RunConfig) -> dict:
     dec = np.diff(vb)
     active = nw[:dec.size] > 1e-8
     monotone = bool(np.all(dec[active] < 0)) if dec.size else True
-    fit_idx = _fit_window(nw, config.fit_lo, config.fit_hi, config.norm_floor)
+    fit_idx = _fit_window(nw)
     if fit_idx.size >= 3:
         slope, r2 = fit_exponential(tw[fit_idx], nw[fit_idx])
         poly = fit_powerlaw(tw[fit_idx], nw[fit_idx])
@@ -228,12 +226,15 @@ def _run_summary(traj: Trajectory, config: RunConfig) -> dict:
         if traj.n_windows else 0.0,
         "diverged": traj.diverged,
         "converged": bool(not traj.diverged
-                          and terminal <= config.conv_threshold * max(initial, 1e-300)),
+                          and terminal <= CONV_THRESHOLD * max(initial, 1e-300)),
+        "solver_path": traj.solver_path,
     }
 
 
-def _write_summary(outdir: str, payload: dict) -> None:
-    with open(os.path.join(outdir, "summary.json"), "w", newline="\n") as fh:
+def _write_summary(outdir: str, payload: dict,
+                   name: str = "summary.json") -> None:
+    """Write a report as JSON: indent 1, sorted keys, LF, final newline."""
+    with open(os.path.join(outdir, name), "w", newline="\n") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -261,7 +262,7 @@ def _integrate_and_write(config: RunConfig, modes: Sequence[str]):
     for mode, traj in trajs.items():
         write_trajectory_csv(traj, os.path.join(outdir, f"trajectory_{mode}.csv"))
         write_windows_json(traj, os.path.join(outdir, f"windows_{mode}.json"))
-        sections[mode] = _run_summary(traj, config)
+        sections[mode] = _run_summary(traj)
     return trajs, sections, outdir
 
 
@@ -318,7 +319,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     checks: Dict[str, dict] = {}
 
     # spanning condition of fields plus brackets over a sampled ball
-    pts = sample_region(Region.ball(sys_.n, config.span_radius), config.span_n,
+    pts = sample_region(Region.ball(sys_.n, SPAN_RADIUS), config.span_n,
                         r_min=0.0, seed=config.seed)
     smin = float("inf")
     ok = True
@@ -328,18 +329,18 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
         smin = min(smin, sv)
     checks["span"] = {"pass": ok, "min_singular_value": smin,
                       "n_points": config.span_n + 1,
-                      "radius": config.span_radius}
+                      "radius": SPAN_RADIUS}
 
     # sampled negativity of the certificate
     rep = negdef_scan(lambda x: brockett.brockett_decrease_rate(p, config.gamma, x),
-                      Region.ball(sys_.n, config.negdef_radius),
+                      Region.ball(sys_.n, NEGDEF_RADIUS),
                       config.negdef_n, seed=config.seed)
     checks["certificate_negdef"] = {"pass": rep.violations == 0,
                                     **rep.to_json_dict()}
 
     # sampled gain bound against the configured gain
     gb = gain_bound_scan(sys_, law, lyap,
-                         Region.ball(sys_.n, config.gain_radius),
+                         Region.ball(sys_.n, GAIN_RADIUS),
                          config.gain_n, seed=config.seed)
     checks["gain_bound"] = {
         "pass": bool(config.gamma < gb.gamma_max and gb.report.violations == 0),
@@ -350,9 +351,9 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     }
 
     # synthesis margin
-    cs = correction_ratio_sup(sys_, lyap, config.gamma,
-                              Region.ball(sys_.n, config.c1_radius),
-                              config.c1_n, seed=config.seed, law=law)
+    cs = correction_ratio_sup(sys_, law, lyap, config.gamma,
+                              Region.ball(sys_.n, C1_RADIUS),
+                              config.c1_n, seed=config.seed)
     checks["synthesis_margin"] = {"pass": bool(cs.sup < 1.0),
                                   "sup": cs.sup, "skipped": cs.skipped}
 
@@ -386,11 +387,6 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
             cross_worst = max(cross_worst, abs(cross) / scale)
     osc = {"same_pair_rel_err": same_worst, "cross_rel_coupling": cross_worst}
     osc_pass = same_worst <= 1e-6 and cross_worst <= 1e-8
-    if config.resonance_witness:
-        # deliberately resonant pair of multipliers; must be detected
-        witness = oscillator_coupling(3, 3, eps, config.quad_steps)
-        osc["witness_coupling"] = witness
-        osc_pass = osc_pass and abs(witness) <= 1e-8 * eps
     checks["oscillators"] = {"pass": bool(osc_pass), **osc}
 
     all_pass = all(c["pass"] for c in checks.values())
@@ -404,9 +400,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     }
     outdir = config.resolved_outdir()
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "verify.json"), "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_summary(outdir, payload, "verify.json")
     return payload, 0 if all_pass else 2
 
 
@@ -415,10 +409,6 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="flat key = value config file")
     for f in dataclasses.fields(RunConfig):
-        if f.name == "resonance_witness":
-            sp.add_argument("--resonance-witness", action="store_true",
-                            default=None, help=argparse.SUPPRESS)
-            continue
         sp.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
                         default=None, metavar="V")
 
@@ -428,11 +418,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         values.update(load_config_file(args.config))
     for f in dataclasses.fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        values[f.name] = (_parse_value(f.name, raw)
-                          if isinstance(raw, str) else raw)
+        raw = getattr(args, f.name)
+        if raw is not None:
+            values[f.name] = _parse_value(f.name, raw)
     try:
         return RunConfig(**values)
     except TypeError as exc:

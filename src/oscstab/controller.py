@@ -46,11 +46,19 @@ Pair = Tuple[int, int]
 
 
 class SynthesisError(RuntimeError):
-    """Feedback synthesis failed at a point (ill-conditioned bracket matrix)."""
+    """Feedback synthesis failed at a point (ill-conditioned bracket matrix).
 
-    def __init__(self, msg: str, condition: float):
+    Raised out of an integration it also names the RK4 ``step``, its start
+    time ``t`` and their ``window``; these are None otherwise.
+    """
+
+    def __init__(self, msg: str, condition: float, step: Optional[int] = None,
+                 t: Optional[float] = None, window: Optional[int] = None):
+        if step is not None:
+            msg = f"{msg} (at step {step}, t={t!r}, window {window})"
         super().__init__(msg)
         self.condition = condition
+        self.step, self.t, self.window = step, t, window
 
 
 def assign_frequencies(pairs: Sequence[Pair],
@@ -221,6 +229,14 @@ class FeedbackLaw:
     @property
     def eps(self) -> float:
         return self.assignment.eps
+
+
+def _check_law_system(sys: VectorFieldSystem, law: FeedbackLaw) -> None:
+    """Refuse a law built for another system than ``sys``."""
+    if sys is not law.system and sys != law.system:
+        built, given = (f"{s.name or 'unnamed'} (n={s.n}, m={s.m})"
+                        for s in (law.system, sys))
+        raise ValueError(f"law was built for system {built}, not for {given}")
 
 
 def synthesized_law(sys: VectorFieldSystem, lyap, gamma: float, eps: float,

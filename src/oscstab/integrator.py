@@ -32,8 +32,9 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from . import _fastpath
-from .controller import (FeedbackLaw, OscillatorAssignment, drift_field,
-                         feedback_eval, law_with_period, pair_bracket_field)
+from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
+                         _check_law_system, drift_field, feedback_eval,
+                         law_with_period, pair_bracket_field)
 from .lyapunov import LyapunovSpec, decrease_rate
 from .vecfield import VectorFieldSystem, input_matrix
 
@@ -45,7 +46,6 @@ __all__ = [
     "write_trajectory_csv", "write_windows_json",
 ]
 
-BLOWUP_NORM = 1e6
 MIN_SUBSTEPS_PER_KAPPA = 50
 # reference steps of the order probe: 16 times the default 400 per window
 PROBE_SUBSTEPS = 16 * 400
@@ -119,23 +119,27 @@ def _generic_steps(sys, law, x0, J, substeps, h, sampled: bool) -> Tuple[np.ndar
     xs[0] = x0
     x = np.array(x0, dtype=float)
     frozen = x.copy()
-    for step in range(K - 1):
-        if sampled and step % substeps == 0:
-            frozen = x.copy()
-        t = step * h
+    try:
+        for step in range(K - 1):
+            if sampled and step % substeps == 0:
+                frozen = x.copy()
+            t = step * h
 
-        def rhs(xx, tt):
-            u = feedback_eval(law, frozen if sampled else xx, tt)
-            return input_matrix(sys, xx) @ u
+            def rhs(xx, tt):
+                u = feedback_eval(law, frozen if sampled else xx, tt)
+                return input_matrix(sys, xx) @ u
 
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[step + 1] = x
-        if not np.all(np.isfinite(x)) or float(x @ x) > BLOWUP_NORM ** 2:
-            return xs, step + 2
+            k1 = rhs(x, t)
+            k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rhs(x + h * k3, t + h)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            xs[step + 1] = x
+            if not np.all(np.isfinite(x)) or float(x @ x) > _fastpath.BLOWUP_SQ:
+                return xs, step + 2
+    except SynthesisError as exc:
+        raise SynthesisError(str(exc), exc.condition, step, t,
+                             step // substeps) from exc
     return xs, K
 
 
@@ -160,8 +164,8 @@ def _steps(sys, law, x0, J, substeps, h, sampled,
         reason = "no kernel_p"
     else:
         try:
-            xs, n_valid = _fastpath.closed_loop(sys, law, x0, J, substeps, h,
-                                                sampled)
+            xs, n_valid = _fastpath.brockett_trajectory(sys, law, x0, J,
+                                                        substeps, h, sampled)
             return xs, n_valid, "compiled"
         except _fastpath.KernelUnavailable as exc:
             reason = str(exc)
@@ -171,6 +175,7 @@ def _steps(sys, law, x0, J, substeps, h, sampled,
 
 
 def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory:
+    _check_law_system(sys, law)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"x0 must have shape ({sys.n},)")
@@ -191,9 +196,13 @@ def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory
         traj.v = _v_channel(lyap, xs)
         n_windows = (n_valid - 1) // substeps
         jj = np.arange(n_windows)
-        wb = np.array([
-            decrease_rate(sys, law, lyap, xs[j * substeps]).w
-            for j in range(n_windows)])
+        wb = np.empty(n_windows)
+        for j in range(n_windows):
+            try:
+                wb[j] = decrease_rate(sys, law, lyap, xs[j * substeps]).w
+            except SynthesisError as exc:
+                raise SynthesisError(str(exc), exc.condition, j * substeps,
+                                     float(t[j * substeps]), j) from exc
         traj.windows = WindowTable(j=jj, t=jj * law.eps,
                                    v=traj.v[::substeps][:n_windows], w=wb,
                                    r_hat=_remainder(traj, wb))
@@ -259,8 +268,9 @@ def chen_fliess_predict(sys: VectorFieldSystem, law: FeedbackLaw,
         x(eps) ~ x0 + eps * (g0(x0) + gamma^2 sum_I [g_i^I, g_j^I](x0))
 
     with a remainder of order eps^(3/2) for twice-differentiable closed-loop
-    fields.
+    fields.  ``law`` must be built for ``sys``.
     """
+    _check_law_system(sys, law)
     x0 = np.asarray(x0, dtype=float)
     g0 = drift_field(law, x0)
     acc = np.sum(pair_bracket_field(law, x0), axis=0)
@@ -343,7 +353,7 @@ def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
     taken) by composite Simpson quadrature.  Equal multipliers give -2 eps;
     distinct integer multipliers are orthogonal over the period and give
     zero up to quadrature error.  This low-level entry point accepts equal
-    multipliers deliberately: it is how resonance witnesses are produced.
+    multipliers deliberately, so a resonant pair can be shown to couple.
     """
     if quad_steps < 10_000:
         raise ValueError("quad_steps must be at least 10000")

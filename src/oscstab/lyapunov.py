@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .controller import FeedbackLaw, _pair_bracket_terms, synthesized_law
+from .controller import FeedbackLaw, _check_law_system, _pair_bracket_terms
 from .sampling import Region, sample_region
 from .vecfield import VectorFieldSystem, input_matrix
 
@@ -36,6 +36,8 @@ __all__ = [
 CHECK_RADIUS = 1.0
 # gain-bound scan: |alpha| at or below this counts as a vanishing drift term
 TOL_ALPHA = 1e-6
+# margin scan: points with ||grad V|| below this are skipped
+GRAD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,16 +116,17 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     summed derivative along the pair-bracket fields of all pairs; both come
     from one ``components_jac`` call.  ``gamma`` defaults to the law's gain;
     passing a value rescales only the oscillatory term, which is exactly how
-    the gain enters.
+    the gain enters.  ``law`` must be built for ``sys``.
     """
+    _check_law_system(sys, law)
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
     g = np.asarray(lyap.grad(x), dtype=float)
     v0, vals, jac = law.components_jac(x)
-    drift = input_matrix(law.system, x) @ np.asarray(v0, dtype=float)
+    drift = input_matrix(sys, x) @ np.asarray(v0, dtype=float)
     alpha = float(g @ drift)
-    beta = float(np.sum(_pair_bracket_terms(law.system, x, vals, jac)[1] @ g))
+    beta = float(np.sum(_pair_bracket_terms(sys, x, vals, jac)[1] @ g))
     return DecreaseRate(alpha + gamma * gamma * beta, alpha, beta)
 
 
@@ -233,8 +236,9 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     Jacobian is evaluated once.  Pairs at a sign switch (``vtilde = 0``)
     contribute nothing, by the same convention, so the identity above holds
     pointwise.  A non-finite profile or gradient raises ``ArithmeticError``
-    naming the pair.
+    naming the pair.  ``law`` must be built for ``sys``.
     """
+    _check_law_system(sys, law)
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
@@ -253,37 +257,30 @@ class CorrectionSup(NamedTuple):
     skipped: int
 
 
-def correction_ratio_sup(sys: VectorFieldSystem, lyap: LyapunovSpec,
-                         gamma: float, region: Region, n_samples: int,
-                         seed: int = 0, law: Optional[FeedbackLaw] = None,
-                         grad_floor: float = 1e-12,
+def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
+                         lyap: LyapunovSpec, gamma: float, region: Region,
+                         n_samples: int, seed: int = 0,
                          r_min: float = 1e-6) -> CorrectionSup:
     """Sampled supremum of ``grad V . Phi / ||grad V||^2``.
 
     An estimate below 1 means the synthesis term ``-||grad V||^2`` dominates
     the mismatch, which is the margin condition for the synthesized law.
-    Points where the gradient norm falls below ``grad_floor`` are skipped and
-    counted.  A non-finite ratio (from a field, profile or gradient that is
-    not finite) raises ``ArithmeticError``.  ``law`` may supply profile
-    evaluators (its gain is ignored in favor of ``gamma``); without one the
-    profiles are synthesized pointwise (:func:`synthesized_law`), with their
-    Jacobian from implicit differentiation of the solve.
+    ``law``, built for ``sys``, supplies the profiles; its gain is ignored
+    in favor of ``gamma``.  Points where the gradient norm falls below
+    ``GRAD_FLOOR`` (1e-12) are skipped and counted.  A non-finite ratio
+    (from a field, profile or gradient that is not finite) raises
+    ``ArithmeticError``.
     """
+    _check_law_system(sys, law)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
-    if law is None:
-        # neither the gain nor the period enters components_jac
-        law = synthesized_law(sys, lyap, 0.0, 1.0)
-    ls = law.system
-    if (ls.n, ls.m, ls.pairs) != (sys.n, sys.m, sys.pairs):
-        raise ValueError("law was built for a structurally different system")
     sup = -np.inf
     skipped = 0
     for x in pts:
         g = np.asarray(lyap.grad(x), dtype=float)
         gn2 = float(g @ g)
-        if gn2 < grad_floor * grad_floor:
+        if gn2 < GRAD_FLOOR * GRAD_FLOOR:
             skipped += 1
             continue
         _, vals, jac = law.components_jac(x)

@@ -25,15 +25,13 @@ def test_config_file_parsing(tmp_path):
         "substeps = 800   # inline comment\n"
         "kappas = 2,1,3,4,5,6\n"
         "x0 = fig1-right\n"
-        "cf_eps = 0.1,0.05\n"
-        "resonance_witness = true\n")
+        "cf_eps = 0.1,0.05\n")
     values = load_config_file(str(f))
     assert values["gamma"] == 0.4
     assert values["substeps"] == 800
     assert values["kappas"] == (2, 1, 3, 4, 5, 6)
     assert values["x0"] == "fig1-right"
     assert values["cf_eps"] == (0.1, 0.05)
-    assert values["resonance_witness"] is True
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -45,6 +43,26 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     f.write_text("gamma 0.4\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config_file(str(f))
+
+
+# keys that were settable once and are module constants (or gone) now
+REMOVED_KEYS = ("span_radius", "negdef_radius", "gain_radius", "c1_radius",
+                "conv_threshold", "norm_floor", "fit_lo", "fit_hi",
+                "resonance_witness")
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_keys_are_rejected(tmp_path, key, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text(f"{key} = 1\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config_file(str(f))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", f"--{key.replace('_', '-')}", "1",
+                  "--outdir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_flag_overrides_config_file(tmp_path):
@@ -125,10 +143,13 @@ def test_run_divergence_exit_code(tmp_path):
 def test_run_both_modes_writes_all_artifacts(tmp_path):
     payload, code = run(_cfg(tmp_path, mode="both", T=1.0))
     out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
     for mode in ("classical", "sampled"):
         assert (out / f"trajectory_{mode}.csv").exists()
         assert (out / f"windows_{mode}.json").exists()
         assert mode in payload["runs"]
+        path = summary["runs"][mode]["solver_path"]
+        assert path == "compiled" or path.startswith("generic ("), path
     assert payload["schema"] == 1
 
 
@@ -136,6 +157,7 @@ def test_run_synthesized_law_mode(tmp_path):
     payload, code = run(_cfg(tmp_path, law_mode="synthesized", T=0.2,
                              substeps=400))
     assert payload["runs"]["classical"]["window_count"] == 2
+    assert payload["runs"]["classical"]["solver_path"] == "generic (no kernel_p)"
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):
@@ -207,14 +229,24 @@ def test_verify_case_study_passes(tmp_path):
     names = set(payload["checks"])
     assert names == {"span", "certificate_negdef", "gain_bound",
                      "synthesis_margin", "prediction_order", "oscillators"}
-    assert (tmp_path / "out" / "verify.json").exists()
+    # written like summary.json: indent 1, sorted keys, LF, final newline
+    text = (tmp_path / "out" / "verify.json").read_bytes().decode()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
 
-def test_verify_resonance_witness_fails(tmp_path):
-    payload, code = verify(_cfg(tmp_path, resonance_witness=True, **VERIFY_KW))
+def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):
+    # what two equal multipliers give: cross coupling -2 eps like a pair with
+    # itself, which the orthogonality check must not let pass
+    monkeypatch.setattr(cli, "iterated_integral_coefficient",
+                        lambda a, pa, pb, steps: -2.0 * a.eps)
+    payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
     assert code == 2
-    assert not payload["checks"]["oscillators"]["pass"]
-    assert abs(payload["checks"]["oscillators"]["witness_coupling"]) > 0.05
+    osc = payload["checks"]["oscillators"]
+    assert not osc["pass"]
+    assert osc["same_pair_rel_err"] == 0.0
+    assert osc["cross_rel_coupling"] > 1e-3
+    others = {k for k, c in payload["checks"].items() if not c["pass"]}
+    assert others == {"oscillators"}
 
 
 def test_verify_detects_bad_gain(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,14 +6,17 @@ import numpy as np
 import pytest
 
 from oscstab import brockett as bk
-from oscstab.controller import user_law
+from oscstab.controller import SynthesisError, user_law
 from oscstab.integrator import (chen_fliess_predict, increment_diagnostics,
                                 integrate_classical, integrate_sampled,
                                 iterated_integral_coefficient,
                                 oscillator_coupling, prediction_order_probe,
                                 write_trajectory_csv, write_windows_json)
+from oscstab.lyapunov import (LyapunovSpec, correction_field,
+                              correction_ratio_sup, decrease_rate)
+from oscstab.sampling import Region
 
-from conftest import X0_LEFT, const_fields_system, needs_cc
+from conftest import X0_LEFT, const_fields_system, heis3_system, needs_cc
 
 
 def _linear_law(gamma=0.0, scale=1.0, eps=0.1):
@@ -226,6 +230,78 @@ def test_divergence_flag_fast_path(bsys, lyap_p1, law_p1):
     assert traj.solver_path == "compiled"
     assert traj.diverged
     assert traj.t.shape[0] <= 401
+
+
+def _raising_on_call(fn, k: int):
+    """``fn`` that raises a ``SynthesisError`` on its ``k``-th call (from 1)."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        if len(calls) == k:
+            raise SynthesisError("bracket matrix too ill-conditioned", 1e13)
+        return fn(x)
+    return wrapped
+
+
+def _assert_located(err, step: int, t: float, window: int) -> None:
+    assert (err.step, err.t, err.window) == (step, t, window)
+    assert err.condition == 1e13
+    assert isinstance(err.__cause__, SynthesisError)
+    assert f"at step {step}, t={t!r}, window {window}" in str(err)
+
+
+def test_synthesis_error_in_a_step_names_step_time_and_window():
+    sys_, law = _linear_law(gamma=0.5)
+    # one components call per RK4 stage: call 4*57 + 3 is in step 57
+    bad = dataclasses.replace(law, components=_raising_on_call(law.components,
+                                                               4 * 57 + 3))
+    with pytest.raises(SynthesisError) as info:
+        integrate_sampled(sys_, bad, np.ones(3), T=0.2, substeps=50)
+    _assert_located(info.value, 57, 57 * (0.1 / 50), 1)
+
+
+def test_synthesis_error_in_a_window_certificate_names_its_window():
+    sys_, law = _linear_law(gamma=0.5)
+    lyap = LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x),
+                        grad=lambda x: np.asarray(x, dtype=float))
+    # one components_jac call per window certificate: call 3 is window 2
+    bad = dataclasses.replace(law, components_jac=_raising_on_call(
+        law.components_jac, 3))
+    with pytest.raises(SynthesisError) as info:
+        integrate_classical(sys_, bad, np.ones(3), T=0.5, substeps=50,
+                            lyap=lyap)
+    _assert_located(info.value, 100, 0.2, 2)
+
+
+# --- one system per call --------------------------------------------------------
+
+def test_law_for_another_system_is_refused(bsys, law_p1):
+    hsys = heis3_system()
+    hlaw = user_law(hsys, 0.5, 0.1,
+                    v0=lambda x: -np.asarray(x[:2], dtype=float),
+                    profiles=lambda x: np.array([-0.5 * x[2]]))
+    lyap3 = LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x),
+                         grad=lambda x: np.asarray(x, dtype=float))
+    x3 = np.array([0.3, -0.2, 0.5])
+    on_heis = r"built for system brockett10 \(n=10, m=4\), not for heis3 \(n=3, m=2\)"
+    for call in (lambda: decrease_rate(hsys, law_p1, lyap3, x3),
+                 lambda: correction_field(hsys, law_p1, x3),
+                 lambda: correction_ratio_sup(hsys, law_p1, lyap3, 0.5,
+                                              Region.ball(3, 1.0), 16),
+                 lambda: chen_fliess_predict(hsys, law_p1, x3)):
+        with pytest.raises(ValueError, match=on_heis):
+            call()
+    on_brockett = r"built for system heis3 \(n=3, m=2\), not for brockett10"
+    for integrate in (integrate_classical, integrate_sampled):
+        with pytest.raises(ValueError, match=on_brockett):
+            integrate(bsys, hlaw, X0_LEFT, T=0.1, substeps=400)
+    # an equal system passes; a rebuilt one with fresh field closures does not
+    assert decrease_rate(bk.brockett_system(), law_p1, bk.brockett_lyapunov(1.0),
+                         X0_LEFT).w < 0.0
+    assert chen_fliess_predict(hsys, hlaw, x3).predicted.shape == (3,)
+    with pytest.raises(ValueError, match="not for heis3"):
+        decrease_rate(heis3_system(), hlaw, lyap3, x3)
 
 
 # --- oscillator iterated integrals ----------------------------------------------

@@ -204,15 +204,15 @@ def test_margin_zero_for_constant_profiles_at_unit_gain():
     sys_, law = _heis_law(lambda x: 0.7, lambda x: np.zeros(3))
     lyap = LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x),
                         grad=lambda x: np.asarray(x, dtype=float))
-    cs = correction_ratio_sup(sys_, lyap, 1.0, Region.ball(3, 1.0), 256,
-                              seed=8, law=law)
+    cs = correction_ratio_sup(sys_, law, lyap, 1.0, Region.ball(3, 1.0), 256,
+                              seed=8)
     assert cs.sup == 0.0
     assert cs.skipped == 0
 
 
 def test_margin_case_study_below_one(bsys, lyap_p1, law_p1):
-    cs = correction_ratio_sup(bsys, lyap_p1, 0.5, Region.ball(10, 1.0), 4096,
-                              seed=11, law=law_p1)
+    cs = correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5, Region.ball(10, 1.0),
+                              4096, seed=11)
     assert cs.sup < 1.0
     assert abs(cs.sup - ORACLE_C1_SUP_P1_BALL1) <= 0.02
     assert cs.skipped == 0
@@ -231,23 +231,27 @@ def test_margin_unit_gain_equals_gradient_terms_only(bsys, lyap_p1, law_p1):
             fi, fj = bsys.field(i, x), bsys.field(j, x)
             phi += 0.5 * ((jac[q] @ fi) * fj - (jac[q] @ fj) * fi)
         sup_direct = max(sup_direct, float(g @ phi) / float(g @ g))
-    cs = correction_ratio_sup(bsys, lyap_p1, 1.0, Region.ball(10, 1.0), 256,
-                              seed=11, law=law_p1)
+    cs = correction_ratio_sup(bsys, law_p1, lyap_p1, 1.0, Region.ball(10, 1.0),
+                              256, seed=11)
     assert math.isclose(cs.sup, sup_direct, rel_tol=1e-12)
 
 
 def test_margin_dual_synthesis_path_matches_closed_form(bsys, lyap_p1, law_p1):
-    a = correction_ratio_sup(bsys, lyap_p1, 0.5, Region.ball(10, 1.0), 64,
+    slaw = synthesized_law(bsys, lyap_p1, 0.5, 0.1)
+    a = correction_ratio_sup(bsys, slaw, lyap_p1, 0.5, Region.ball(10, 1.0), 64,
                              seed=11)
-    b = correction_ratio_sup(bsys, lyap_p1, 0.5, Region.ball(10, 1.0), 64,
-                             seed=11, law=law_p1)
+    b = correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5, Region.ball(10, 1.0),
+                             64, seed=11)
     assert math.isclose(a.sup, b.sup, rel_tol=1e-10)
 
 
-def test_margin_all_points_skipped_raises(bsys, lyap_p1, law_p1):
+def test_margin_all_points_skipped_raises(bsys, law_p1):
+    # ||grad V|| <= 1e-20 on the unit ball, below the 1e-12 floor throughout
+    flat = LyapunovSpec(10, v=lambda x: 0.5e-20 * float(x @ x),
+                        grad=lambda x: 1e-20 * np.asarray(x, dtype=float))
     with pytest.raises(ValueError, match="vanishing gradient"):
-        correction_ratio_sup(bsys, lyap_p1, 0.5, Region.ball(10, 1.0), 16,
-                             seed=11, law=law_p1, grad_floor=1e9)
+        correction_ratio_sup(bsys, law_p1, flat, 0.5, Region.ball(10, 1.0), 16,
+                             seed=11)
 
 
 def test_certificate_equals_margin_identity(bsys, lyap_p1, law_p1):
@@ -362,5 +366,5 @@ def test_margin_nonfinite_ratio_raises(case):
     # each of these used to vanish from the supremum as a NaN ratio
     sys_, law, lyap, message = case()
     with pytest.raises(ArithmeticError, match=message):
-        correction_ratio_sup(sys_, lyap, 0.5, Region.ball(3, 1.0), 256,
-                             seed=3, law=law)
+        correction_ratio_sup(sys_, law, lyap, 0.5, Region.ball(3, 1.0), 256,
+                             seed=3)
