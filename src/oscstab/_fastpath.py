@@ -241,10 +241,10 @@ def brockett_trajectory(sys, law, x0, J, substeps, h,
     if x0.shape != (10,):
         raise ValueError(f"x0 must have shape (10,), got {x0.shape}")
     a = law.assignment
-    kap = np.array(a.kappas, dtype=float)
-    kw = kap * a.omega
+    kw = np.array(a.kappas, dtype=float) * a.omega
     # the gain times each pair's oscillator amplitude
-    gamma_amp = law.gamma * 2.0 * np.sqrt(kap * np.pi / a.eps)
+    gamma_amp = law.gamma * np.array([a.amplitude(q)
+                                      for q in range(len(a.pairs))])
     xs = np.empty((J * substeps + 1, 10))
     n_valid = lib.brockett_trajectory(x0, J, substeps, float(h),
                                       float(law.kernel_p), kw, gamma_amp,

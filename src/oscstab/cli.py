@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys as _sys
@@ -22,10 +21,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import brockett
-from .integrator import (Trajectory, integrate_classical,
-                         integrate_sampled, iterated_integral_coefficient,
-                         prediction_order_probe, write_trajectory_csv,
-                         write_windows_json)
+from .integrator import (Trajectory, _write_csv, _write_json,
+                         integrate_classical, integrate_sampled,
+                         iterated_integral_coefficient, prediction_order_probe,
+                         write_trajectory_csv, write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
 from .sampling import Region, sample_region
 from .vecfield import bracket_generating_check
@@ -48,6 +47,8 @@ SPAN_RADIUS = 5.0
 NEGDEF_RADIUS = 2.0
 GAIN_RADIUS = 2.0
 C1_RADIUS = 1.0
+# inner radius of the negdef, gain and margin scans
+SCAN_R_MIN = 1e-6
 
 
 class ConfigError(ValueError):
@@ -234,9 +235,7 @@ def _run_summary(traj: Trajectory) -> dict:
 def _write_summary(outdir: str, payload: dict,
                    name: str = "summary.json") -> None:
     """Write a report as JSON: indent 1, sorted keys, LF, final newline."""
-    with open(os.path.join(outdir, name), "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, name), payload)
 
 
 def _exit_code(run_sections: Sequence[dict]) -> int:
@@ -292,9 +291,8 @@ def compare(config: RunConfig) -> Tuple[dict, int]:
     k = min(tc.t.shape[0], ts.t.shape[0])
     diff = np.abs(tc.norms[:k] - ts.norms[:k])
     table = np.column_stack((tc.t[:k], tc.norms[:k], ts.norms[:k], diff))
-    with open(os.path.join(outdir, "compare.csv"), "w", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",",
-                   header="t,norm_classical,norm_sampled,abs_diff", comments="")
+    _write_csv(os.path.join(outdir, "compare.csv"),
+               "t,norm_classical,norm_sampled,abs_diff", table)
     stride = config.substeps
     payload = {
         "schema": SCHEMA_VERSION,
@@ -321,41 +319,41 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     # spanning condition of fields plus brackets over a sampled ball
     pts = sample_region(Region.ball(sys_.n, SPAN_RADIUS), config.span_n,
                         r_min=0.0, seed=config.seed)
-    smin = float("inf")
-    ok = True
-    for x in np.vstack([np.zeros(sys_.n), pts]):
-        good, sv = bracket_generating_check(sys_, x)
-        ok = ok and good
-        smin = min(smin, sv)
-    checks["span"] = {"pass": ok, "min_singular_value": smin,
+    good, sv = np.array([bracket_generating_check(sys_, x)
+                         for x in np.vstack([np.zeros(sys_.n), pts])]).T
+    checks["span"] = {"pass": bool(np.all(good)),
+                      "min_singular_value": float(np.min(sv)),
                       "n_points": config.span_n + 1,
-                      "radius": SPAN_RADIUS}
+                      "radius": SPAN_RADIUS, "seed": config.seed}
 
     # sampled negativity of the certificate
     rep = negdef_scan(lambda x: brockett.brockett_decrease_rate(p, config.gamma, x),
                       Region.ball(sys_.n, NEGDEF_RADIUS),
-                      config.negdef_n, seed=config.seed)
+                      config.negdef_n, r_min=SCAN_R_MIN, seed=config.seed)
     checks["certificate_negdef"] = {"pass": rep.violations == 0,
                                     **rep.to_json_dict()}
 
     # sampled gain bound against the configured gain
     gb = gain_bound_scan(sys_, law, lyap,
                          Region.ball(sys_.n, GAIN_RADIUS),
-                         config.gain_n, seed=config.seed)
+                         config.gain_n, seed=config.seed, r_min=SCAN_R_MIN)
     checks["gain_bound"] = {
         "pass": bool(config.gamma < gb.gamma_max and gb.report.violations == 0),
         "ratio_sup": gb.ratio_sup,
         "gamma_max": gb.gamma_max,
         "gamma": config.gamma,
         "beta_violations": gb.report.violations,
+        "region": gb.report.region, "N": config.gain_n, "seed": config.seed,
     }
 
     # synthesis margin
-    cs = correction_ratio_sup(sys_, law, lyap, config.gamma,
-                              Region.ball(sys_.n, C1_RADIUS),
-                              config.c1_n, seed=config.seed)
+    c1_ball = Region.ball(sys_.n, C1_RADIUS)
+    cs = correction_ratio_sup(sys_, law, lyap, config.gamma, c1_ball,
+                              config.c1_n, seed=config.seed, r_min=SCAN_R_MIN)
     checks["synthesis_margin"] = {"pass": bool(cs.sup < 1.0),
-                                  "sup": cs.sup, "skipped": cs.skipped}
+                                  "sup": cs.sup, "skipped": cs.skipped,
+                                  "region": c1_ball.descriptor(SCAN_R_MIN),
+                                  "N": config.c1_n, "seed": config.seed}
 
     # one-step prediction order
     x0_probe = np.zeros(sys_.n)

@@ -40,6 +40,7 @@ __all__ = [
     "assign_frequencies", "oscillator", "split_component",
     "synthesize_components", "synthesized_law", "user_law", "feedback_eval",
     "law_with_period", "pair_bracket_field", "drift_field",
+    "oscillator_amplitude",
 ]
 
 Pair = Tuple[int, int]
@@ -83,6 +84,12 @@ def assign_frequencies(pairs: Sequence[Pair],
     return kappas
 
 
+def oscillator_amplitude(kappa: int, eps: float) -> float:
+    """Amplitude ``2 sqrt(kappa pi / eps)`` of an oscillator at multiplier
+    ``kappa``: it makes a pair's cosine-sine iterated integral ``-2 eps``."""
+    return 2.0 * math.sqrt(kappa * math.pi / eps)
+
+
 @dataclass(frozen=True)
 class OscillatorAssignment:
     """Pair set with frequency multipliers and the common period."""
@@ -103,7 +110,7 @@ class OscillatorAssignment:
         return 2.0 * math.pi / self.eps
 
     def amplitude(self, q: int) -> float:
-        return 2.0 * math.sqrt(self.kappas[q] * math.pi / self.eps)
+        return oscillator_amplitude(self.kappas[q], self.eps)
 
     def index_of(self, pair: Pair) -> int:
         try:

@@ -23,6 +23,7 @@ raises one ``RuntimeWarning`` per process naming the reason.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,14 +35,15 @@ from scipy.integrate import cumulative_simpson, simpson
 from . import _fastpath
 from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
                          _check_law_system, drift_field, feedback_eval,
-                         law_with_period, pair_bracket_field)
+                         law_with_period, oscillator_amplitude,
+                         pair_bracket_field)
 from .lyapunov import LyapunovSpec, decrease_rate
 from .vecfield import VectorFieldSystem, input_matrix
 
 __all__ = [
     "Trajectory", "WindowTable", "OneStepPrediction", "OrderProbeResult",
     "integrate_classical", "integrate_sampled", "chen_fliess_predict",
-    "prediction_order_probe", "increment_diagnostics",
+    "prediction_order_probe",
     "iterated_integral_coefficient", "oscillator_coupling",
     "write_trajectory_csv", "write_windows_json",
 ]
@@ -216,7 +218,11 @@ def _v_channel(lyap: LyapunovSpec, states: np.ndarray) -> np.ndarray:
 
 
 def _remainder(traj: Trajectory, w: np.ndarray) -> np.ndarray:
-    """``r_hat`` (see :func:`increment_diagnostics`) for the values ``w``."""
+    """Expansion remainder per window for the certificate values ``w``,
+
+        r_hat_j = ((V_{j+1} - V_j) / eps - w_j) / sqrt(eps),
+
+    which is what the one-period expansion of V leaves behind."""
     vb, nw = traj.v[::traj.substeps], len(w)
     return ((vb[1:nw + 1] - vb[:nw]) / traj.eps - w) / math.sqrt(traj.eps)
 
@@ -323,27 +329,6 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
                             excluded=tuple(excluded))
 
 
-def increment_diagnostics(traj: Trajectory,
-                          lyap: LyapunovSpec) -> Tuple[np.ndarray, float]:
-    """Empirical expansion remainder per window.
-
-    Using the recorded V channel and certificate values,
-
-        r_hat_j = ((V_{j+1} - V_j) / eps - w_j) / sqrt(eps),
-
-    which is the remainder the one-period expansion of V leaves behind.
-    Returns the series and its max absolute value.
-    """
-    if traj.windows is None or len(traj.windows.j) < 1:
-        raise ValueError("trajectory carries no window records with "
-                         "certificate values; integrate with a candidate")
-    if traj.v is None:
-        traj.v = _v_channel(lyap, traj.states)
-    r_hat = _remainder(traj, traj.windows.w)
-    traj.windows.r_hat = r_hat
-    return r_hat, float(np.max(np.abs(r_hat)))
-
-
 def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
                         quad_steps: int) -> float:
     """Antisymmetrized second-order iterated integral of two oscillators.
@@ -360,10 +345,8 @@ def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count
     s = np.linspace(0.0, eps, steps + 1)
     om = 2.0 * math.pi / eps
-    amp_a = 2.0 * math.sqrt(kappa_a * math.pi / eps)
-    amp_b = 2.0 * math.sqrt(kappa_b * math.pi / eps)
-    fa = amp_a * np.cos(kappa_a * om * s)
-    fb = amp_b * np.sin(kappa_b * om * s)
+    fa = oscillator_amplitude(kappa_a, eps) * np.cos(kappa_a * om * s)
+    fb = oscillator_amplitude(kappa_b, eps) * np.sin(kappa_b * om * s)
     inner_b = cumulative_simpson(fb, x=s, initial=0.0)
     inner_a = cumulative_simpson(fa, x=s, initial=0.0)
     fwd = simpson(fa * inner_b, x=s)
@@ -381,24 +364,32 @@ def iterated_integral_coefficient(assignment: OscillatorAssignment,
 
 # --- artifact formats --------------------------------------------------------
 
+def _write_csv(path, header: str, table: np.ndarray) -> None:
+    """CSV of ``table`` under ``header``: 17 significant digits, LF."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n" + "".join(row % tuple(r) for r in table.tolist()))
+
+
+def _write_json(path, payload) -> None:
+    """JSON with indent 1, sorted keys, LF and a final newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header ``t,x1,...,xn,V,norm``; 17 significant digits, LF."""
     if traj.v is None:
         raise ValueError("trajectory has no V channel; integrate with a candidate")
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",V,norm"
-    table = np.column_stack((traj.t, traj.states, traj.v, traj.norms))
-    with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header,
-                   comments="")
+    _write_csv(path, header,
+               np.column_stack((traj.t, traj.states, traj.v, traj.norms)))
 
 
 def write_windows_json(traj: Trajectory, path) -> None:
     """JSON array of ``{j, t, V, W, r_hat}`` window records."""
-    import json
-
     if traj.windows is None:
         raise ValueError("trajectory has no window records")
-    with open(path, "w", newline="\n") as fh:
-        json.dump(traj.windows.to_json_list(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, traj.windows.to_json_list())

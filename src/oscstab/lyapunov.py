@@ -16,7 +16,6 @@ point is the honest artifact.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -130,10 +129,25 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     return DecreaseRate(alpha + gamma * gamma * beta, alpha, beta)
 
 
-def _worse(value: float, worst: float) -> bool:
-    """Whether ``value`` replaces the running ``worst``; a NaN, once held,
-    stays, so the report names the first non-finite point."""
-    return math.isnan(value) or (not math.isnan(worst) and value > worst)
+def _report(vals, pts: np.ndarray, region: dict, seed: int,
+            checked: Optional[np.ndarray] = None) -> DefinitenessReport:
+    """Sign report of the values ``vals`` at the points ``pts``.
+
+    Only the ``checked`` entries (default: all) are under the sign condition.
+    A violation is any value not below 0, so a NaN counts.  The worst entry is
+    the first NaN, else the first maximum (``np.argmax``); with nothing
+    checked it is ``-inf`` at ``pts[0]``.
+    """
+    vals = np.asarray(vals, dtype=float)
+    n_samples = len(vals)
+    if checked is not None:
+        n_samples = int(np.count_nonzero(checked))
+        vals = np.where(checked, vals, -np.inf)
+    k = int(np.argmax(vals))
+    return DefinitenessReport(
+        n_samples=n_samples, violations=int(np.count_nonzero(~(vals < 0.0))),
+        worst_value=float(vals[k]), worst_point=pts[k], region=region,
+        seed=seed)
 
 
 def negdef_scan(fn: Callable[[np.ndarray], float], region: Region,
@@ -151,19 +165,8 @@ def negdef_scan(fn: Callable[[np.ndarray], float], region: Region,
     if r_min <= 0:
         raise ValueError("r_min must be positive")
     pts = sample_region(region, n_samples, r_min, seed)
-    worst = -np.inf
-    worst_point = pts[0]
-    violations = 0
-    for x in pts:
-        val = float(fn(x))
-        if not val < 0.0:
-            violations += 1
-        if _worse(val, worst):
-            worst = val
-            worst_point = x
-    return DefinitenessReport(n_samples=n_samples, violations=violations,
-                              worst_value=worst, worst_point=worst_point,
-                              region=region.descriptor(r_min), seed=seed)
+    vals = [float(fn(x)) for x in pts]
+    return _report(vals, pts, region.descriptor(r_min), seed)
 
 
 class GainBound(NamedTuple):
@@ -190,34 +193,15 @@ def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
-    ratio_sup = -np.inf
-    n_ratio = 0
-    violations = 0
-    n_checked = 0
-    worst = -np.inf
-    worst_point = pts[0]
-    for x in pts:
-        _, alpha, beta = decrease_rate(sys, law, lyap, x, gamma=1.0)
-        finite = np.isfinite(alpha) and np.isfinite(beta)
-        if finite and abs(alpha) > TOL_ALPHA:
-            n_ratio += 1
-            ratio_sup = max(ratio_sup, -beta / alpha)
-        else:
-            # a non-finite term bounds nothing and counts as a violation
-            value = beta if finite else np.nan
-            n_checked += 1
-            if not value < 0.0:
-                violations += 1
-            if _worse(value, worst):
-                worst = value
-                worst_point = x
-    if n_ratio == 0 and n_checked == 0:
-        raise ValueError("no admissible samples in the region; enlarge it")
+    alpha, beta = np.array(
+        [decrease_rate(sys, law, lyap, x, gamma=1.0)[1:] for x in pts]).T
+    finite = np.isfinite(alpha) & np.isfinite(beta)
+    bounded = finite & (np.abs(alpha) > TOL_ALPHA)
+    ratio_sup = np.max(-beta[bounded] / alpha[bounded], initial=-np.inf)
     gamma_max = np.inf if ratio_sup <= 0.0 else 1.0 / np.sqrt(ratio_sup)
-    report = DefinitenessReport(
-        n_samples=n_checked, violations=violations,
-        worst_value=worst if n_checked else -np.inf,
-        worst_point=worst_point, region=region.descriptor(r_min), seed=seed)
+    # a non-finite term bounds nothing and counts as a violation
+    report = _report(np.where(finite, beta, np.nan), pts,
+                     region.descriptor(r_min), seed, checked=~bounded)
     return GainBound(float(ratio_sup), float(gamma_max), report)
 
 
@@ -275,24 +259,24 @@ def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
-    sup = -np.inf
-    skipped = 0
-    for x in pts:
-        g = np.asarray(lyap.grad(x), dtype=float)
-        gn2 = float(g @ g)
-        if gn2 < GRAD_FLOOR * GRAD_FLOOR:
-            skipped += 1
-            continue
-        _, vals, jac = law.components_jac(x)
-        phi = _correction(sys, x, vals, jac, gamma)
-        with np.errstate(invalid="ignore"):
-            # a non-finite term (e.g. inf * 0) gives a non-finite ratio, on
-            # which the check below raises
-            ratio = float(g @ phi) / gn2
-        if not np.isfinite(ratio):
-            raise ArithmeticError(
-                f"margin ratio not finite at x={np.asarray(x).tolist()}")
-        sup = max(sup, ratio)
-    if skipped == n_samples:
+    grads = [np.asarray(lyap.grad(x), dtype=float) for x in pts]
+    gn2 = np.array([g @ g for g in grads])
+    skip = gn2 < GRAD_FLOOR * GRAD_FLOOR
+    if skip.all():
         raise ValueError("every sampled point had a vanishing gradient")
-    return CorrectionSup(float(sup), skipped)
+    ratios = [_margin_ratio(sys, law, gamma, pts[i], grads[i], gn2[i])
+              for i in np.flatnonzero(~skip)]
+    return CorrectionSup(float(np.max(ratios)), int(np.count_nonzero(skip)))
+
+
+def _margin_ratio(sys, law, gamma, x, g, gn2) -> float:
+    _, vals, jac = law.components_jac(x)
+    phi = _correction(sys, x, vals, jac, gamma)
+    with np.errstate(invalid="ignore"):
+        # a non-finite term (e.g. inf * 0) gives a non-finite ratio, on which
+        # the check below raises before any later point is evaluated
+        ratio = float(g @ phi) / float(gn2)
+    if not np.isfinite(ratio):
+        raise ArithmeticError(
+            f"margin ratio not finite at x={np.asarray(x).tolist()}")
+    return ratio

@@ -229,6 +229,16 @@ def test_verify_case_study_passes(tmp_path):
     names = set(payload["checks"])
     assert names == {"span", "certificate_negdef", "gain_bound",
                      "synthesis_margin", "prediction_order", "oscillators"}
+    # every sampled check names its region and seed
+    checks = payload["checks"]
+    for name in ("certificate_negdef", "gain_bound", "synthesis_margin"):
+        assert {"region", "N", "seed"} <= set(checks[name]), name
+        assert checks[name]["seed"] == 2024
+    assert checks["gain_bound"]["N"] == VERIFY_KW["gain_n"]
+    assert checks["gain_bound"]["region"]["radius"] == cli.GAIN_RADIUS
+    assert checks["synthesis_margin"]["N"] == VERIFY_KW["c1_n"]
+    assert checks["synthesis_margin"]["region"]["radius"] == cli.C1_RADIUS
+    assert checks["span"]["seed"] == 2024
     # written like summary.json: indent 1, sorted keys, LF, final newline
     text = (tmp_path / "out" / "verify.json").read_bytes().decode()
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"

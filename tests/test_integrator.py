@@ -7,8 +7,8 @@ import pytest
 
 from oscstab import brockett as bk
 from oscstab.controller import SynthesisError, user_law
-from oscstab.integrator import (chen_fliess_predict, increment_diagnostics,
-                                integrate_classical, integrate_sampled,
+from oscstab.integrator import (chen_fliess_predict, integrate_classical,
+                                integrate_sampled,
                                 iterated_integral_coefficient,
                                 oscillator_coupling, prediction_order_probe,
                                 write_trajectory_csv, write_windows_json)
@@ -165,12 +165,12 @@ def test_order_probe_unforced_flow_matches_closed_form(bsys, law_p1):
 def test_increment_diagnostics_consistency(bsys, lyap_p1, law_p1):
     traj = integrate_classical(bsys, law_p1, X0_LEFT, T=2.0, substeps=400,
                                lyap=lyap_p1)
-    filled = traj.windows.r_hat.copy()
-    series, worst = increment_diagnostics(traj, lyap_p1)
-    assert np.array_equal(series, filled)
-    assert worst == np.max(np.abs(series))
-    # window decrease on the case-study run
+    # r_hat_j = ((V_{j+1} - V_j) / eps - w_j) / sqrt(eps) from the V channel
     vb = traj.v[::traj.substeps]
+    expect = (((vb[1:] - vb[:-1]) / traj.eps - traj.windows.w)
+              / math.sqrt(traj.eps))
+    assert np.array_equal(traj.windows.r_hat, expect)
+    # window decrease on the case-study run
     assert np.all(np.diff(vb) < 0)
 
 
@@ -188,7 +188,7 @@ def test_increment_diagnostics_unforced_remainder_scales_like_sqrt_eps(bsys, lya
     for e in eps_list:
         traj = integrate_classical(bsys, law_with_period(law0, e), x0, T=1.0,
                                    substeps=400, lyap=lyap_p1)
-        worst.append(increment_diagnostics(traj, lyap_p1)[1])
+        worst.append(np.max(np.abs(traj.windows.r_hat)))
     c = worst[0] / math.sqrt(eps_list[0])
     for e, w in zip(eps_list, worst):
         assert w <= 1.1 * c * math.sqrt(e)
@@ -198,15 +198,9 @@ def test_increment_diagnostics_unforced_remainder_scales_like_sqrt_eps(bsys, lya
 
 def test_increment_diagnostics_long_run_remainder_bounded(paper_run, lyap_p1):
     traj = paper_run(1.0, "classical", 400)
-    series, worst = increment_diagnostics(traj, lyap_p1)
+    series = traj.windows.r_hat
     assert np.all(np.isfinite(series))
-    assert 0.0 < worst < 10.0
-
-
-def test_increment_diagnostics_requires_windows(bsys, lyap_p1, law_p1):
-    traj = integrate_classical(bsys, law_p1, X0_LEFT, T=1.0, substeps=400)
-    with pytest.raises(ValueError, match="window records"):
-        increment_diagnostics(traj, lyap_p1)
+    assert 0.0 < np.max(np.abs(series)) < 10.0
 
 
 def test_divergence_flag_truncates():

@@ -7,7 +7,7 @@ import pytest
 
 from oscstab import brockett as bk
 from oscstab.controller import synthesized_law, user_law
-from oscstab.lyapunov import (DefinitenessReport, LyapunovSpec,
+from oscstab.lyapunov import (DefinitenessReport, LyapunovSpec, _report,
                               correction_field, correction_ratio_sup,
                               decrease_rate, gain_bound_scan, negdef_scan)
 from oscstab.sampling import Region, sample_region
@@ -313,6 +313,76 @@ def test_negdef_scan_keeps_first_nan_as_worst():
     assert rep.violations == 1
     assert math.isnan(rep.worst_value)
     assert np.array_equal(rep.worst_point, bad)
+
+
+def _reference_report(vals, pts, checked):
+    # per-point running bookkeeping: the first NaN, once held, stays the
+    # worst entry; before it, a strictly larger value replaces the worst
+    n, violations, worst, worst_point = 0, 0, -np.inf, pts[0]
+    for v, x, c in zip(vals, pts, checked):
+        if not c:
+            continue
+        n += 1
+        if not v < 0.0:
+            violations += 1
+        if not math.isnan(worst) and (math.isnan(v) or v > worst):
+            worst, worst_point = v, x
+    return n, violations, worst, worst_point
+
+
+def _assert_matches_reference(vals, checked=None):
+    vals = np.asarray(vals, dtype=float)
+    pts = np.arange(3.0 * len(vals)).reshape(-1, 3)
+    rep = _report(vals, pts, {"kind": "test"}, 4, checked=checked)
+    n, violations, worst, worst_point = _reference_report(
+        vals, pts, np.ones(len(vals), bool) if checked is None else checked)
+    assert (rep.n_samples, rep.violations) == (n, violations)
+    assert (math.isnan(rep.worst_value) and math.isnan(worst)
+            or rep.worst_value == worst)
+    assert np.array_equal(rep.worst_point, worst_point)
+    assert rep.region == {"kind": "test"} and rep.seed == 4
+    return rep
+
+
+@pytest.mark.parametrize("vals, worst_index", [
+    ([-3.0, -1.0, -2.0, -1.0], 1),           # tie: the first maximum wins
+    ([-1.0, 5.0, float("nan"), 7.0], 2),     # a NaN after a larger value
+    ([-0.5, float("nan"), float("nan")], 1),  # the first of two NaNs
+    ([-np.inf, -np.inf, -np.inf], 0),        # all -inf: the first point
+    ([0.0, -0.0, -1.0], 0),                  # zeros are violations
+    ([np.inf, -1.0], 0),
+])
+def test_report_matches_per_point_reference(vals, worst_index):
+    rep = _assert_matches_reference(vals)
+    assert np.array_equal(rep.worst_point, [3.0 * worst_index + k
+                                            for k in range(3)])
+
+
+def test_report_matches_reference_on_random_masked_values():
+    rng = np.random.default_rng(11)
+    pool = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, np.nan, np.inf, -np.inf])
+    for _ in range(200):
+        k = int(rng.integers(1, 12))
+        vals = rng.choice(pool, size=k)
+        _assert_matches_reference(vals, checked=rng.random(k) < 0.6)
+        _assert_matches_reference(vals)
+
+
+def test_gain_bound_without_vanishing_drift_reports_first_point():
+    # alpha = -(x1 - x2 x3) <= -0.99 on the box: every point bounds the
+    # gain and none enters the vanishing-drift check
+    sys_, law = _heis_law(lambda x: -0.5 * x[2],
+                          lambda x: np.array([0.0, 0.0, -0.5]),
+                          v0_fn=lambda x: np.array([-1.0, 0.0]))
+    lyap = LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x),
+                        grad=lambda x: np.asarray(x, dtype=float))
+    reg = Region.box([1.0, -0.1, -0.1], [2.0, 0.1, 0.1])
+    gb = gain_bound_scan(sys_, law, lyap, reg, 128, seed=5)
+    assert math.isfinite(gb.ratio_sup)
+    assert (gb.report.n_samples, gb.report.violations) == (0, 0)
+    assert gb.report.worst_value == -np.inf
+    assert np.array_equal(gb.report.worst_point,
+                          sample_region(reg, 128, 1e-6, 5)[0])
 
 
 def _nan_field_heis_law():
