@@ -50,7 +50,9 @@ class SynthesisError(RuntimeError):
     """Feedback synthesis failed at a point (ill-conditioned bracket matrix).
 
     Raised out of an integration it also names the RK4 ``step``, its start
-    time ``t`` and their ``window``; these are None otherwise.
+    time ``t`` and their ``window``; these are None otherwise.  A sampled
+    integration evaluates the components once per window, at its start, so
+    there the located step is the first step of the window.
     """
 
     def __init__(self, msg: str, condition: float, step: Optional[int] = None,
@@ -292,15 +294,28 @@ def law_with_period(law: FeedbackLaw, eps: float) -> FeedbackLaw:
     return replace(law, assignment=replace(law.assignment, eps=float(eps)))
 
 
-def feedback_eval(law: FeedbackLaw, x, t: float) -> np.ndarray:
-    """Control vector ``u(x, t)``; the time origin is the simulation start."""
+def feedback_eval(law: FeedbackLaw, x, t: float | np.ndarray) -> np.ndarray:
+    """Control vector ``u(x, t)``; the time origin is the simulation start.
+
+    ``t`` is a float, giving shape (m,), or a 1-D array of ``k`` times,
+    giving shape (k, m) with row ``r`` the control at ``t[r]``: the
+    components are evaluated once at ``x`` for all times, which is what a
+    sampled window with its frozen state argument needs.
+    """
     x = np.asarray(x, dtype=float)
     v0, vts = law.components(x)
     u = np.array(v0, dtype=float, copy=True)
     if u.shape != (law.system.m,):
         raise ValueError("v0 must return one value per input")
+    many = isinstance(t, np.ndarray)
     if law.gamma == 0.0:
-        return u
+        return np.tile(u, (len(t), 1)) if many else u
+    if many:
+        # accumulate as (m, k) so that ``u[i - 1]`` is a channel either way
+        u = np.repeat(u[:, None], len(t), axis=1)
+        cos, sin = np.cos, np.sin
+    else:
+        cos, sin = math.cos, math.sin
     a = law.assignment
     vts = np.asarray(vts, dtype=float)
     for q, (i, j) in enumerate(a.pairs):
@@ -311,9 +326,9 @@ def feedback_eval(law: FeedbackLaw, x, t: float) -> np.ndarray:
         vi, vj = split_component(vt)
         th = a.kappas[q] * a.omega * t
         amp = a.amplitude(q)
-        u[i - 1] += law.gamma * vi * amp * math.cos(th)
-        u[j - 1] += law.gamma * vj * amp * math.sin(th)
-    return u
+        u[i - 1] += law.gamma * vi * amp * cos(th)
+        u[j - 1] += law.gamma * vj * amp * sin(th)
+    return u.T if many else u
 
 
 # --- closed-loop field algebra ----------------------------------------------

@@ -9,6 +9,13 @@ boundary ``t = j eps`` is hit exactly.  Two solution notions are supported:
              ``u = h(x(j eps), t)``, while its time argument stays
              continuous (sample-and-hold of the spatial argument only).
 
+The generic stepper evaluates the feedback at every RK4 stage in classical
+mode, four ``law.components`` calls per step.  In sampled mode the
+components are constant over a window, so it makes one ``components`` call
+per window: one :func:`~oscstab.controller.feedback_eval` call at the window
+start gives the controls at all ``2 substeps + 1`` distinct stage times, and
+each stage then costs only an ``input_matrix`` evaluation.
+
 The right-hand side is merely continuous at profile sign switches for the
 low-exponent candidate families, so the classical order theory does not
 apply there; correctness is established by step-halving checks instead.
@@ -120,21 +127,31 @@ def _generic_steps(sys, law, x0, J, substeps, h, sampled: bool) -> Tuple[np.ndar
     xs = np.empty((K, n))
     xs[0] = x0
     x = np.array(x0, dtype=float)
-    frozen = x.copy()
     try:
         for step in range(K - 1):
-            if sampled and step % substeps == 0:
-                frozen = x.copy()
             t = step * h
-
-            def rhs(xx, tt):
-                u = feedback_eval(law, frozen if sampled else xx, tt)
-                return input_matrix(sys, xx) @ u
-
-            k1 = rhs(x, t)
-            k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = rhs(x + h * k3, t + h)
+            if sampled:
+                s = step % substeps
+                if s == 0:
+                    # the state argument is frozen for the whole window, so
+                    # one call gives the controls at all distinct stage
+                    # times: step starts at even rows, midpoints at odd ones
+                    starts = (step + np.arange(substeps + 1)) * h
+                    ts = np.empty(2 * substeps + 1)
+                    ts[0::2], ts[1::2] = starts, starts[:-1] + 0.5 * h
+                    held = feedback_eval(law, x, ts)
+                k1 = input_matrix(sys, x) @ held[2 * s]
+                k2 = input_matrix(sys, x + 0.5 * h * k1) @ held[2 * s + 1]
+                k3 = input_matrix(sys, x + 0.5 * h * k2) @ held[2 * s + 1]
+                k4 = input_matrix(sys, x + h * k3) @ held[2 * s + 2]
+            else:
+                k1 = input_matrix(sys, x) @ feedback_eval(law, x, t)
+                xx = x + 0.5 * h * k1
+                k2 = input_matrix(sys, xx) @ feedback_eval(law, xx, t + 0.5 * h)
+                xx = x + 0.5 * h * k2
+                k3 = input_matrix(sys, xx) @ feedback_eval(law, xx, t + 0.5 * h)
+                xx = x + h * k3
+                k4 = input_matrix(sys, xx) @ feedback_eval(law, xx, t + h)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             xs[step + 1] = x
             if not np.all(np.isfinite(x)) or float(x @ x) > _fastpath.BLOWUP_SQ:

@@ -191,6 +191,9 @@ def test_feedback_gamma_zero_reduces_to_v0(bsys, law_p1):
         x = rng.uniform(-2, 2, 10)
         t = rng.uniform(0, 1)
         assert np.array_equal(feedback_eval(law0, x, t), -x[:4])
+        # an array of k times gives k rows of shape (m,)
+        ts = np.array([t, t + 0.03, t + 0.05])
+        assert np.array_equal(feedback_eval(law0, x, ts), np.tile(-x[:4], (3, 1)))
 
 
 def test_feedback_period_and_law_rebuild(law_p1):
@@ -200,6 +203,18 @@ def test_feedback_period_and_law_rebuild(law_p1):
         u1 = feedback_eval(law_p1, x, t)
         u2 = feedback_eval(law_p1, x, t + law_p1.eps)
         assert np.max(np.abs(u1 - u2)) <= 1e-12 * max(1.0, np.max(np.abs(u1)))
+    # an array of times gives one row per time, each the scalar-time control,
+    # for six pairs (brockett10) and for one (heis3)
+    hsys = heis3_system()
+    hlaw = user_law(hsys, 0.5, 0.1, v0=lambda y: -np.asarray(y[:2]),
+                    profiles=lambda y: np.array([-0.5 * y[2]]))
+    ts = np.linspace(0.0, 0.2, 41)
+    for law, y in ((law_p1, x), (hlaw, x[:3]), (hlaw, -x[:3])):
+        rows = feedback_eval(law, y, ts)
+        assert rows.shape == (41, law.system.m)
+        for t, row in zip(ts, rows):
+            u = feedback_eval(law, y, float(t))
+            assert np.max(np.abs(row - u)) <= 1e-14 * np.max(np.abs(u))
     law2 = law_with_period(law_p1, 0.05)
     assert law2.eps == 0.05
     assert law2.assignment.kappas == law_p1.assignment.kappas

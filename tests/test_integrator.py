@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oscstab import brockett as bk
-from oscstab.controller import SynthesisError, user_law
+from oscstab.controller import (SynthesisError, feedback_eval,
+                                synthesized_law, user_law)
 from oscstab.integrator import (chen_fliess_predict, integrate_classical,
                                 integrate_sampled,
                                 iterated_integral_coefficient,
@@ -15,8 +16,10 @@ from oscstab.integrator import (chen_fliess_predict, integrate_classical,
 from oscstab.lyapunov import (LyapunovSpec, correction_field,
                               correction_ratio_sup, decrease_rate)
 from oscstab.sampling import Region
+from oscstab.vecfield import input_matrix, system_from_fields
 
-from conftest import X0_LEFT, const_fields_system, heis3_system, needs_cc
+from conftest import (X0_LEFT, X0_RIGHT, const_fields_system, heis3_system,
+                      needs_cc, random_polynomial_system)
 
 
 def _linear_law(gamma=0.0, scale=1.0, eps=0.1):
@@ -71,6 +74,79 @@ def test_generic_and_fast_paths_agree(bsys, lyap_p1, lyap_p15):
             assert np.max(np.abs(fast.states - slow.states)) <= 1e-9
 
 
+def _per_stage_sampled(sys_, law, x0, T, substeps):
+    """Sampled RK4 written out stage by stage: the control at the frozen
+    window-start state is evaluated afresh at every stage time."""
+    h = law.eps / substeps
+    x = np.array(x0, dtype=float)
+    xs = [x]
+    for step in range(int(round(T / law.eps)) * substeps):
+        if step % substeps == 0:
+            frozen = x.copy()
+        t = step * h
+        u = lambda tt: feedback_eval(law, frozen, tt)
+        k1 = input_matrix(sys_, x) @ u(t)
+        k2 = input_matrix(sys_, x + 0.5 * h * k1) @ u(t + 0.5 * h)
+        k3 = input_matrix(sys_, x + 0.5 * h * k2) @ u(t + 0.5 * h)
+        k4 = input_matrix(sys_, x + h * k3) @ u(t + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(x)
+    return np.array(xs)
+
+
+def _synthesized_case(sys_, x0):
+    lyap = LyapunovSpec(sys_.n, v=lambda x: 0.5 * float(x @ x),
+                        grad=lambda x: np.array(x, copy=True))
+    return sys_, synthesized_law(sys_, lyap, 0.5, 0.1), np.array(x0), 100
+
+
+HELD_CASES = {
+    "brockett10-p1": lambda: (bk.brockett_system(), bk.brockett_law(1.0, 0.5, 0.1),
+                              X0_LEFT, 400),
+    "brockett10-p1.5": lambda: (bk.brockett_system(),
+                                bk.brockett_law(1.5, 0.5, 0.1), X0_RIGHT, 400),
+    "heis3-synthesized": lambda: _synthesized_case(
+        system_from_fields(3, 2, heis3_system().fields, ((1, 2),),
+                           name="heis3"), [0.4, -0.3, 0.5]),
+    "poly3-synthesized": lambda: _synthesized_case(
+        random_polynomial_system(), [0.3, -0.2, 0.25]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_CASES))
+def test_held_window_controls_match_per_stage_evaluation(case):
+    sys_, law, x0, substeps = HELD_CASES[case]()
+    held = integrate_sampled(sys_, law, x0, T=0.2, substeps=substeps,
+                             use_fast=False)
+    assert held.solver_path.startswith("generic")
+    ref = _per_stage_sampled(sys_, law, x0, 0.2, substeps)
+    assert held.states.shape == ref.shape and not held.diverged
+    assert np.max(np.abs(held.states - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _counting_components(law):
+    calls = []
+
+    def components(x):
+        calls.append(1)
+        return law.components(x)
+    return dataclasses.replace(law, components=components), calls
+
+
+def test_sampled_integration_calls_components_once_per_window(law_p1):
+    for sys_, law in (_linear_law(gamma=0.5), (bk.brockett_system(), law_p1)):
+        substeps = 50 * max(law.assignment.kappas)
+        counted, calls = _counting_components(law)
+        traj = integrate_sampled(sys_, counted, np.ones(sys_.n), T=0.3,
+                                 substeps=substeps, use_fast=False)
+        assert traj.t.shape[0] == 3 * substeps + 1
+        assert len(calls) == 3
+        calls.clear()
+        integrate_classical(sys_, counted, np.ones(sys_.n), T=0.3,
+                            substeps=substeps, use_fast=False)
+        assert len(calls) == 4 * 3 * substeps
+
+
 def test_sampled_mode_piecewise_constant_feedback_is_exact():
     sys_, law = _linear_law(gamma=0.0, eps=0.1)
     x0 = np.array([1.0, -2.0, 0.0])
@@ -122,10 +198,9 @@ def test_evaluation_failure_carries_pair_information():
                    profiles=lambda x: np.full(1, float("nan")),
                    profiles_jac=lambda x: (np.full(1, float("nan")),
                                            np.zeros((1, 3))))
-    from oscstab.controller import feedback_eval
-
-    with pytest.raises(ArithmeticError, match="pair"):
-        feedback_eval(law, np.ones(3), 0.0)
+    for t in (0.0, np.array([0.0, 0.05])):
+        with pytest.raises(ArithmeticError, match=r"pair \(1, 2\)"):
+            feedback_eval(law, np.ones(3), t)
     with pytest.raises(ArithmeticError, match="not finite"):
         chen_fliess_predict(sys_, law, np.ones(3))
 
@@ -247,11 +322,23 @@ def _assert_located(err, step: int, t: float, window: int) -> None:
 
 def test_synthesis_error_in_a_step_names_step_time_and_window():
     sys_, law = _linear_law(gamma=0.5)
-    # one components call per RK4 stage: call 4*57 + 3 is in step 57
+    # sampled: one components call per window, at its start, so call k
+    # starts window k - 1 and the located step is that window's first step
+    bad = dataclasses.replace(law, components=_raising_on_call(law.components,
+                                                               3))
+    with pytest.raises(SynthesisError) as info:
+        integrate_sampled(sys_, bad, np.ones(3), T=0.3, substeps=50)
+    _assert_located(info.value, 2 * 50, 2 * 0.1, 2)
+
+
+def test_synthesis_error_in_a_classical_step_names_step_time_and_window():
+    sys_, law = _linear_law(gamma=0.5)
+    # classical: one components call per RK4 stage, so call 4*57 + 3 is in
+    # step 57
     bad = dataclasses.replace(law, components=_raising_on_call(law.components,
                                                                4 * 57 + 3))
     with pytest.raises(SynthesisError) as info:
-        integrate_sampled(sys_, bad, np.ones(3), T=0.2, substeps=50)
+        integrate_classical(sys_, bad, np.ones(3), T=0.2, substeps=50)
     _assert_located(info.value, 57, 57 * (0.1 / 50), 1)
 
 
