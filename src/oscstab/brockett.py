@@ -150,37 +150,46 @@ def brockett_decrease_parts(p: float, gamma: float, x):
     nothing (the split factors vanish) and are flagged, since the formal
     derivation of the cross terms assumes ``x_c != 0``.
 
-    Returns ``(w, alpha, beta, kink)``.
+    Returns ``(w, alpha, beta, kink)``: floats and a bool for ``x`` of shape
+    (10,), arrays with one entry per row for a block of shape (k, 10).
     """
     x = np.asarray(x, dtype=float)
-    alpha = -float(np.sum(x[:4] ** 2))
+    alpha = -np.sum(x[..., :4] ** 2, axis=-1)
     gv = x.copy()
-    gv[4:] = np.sign(x[4:]) * np.abs(x[4:]) ** (2.0 * p - 1.0)
+    gv[..., 4:] = np.sign(x[..., 4:]) * np.abs(x[..., 4:]) ** (2.0 * p - 1.0)
     # L_fk V for the four fields
-    lf = np.empty(4)
-    lf[0] = x[0] - gv[4] * x[1] - gv[5] * x[2] - gv[6] * x[3]
-    lf[1] = x[1] + gv[4] * x[0] - gv[7] * x[2] - gv[8] * x[3]
-    lf[2] = x[2] + gv[5] * x[0] + gv[7] * x[1] - gv[9] * x[3]
-    lf[3] = x[3] + gv[6] * x[0] + gv[8] * x[1] + gv[9] * x[2]
+    lf = (x[..., 0] - gv[..., 4] * x[..., 1] - gv[..., 5] * x[..., 2]
+          - gv[..., 6] * x[..., 3],
+          x[..., 1] + gv[..., 4] * x[..., 0] - gv[..., 7] * x[..., 2]
+          - gv[..., 8] * x[..., 3],
+          x[..., 2] + gv[..., 5] * x[..., 0] + gv[..., 7] * x[..., 1]
+          - gv[..., 9] * x[..., 3],
+          x[..., 3] + gv[..., 6] * x[..., 0] + gv[..., 8] * x[..., 1]
+          + gv[..., 9] * x[..., 2])
     # (f_i)_c and (f_j)_c entries at the bracket coordinate of each pair
-    fic = (-x[1], -x[2], -x[3], -x[2], -x[3], -x[3])
-    fjc = (x[0], x[0], x[0], x[1], x[1], x[2])
+    fic = (-x[..., 1], -x[..., 2], -x[..., 3], -x[..., 2], -x[..., 3],
+           -x[..., 3])
+    fjc = (x[..., 0], x[..., 0], x[..., 0], x[..., 1], x[..., 1], x[..., 2])
     beta = 0.0
-    kink = False
     for q, (i, j) in enumerate(_PAIRS):
-        xc = x[4 + q]
-        if xc == 0.0:
-            kink = True
-            continue
-        beta -= abs(xc) ** (4.0 * p - 2.0)
+        xc = np.abs(x[..., 4 + q])
+        live = xc != 0.0
         cross = fic[q] * lf[j - 1] - fjc[q] * lf[i - 1]
-        beta -= 0.25 * (2.0 * p - 1.0) * abs(xc) ** (2.0 * p - 2.0) * cross
+        beta = beta - np.where(live, xc ** (4.0 * p - 2.0), 0.0)
+        beta = beta - np.where(
+            live, 0.25 * (2.0 * p - 1.0) * xc ** (2.0 * p - 2.0) * cross, 0.0)
     w = alpha + gamma * gamma * beta
+    kink = np.any(x[..., 4:] == 0.0, axis=-1)
+    if x.ndim == 1:
+        return float(w), float(alpha), float(beta), bool(kink)
     return w, alpha, beta, kink
 
 
-def brockett_decrease_rate(p: float, gamma: float, x) -> float:
-    """Closed-form certificate value; agrees with the generic evaluation."""
+def brockett_decrease_rate(p: float, gamma: float, x):
+    """Closed-form certificate value; agrees with the generic evaluation.
+
+    A float for ``x`` of shape (10,), one value per row for a block of shape
+    (k, 10)."""
     return brockett_decrease_parts(p, gamma, x)[0]
 
 

@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dualnum
-from .vecfield import (VectorFieldSystem, _bracket_columns, _condition_1norm,
-                       _pair_brackets, input_matrix)
+from .vecfield import (JACOBIAN_ERROR, VectorFieldSystem, _bracket_columns,
+                       _condition_1norm, _pair_brackets, input_matrix)
 
 __all__ = [
     "OscillatorAssignment", "FeedbackLaw", "SynthesisError",
@@ -340,32 +340,48 @@ def drift_field(law: FeedbackLaw, x) -> np.ndarray:
                                                     dtype=float)
 
 
-def _pair_bracket_terms(sys: VectorFieldSystem, x, vals,
-                        jac) -> Tuple[np.ndarray, np.ndarray]:
-    """Input brackets and pair-bracket fields of all pairs at one point.
+def _components_jac_block(law: FeedbackLaw, X: np.ndarray):
+    """``law.components_jac`` at every row of the block ``X``, stacked:
+    ``(v0, vals, jac)`` of shapes (k, m), (k, |S|) and (k, |S|, n)."""
+    rows = zip(*[law.components_jac(x) for x in X])
+    return tuple(np.array(a, dtype=float) for a in rows)
 
-    Returns ``(B, P)``, both of shape (|S|, n) in pair order: ``B[q]`` is
-    ``[f_i, f_j](x)`` and ``P[q]`` the bracket of the two oscillatory fields
-    of pair ``q`` for the profile values ``vals`` and gradient rows ``jac``
-    (see :func:`pair_bracket_field`).  Fields and brackets come from one
-    evaluation of each field and Jacobian (``vecfield._pair_brackets``).
+
+def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None):
+    """Input brackets and pair-bracket fields of all pairs at a block of points.
+
+    ``X`` has shape (k, n), the profile values ``vals`` (k, |S|) and their
+    gradient rows ``jac`` (k, |S|, n); ``f`` is passed on to
+    ``vecfield._pair_brackets``, which evaluates each field and Jacobian once
+    per point.  Returns ``(B, P, fail)``: ``B[r, q]`` is ``[f_i, f_j]`` and
+    ``P[r, q]`` the bracket of the two oscillatory fields of pair ``q`` at
+    ``X[r]`` (see :func:`pair_bracket_field`), both of shape (k, |S|, n).
+    ``fail`` is None when every point passes the checks, else ``(r, exc)``
+    for the first failing point ``r``: ``ValueError`` for a non-finite
+    Jacobian, which comes first at one point, else ``ArithmeticError``
+    naming the first pair with a non-finite live profile or gradient.  The
+    failing terms are left out, so that row of ``P`` is not meaningful.
     """
-    fi, fj, b = _pair_brackets(sys, x)
-    vals = np.asarray(vals, dtype=float)
-    jac = np.asarray(jac, dtype=float)
+    fi, fj, b, jac_ok = _pair_brackets(sys, X, f)
     live = vals != 0.0
-    bad = live & ~(np.isfinite(vals) & np.isfinite(jac).all(axis=1))
-    if bad.any():
-        raise ArithmeticError(
-            f"profile or gradient for pair {sys.pairs[int(np.argmax(bad))]} "
-            f"not finite at x={np.asarray(x, dtype=float).tolist()}")
+    bad = live & ~(np.isfinite(vals) & np.isfinite(jac).all(axis=2))
+    fail = None
+    if bad.any() or not jac_ok.all():
+        r = int(np.argmax(~jac_ok | bad.any(axis=1)))
+        fail = (r, ValueError(JACOBIAN_ERROR) if not jac_ok[r] else
+                ArithmeticError(
+                    f"profile or gradient for pair "
+                    f"{sys.pairs[int(np.argmax(bad[r]))]} "
+                    f"not finite at x={X[r].tolist()}"))
+        live &= ~bad
+        vals = np.where(live, vals, 0.0)
     # gradient rows at switch points may be anything; their rows are zeroed
-    jac = np.where(live[:, None], jac, 0.0)
-    gi = np.einsum("qk,qk->q", jac, fi)[:, None]  # grad vtilde . f_i
-    gj = np.einsum("qk,qk->q", jac, fj)[:, None]
-    p = vals[:, None] * b + 0.5 * (gi * fj - gj * fi)
+    jac = np.where(live[..., None], jac, 0.0)
+    gi = np.einsum("rqk,rqk->rq", jac, fi)[..., None]  # grad vtilde . f_i
+    gj = np.einsum("rqk,rqk->rq", jac, fj)[..., None]
+    p = vals[..., None] * b + 0.5 * (gi * fj - gj * fi)
     p[~live] = 0.0
-    return b, p
+    return b, p, fail
 
 
 def pair_bracket_field(law: FeedbackLaw, x) -> np.ndarray:
@@ -386,5 +402,9 @@ def pair_bracket_field(law: FeedbackLaw, x) -> np.ndarray:
     evaluated once for all pairs.  A non-finite profile or gradient on a
     pair away from a switch raises ``ArithmeticError`` naming the pair.
     """
-    _, vals, jac = law.components_jac(x)
-    return _pair_bracket_terms(law.system, x, vals, jac)[1]
+    X = np.asarray(x, dtype=float)[None]
+    _, vals, jac = _components_jac_block(law, X)
+    _, p, fail = _pair_bracket_terms(law.system, X, vals, jac)
+    if fail is not None:
+        raise fail[1]
+    return p[0]

@@ -11,6 +11,13 @@ the sum of derivatives along the pair-bracket fields.  Negativity of ``w``
 over a region is "verified" by seeded quasi-random scans; no closed-form
 certificate exists in general, so a scan with its seed, region and worst
 point is the honest artifact.
+
+The unit of evaluation is a block of points: :func:`decrease_rate` takes one
+state, shape (n,), or a block, shape (k, n), and the scans hand their whole
+sample over in blocks.  Only the user callables (fields, Jacobians,
+``law.components_jac`` and ``lyap.grad``) run once per point; their values
+are stacked, at most ``BLOCK`` (64) points at a time, and the pair-bracket
+algebra runs once per block.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .controller import FeedbackLaw, _check_law_system, _pair_bracket_terms
+from .controller import (FeedbackLaw, _check_law_system, _components_jac_block,
+                         _pair_bracket_terms)
 from .sampling import Region, sample_region
-from .vecfield import VectorFieldSystem, input_matrix
+from .vecfield import VectorFieldSystem
 
 __all__ = [
     "LyapunovSpec", "DefinitenessReport", "DecreaseRate", "GainBound",
@@ -37,6 +45,8 @@ CHECK_RADIUS = 1.0
 TOL_ALPHA = 1e-6
 # margin scan: points with ||grad V|| below this are skipped
 GRAD_FLOOR = 1e-12
+# most points whose callable values are stacked at once; bounds peak memory
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,9 @@ class LyapunovSpec:
     ``grad`` returns the gradient as a flat array, understood as a row
     covector (it multiplies vector fields from the left).  Positive
     definiteness is checked at construction on a deterministic sample of the
-    ball of radius ``CHECK_RADIUS`` (1.0).
+    ball of radius ``CHECK_RADIUS`` (1.0); so is ``batch_v``, the optional
+    evaluator of V on a (k, n) block that trajectories take their V channel
+    from, against ``v`` within ``1e-12 * max(1, |V|)``.
     """
 
     n: int
@@ -70,6 +82,16 @@ class LyapunovSpec:
         if np.any(vals <= 0.0):
             bad = pts[int(np.argmin(vals))]
             raise ValueError(f"V is not positive at sampled point {bad.tolist()}")
+        if self.batch_v is not None:
+            bv = np.asarray(self.batch_v(pts), dtype=float)
+            if bv.shape != vals.shape:
+                raise ValueError(f"batch_v must return shape {vals.shape} for "
+                                 f"{len(pts)} states, got {bv.shape}")
+            off = ~(np.abs(bv - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
+            if off.any():
+                r = int(np.argmax(off))
+                raise ValueError(f"batch_v disagrees with v at sampled point "
+                                 f"{pts[r].tolist()}: {bv[r]!r} != {vals[r]!r}")
 
 
 @dataclass(frozen=True)
@@ -107,26 +129,50 @@ class DecreaseRate(NamedTuple):
     beta: float
 
 
+def _blocks(pts: np.ndarray):
+    """Consecutive blocks of at most ``BLOCK`` rows of ``pts``."""
+    return (pts[s:s + BLOCK] for s in range(0, len(pts), BLOCK))
+
+
 def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
                   x, gamma: Optional[float] = None) -> DecreaseRate:
-    """Certificate terms at one point: ``w = alpha + gamma**2 * beta``.
+    """Certificate terms ``w = alpha + gamma**2 * beta`` at one point or a block.
 
     ``alpha`` is the derivative of V along the averaged drift, ``beta`` the
     summed derivative along the pair-bracket fields of all pairs; both come
-    from one ``components_jac`` call.  ``gamma`` defaults to the law's gain;
-    passing a value rescales only the oscillatory term, which is exactly how
-    the gain enters.  ``law`` must be built for ``sys``.
+    from one ``components_jac`` call per point.  ``x`` of shape (n,) gives
+    floats; a block of shape (k, n) gives arrays with one entry per row, the
+    same terms a single-point call gives for that row.  ``gamma`` defaults to
+    the law's gain; passing a value rescales only the oscillatory term,
+    which is exactly how the gain enters.  ``law`` must be built for
+    ``sys``.  A non-finite Jacobian raises ``ValueError``, a non-finite live
+    profile or gradient ``ArithmeticError`` naming the pair, each for the
+    first failing point in row order.
     """
     _check_law_system(sys, law)
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
-    g = np.asarray(lyap.grad(x), dtype=float)
-    v0, vals, jac = law.components_jac(x)
-    drift = input_matrix(sys, x) @ np.asarray(v0, dtype=float)
-    alpha = float(g @ drift)
-    beta = float(np.sum(_pair_bracket_terms(sys, x, vals, jac)[1] @ g))
+    if x.ndim == 1:
+        alpha, beta = (float(t[0]) for t in _alpha_beta(sys, law, lyap,
+                                                         x[None]))
+    else:
+        alpha, beta = map(np.concatenate, zip(
+            *[_alpha_beta(sys, law, lyap, X) for X in _blocks(x)]))
     return DecreaseRate(alpha + gamma * gamma * beta, alpha, beta)
+
+
+def _alpha_beta(sys, law, lyap, X):
+    """``(alpha, beta)`` at the rows of the block ``X``, each of shape (k,)."""
+    g = np.array([lyap.grad(x) for x in X], dtype=float)
+    v0, vals, jac = _components_jac_block(law, X)
+    f = np.array([[fk(x) for fk in sys.fields] for x in X], dtype=float)
+    _, p, fail = _pair_bracket_terms(sys, X, vals, jac, f)
+    if fail is not None:
+        raise fail[1]
+    drift = (v0[:, None] @ f)[:, 0]
+    return (np.einsum("rn,rn->r", g, drift),
+            (p @ g[..., None])[..., 0].sum(axis=1))
 
 
 def _report(vals, pts: np.ndarray, region: dict, seed: int,
@@ -150,13 +196,15 @@ def _report(vals, pts: np.ndarray, region: dict, seed: int,
         seed=seed)
 
 
-def negdef_scan(fn: Callable[[np.ndarray], float], region: Region,
+def negdef_scan(fn: Callable[[np.ndarray], np.ndarray], region: Region,
                 n_samples: int, r_min: float = 1e-6,
                 seed: int = 0) -> DefinitenessReport:
     """Count sign violations of ``fn`` over a seeded quasi-random sample.
 
-    Points keep ``r_min <= ||x||`` so the vanishing value at the origin does
-    not pollute the verdict.  A violation is any ``fn(x) >= 0`` (non-finite
+    ``fn`` is called once, on the whole (N, n) sample, and must return its
+    N values in row order (anything else raises ``ValueError``).  Points
+    keep ``r_min <= ||x||`` so the vanishing value at the origin does not
+    pollute the verdict.  A violation is any ``fn(x) >= 0`` (non-finite
     values count as violations).  Identical seed and region reproduce the
     report bit for bit.
     """
@@ -165,7 +213,10 @@ def negdef_scan(fn: Callable[[np.ndarray], float], region: Region,
     if r_min <= 0:
         raise ValueError("r_min must be positive")
     pts = sample_region(region, n_samples, r_min, seed)
-    vals = [float(fn(x)) for x in pts]
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != (n_samples,):
+        raise ValueError(f"fn must return one value per sampled point, shape "
+                         f"({n_samples},), got {vals.shape}")
     return _report(vals, pts, region.descriptor(r_min), seed)
 
 
@@ -193,8 +244,7 @@ def gain_bound_scan(sys: VectorFieldSystem, law: FeedbackLaw,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
-    alpha, beta = np.array(
-        [decrease_rate(sys, law, lyap, x, gamma=1.0)[1:] for x in pts]).T
+    _, alpha, beta = decrease_rate(sys, law, lyap, pts, gamma=1.0)
     finite = np.isfinite(alpha) & np.isfinite(beta)
     bounded = finite & (np.abs(alpha) > TOL_ALPHA)
     ratio_sup = np.max(-beta[bounded] / alpha[bounded], initial=-np.inf)
@@ -226,14 +276,20 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
-    _, vals, jac = law.components_jac(x)
-    return _correction(sys, x, vals, jac, gamma)
+    _, vals, jac = _components_jac_block(law, x[None])
+    phi, fail = _correction(sys, x[None], vals, jac, gamma)
+    if fail is not None:
+        raise fail[1]
+    return phi[0]
 
 
-def _correction(sys: VectorFieldSystem, x, vals, jac,
-                gamma: float) -> np.ndarray:
-    brackets, pair_fields = _pair_bracket_terms(sys, x, vals, jac)
-    return gamma * gamma * np.sum(pair_fields, axis=0) - vals @ brackets
+def _correction(sys: VectorFieldSystem, X, vals, jac, gamma: float):
+    """``(Phi, fail)`` on the block ``X``: Phi of shape (k, n) and the first
+    failing point of the pair-bracket checks (see
+    ``controller._pair_bracket_terms``)."""
+    b, p, fail = _pair_bracket_terms(sys, X, vals, jac)
+    return (gamma * gamma * np.sum(p, axis=1)
+            - np.einsum("rq,rqn->rn", vals, b)), fail
 
 
 class CorrectionSup(NamedTuple):
@@ -251,32 +307,35 @@ def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
     the mismatch, which is the margin condition for the synthesized law.
     ``law``, built for ``sys``, supplies the profiles; its gain is ignored
     in favor of ``gamma``.  Points where the gradient norm falls below
-    ``GRAD_FLOOR`` (1e-12) are skipped and counted.  A non-finite ratio
-    (from a field, profile or gradient that is not finite) raises
-    ``ArithmeticError``.
+    ``GRAD_FLOOR`` (1e-12) are skipped and counted.  Phi and the ratios are
+    formed per block of points.  A non-finite ratio (from a field, profile
+    or gradient that is not finite) raises ``ArithmeticError``, and so do
+    the checks of :func:`correction_field`, each for the first failing point
+    in sample order.
     """
     _check_law_system(sys, law)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
-    grads = [np.asarray(lyap.grad(x), dtype=float) for x in pts]
-    gn2 = np.array([g @ g for g in grads])
+    grads = np.array([lyap.grad(x) for x in pts], dtype=float)
+    gn2 = np.einsum("rn,rn->r", grads, grads)
     skip = gn2 < GRAD_FLOOR * GRAD_FLOOR
     if skip.all():
         raise ValueError("every sampled point had a vanishing gradient")
-    ratios = [_margin_ratio(sys, law, gamma, pts[i], grads[i], gn2[i])
-              for i in np.flatnonzero(~skip)]
-    return CorrectionSup(float(np.max(ratios)), int(np.count_nonzero(skip)))
-
-
-def _margin_ratio(sys, law, gamma, x, g, gn2) -> float:
-    _, vals, jac = law.components_jac(x)
-    phi = _correction(sys, x, vals, jac, gamma)
-    with np.errstate(invalid="ignore"):
-        # a non-finite term (e.g. inf * 0) gives a non-finite ratio, on which
-        # the check below raises before any later point is evaluated
-        ratio = float(g @ phi) / float(gn2)
-    if not np.isfinite(ratio):
-        raise ArithmeticError(
-            f"margin ratio not finite at x={np.asarray(x).tolist()}")
-    return ratio
+    keep = ~skip
+    pts, grads, gn2 = pts[keep], grads[keep], gn2[keep]
+    sup = -np.inf
+    for X, g, n2 in zip(*map(_blocks, (pts, grads, gn2))):
+        _, vals, jac = _components_jac_block(law, X)
+        phi, fail = _correction(sys, X, vals, jac, gamma)
+        with np.errstate(invalid="ignore"):
+            # a non-finite term (e.g. inf * 0) gives a non-finite ratio
+            ratio = np.einsum("rn,rn->r", g, phi) / n2
+        bad = ~np.isfinite(ratio)
+        r = int(np.argmax(bad)) if bad.any() else len(X)
+        if fail is not None and fail[0] <= r:
+            raise fail[1]
+        if r < len(X):
+            raise ArithmeticError(f"margin ratio not finite at x={X[r].tolist()}")
+        sup = max(sup, float(np.max(ratio)))
+    return CorrectionSup(sup, int(np.count_nonzero(skip)))

@@ -148,42 +148,66 @@ def lie_bracket(sys: VectorFieldSystem, i: int, j: int, x) -> np.ndarray:
     return dfj @ fi - dfi @ fj
 
 
+# message of the ValueError a non-finite Jacobian raises
+JACOBIAN_ERROR = "non-finite Jacobian entries at the evaluation point"
+
+
 def _check_jacobians(*jacs) -> None:
     for d in jacs:
         if not np.all(np.isfinite(d)):
-            raise ValueError("non-finite Jacobian entries at the evaluation point")
+            raise ValueError(JACOBIAN_ERROR)
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_rows(pairs: Tuple[Tuple[int, int], ...]):
-    """Inputs named by ``pairs`` (1-based) and, per pair, the rows of its
-    ``f_i`` and ``f_j`` among them (read-only index arrays)."""
+    """Inputs named by ``pairs`` (1-based), their 0-based indices and, per
+    pair, the rows of its ``f_i`` and ``f_j`` among them (read-only index
+    arrays)."""
     used = sorted({k for pair in pairs for k in pair})
     row = {k: r for r, k in enumerate(used)}
+    cols = np.array(used) - 1
     i = np.array([row[a] for a, _ in pairs])
     j = np.array([row[b] for _, b in pairs])
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return tuple(used), i, j
+    for a in (cols, i, j):
+        a.setflags(write=False)
+    return tuple(used), cols, i, j
 
 
-def _pair_brackets(sys: VectorFieldSystem,
-                   x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fields and brackets of every pair at one float point.
+def _pair_brackets(sys: VectorFieldSystem, X, f=None):
+    """Fields and brackets of every pair at a block of float points.
 
-    Returns ``(Fi, Fj, B)``, each of shape (|S|, n) in pair order: for pair
-    ``q = (i, j)``, ``Fi[q] = f_i(x)``, ``Fj[q] = f_j(x)`` and
-    ``B[q] = [f_i, f_j](x)`` as in :func:`lie_bracket`.  Each input field
-    that appears in a pair, and its Jacobian, is evaluated once; all
-    brackets come from ``DF = D @ F.T`` as ``B = DF[J, :, I] - DF[I, :, J]``.
+    ``X`` has shape (k, n).  Returns ``(Fi, Fj, B, jac_ok)``: the first three
+    of shape (k, |S|, n) in pair order, so that for point ``r`` and pair
+    ``q = (i, j)``, ``Fi[r, q] = f_i(X[r])``, ``Fj[r, q] = f_j(X[r])`` and
+    ``B[r, q] = [f_i, f_j](X[r])`` as in :func:`lie_bracket`; ``jac_ok[r]``
+    is False where a Jacobian has a non-finite entry, and that point's
+    brackets are then not meaningful (the caller raises ``ValueError`` with
+    ``JACOBIAN_ERROR``).  Each input field that appears in a pair, and its
+    Jacobian, is evaluated once per point; ``f``, the (k, m, n) values of all
+    input fields at ``X``, replaces the field calls when given.  The bracket
+    algebra runs once on the stacked values, ``DF = D @ F^T`` and
+    ``B = DF[J, :, I] - DF[I, :, J]`` per point.
     """
-    x = _check_point(sys, np.asarray(x, dtype=float))
-    used, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
-    f = np.array([sys.fields[k - 1](x) for k in used], dtype=float)
-    d = np.array([sys.jacobians[k - 1](x) for k in used], dtype=float)
-    _check_jacobians(d)
-    df = d @ f.T  # df[k, :, l] = Df_k(x) f_l(x)
-    return f[i], f[j], df[j, :, i] - df[i, :, j]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != sys.n:
+        raise ValueError(f"states must have shape (k, {sys.n}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("state has non-finite entries")
+    used, cols, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
+    if f is None:
+        f = np.array([[sys.fields[u - 1](x) for u in used] for x in X],
+                     dtype=float)
+    else:
+        f = f[:, cols]
+    d = np.array([[sys.jacobians[u - 1](x) for u in used] for x in X],
+                 dtype=float)
+    jac_ok = np.isfinite(d).all(axis=(1, 2, 3))
+    if not jac_ok.all():
+        # keep the bad points out of the algebra, as the check does per point
+        d[~jac_ok] = 0.0
+    df = d @ f[:, None].swapaxes(2, 3)  # df[r, a, :, b] = Df_a f_b at X[r]
+    b = df[:, j, :, i] - df[:, i, :, j]  # (|S|, k, n): split advanced indices
+    return f[:, i], f[:, j], b.swapaxes(0, 1), jac_ok
 
 
 def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:

@@ -153,3 +153,50 @@ def test_law_modes_and_bad_mode():
 def test_candidate_requires_p_at_least_one():
     with pytest.raises(ValueError, match=">= 1"):
         bk.brockett_lyapunov(0.9)
+
+
+def _reference_decrease_parts(p, gamma, x):
+    # the per-point loop: a pair on its sign switch is skipped and flagged
+    x = np.asarray(x, dtype=float)
+    alpha = -float(np.sum(x[:4] ** 2))
+    gv = x.copy()
+    gv[4:] = np.sign(x[4:]) * np.abs(x[4:]) ** (2.0 * p - 1.0)
+    lf = np.empty(4)
+    lf[0] = x[0] - gv[4] * x[1] - gv[5] * x[2] - gv[6] * x[3]
+    lf[1] = x[1] + gv[4] * x[0] - gv[7] * x[2] - gv[8] * x[3]
+    lf[2] = x[2] + gv[5] * x[0] + gv[7] * x[1] - gv[9] * x[3]
+    lf[3] = x[3] + gv[6] * x[0] + gv[8] * x[1] + gv[9] * x[2]
+    fic = (-x[1], -x[2], -x[3], -x[2], -x[3], -x[3])
+    fjc = (x[0], x[0], x[0], x[1], x[1], x[2])
+    beta, kink = 0.0, False
+    for q, (i, j) in enumerate(bk.brockett_system().pairs):
+        xc = x[4 + q]
+        if xc == 0.0:
+            kink = True
+            continue
+        beta -= abs(xc) ** (4.0 * p - 2.0)
+        cross = fic[q] * lf[j - 1] - fjc[q] * lf[i - 1]
+        beta -= 0.25 * (2.0 * p - 1.0) * abs(xc) ** (2.0 * p - 2.0) * cross
+    return alpha + gamma * gamma * beta, alpha, beta, kink
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_block_decrease_parts_match_per_row_reference(p):
+    rng = np.random.default_rng(36)
+    xs = rng.uniform(-2.0, 2.0, (300, 10))
+    rows = np.arange(0, 300, 3)
+    xs[rows, 4 + rng.integers(0, 6, len(rows))] = 0.0  # one pair on its switch
+    xs[::7, 4:] = 0.0                            # every pair on its switch
+    xs[::11, :4] = 0.0                           # no drift term
+    xs[5] = 0.0
+    w, alpha, beta, kink = bk.brockett_decrease_parts(p, 0.5, xs)
+    assert w.shape == alpha.shape == beta.shape == kink.shape == (300,)
+    assert 0 < np.count_nonzero(kink) < 300
+    for r, x in enumerate(xs):
+        ref = _reference_decrease_parts(p, 0.5, x)
+        single = bk.brockett_decrease_parts(p, 0.5, x)
+        assert single[3] is ref[3] and bool(kink[r]) is ref[3]
+        for got in ((w[r], alpha[r], beta[r]), single[:3]):
+            assert np.all(np.abs(np.subtract(got, ref[:3]))
+                          <= 1e-14 * np.maximum(1.0, np.abs(ref[:3])))
+    assert np.array_equal(bk.brockett_decrease_rate(p, 0.5, xs), w)

@@ -1,18 +1,23 @@
+import collections
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oscstab import brockett as bk
 from oscstab.controller import synthesized_law, user_law
-from oscstab.lyapunov import (DefinitenessReport, LyapunovSpec, _report,
-                              correction_field, correction_ratio_sup,
-                              decrease_rate, gain_bound_scan, negdef_scan)
+from oscstab.lyapunov import (BLOCK, GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
+                              LyapunovSpec, _report, correction_field,
+                              correction_ratio_sup, decrease_rate,
+                              gain_bound_scan, negdef_scan)
 from oscstab.sampling import Region, sample_region
+from oscstab.vecfield import system_from_fields
 
-from conftest import heis3_system
+from conftest import _dt, heis3_system
 
 # dense i.i.d. oracle values, frozen from 1e5..2e5-point reference sweeps
 ORACLE_RATIO_SUP_P1_BALL2 = 0.735475
@@ -41,6 +46,21 @@ def test_candidate_rejects_indefinite_v():
     with pytest.raises(ValueError, match="not positive"):
         LyapunovSpec(2, v=lambda x: x[0] ** 2 - x[1] ** 2,
                      grad=lambda x: np.array([2 * x[0], -2 * x[1]]))
+
+
+def test_candidate_rejects_batch_v_that_disagrees_with_v():
+    v = lambda x: float(x @ x)
+    grad = lambda x: 2.0 * np.asarray(x, dtype=float)
+    good = lambda X: np.sum(np.asarray(X) ** 2, axis=1)
+    assert LyapunovSpec(2, v=v, grad=grad, batch_v=good).batch_v is good
+    with pytest.raises(ValueError, match="batch_v disagrees with v"):
+        LyapunovSpec(2, v=v, grad=grad, batch_v=lambda X: 0.5 * good(X))
+    with pytest.raises(ValueError, match="batch_v disagrees with v"):
+        # one point off by far more than rounding
+        LyapunovSpec(2, v=v, grad=grad,
+                     batch_v=lambda X: good(X) + (np.arange(len(X)) == 9) * 1e-9)
+    with pytest.raises(ValueError, match="batch_v must return shape"):
+        LyapunovSpec(2, v=v, grad=grad, batch_v=lambda X: good(X)[:-1])
 
 
 # --- certificate values ----------------------------------------------------------
@@ -75,13 +95,15 @@ def test_certificate_gain_scaling_is_exactly_quadratic(bsys, lyap_p1, law_p1):
 # --- definiteness scan ------------------------------------------------------------
 
 def test_negdef_scan_negative_quadratic_clean():
-    rep = negdef_scan(lambda x: -float(x @ x), Region.ball(4, 2.0), 2000, seed=3)
+    rep = negdef_scan(lambda X: [-float(x @ x) for x in X], Region.ball(4, 2.0),
+                      2000, seed=3)
     assert rep.violations == 0
     assert rep.worst_value < 0
 
 
 def test_negdef_scan_positive_quadratic_all_violations():
-    rep = negdef_scan(lambda x: +float(x @ x), Region.ball(4, 2.0), 1000, seed=3)
+    rep = negdef_scan(lambda X: [+float(x @ x) for x in X], Region.ball(4, 2.0),
+                      1000, seed=3)
     assert rep.violations == 1000
     assert rep.worst_value > 0
     assert np.linalg.norm(rep.worst_point) <= 2.0
@@ -90,7 +112,7 @@ def test_negdef_scan_positive_quadratic_all_violations():
 
 
 def test_negdef_scan_is_deterministic():
-    fn = lambda x: float(np.sin(x).sum() - x @ x)
+    fn = lambda X: [float(np.sin(x).sum() - x @ x) for x in X]
     r1 = negdef_scan(fn, Region.ball(3, 1.5), 512, seed=99)
     r2 = negdef_scan(fn, Region.ball(3, 1.5), 512, seed=99)
     assert r1.to_json() == r2.to_json()
@@ -101,24 +123,27 @@ def test_negdef_scan_is_deterministic():
 
 def test_negdef_scan_respects_inner_radius():
     seen = []
-    negdef_scan(lambda x: seen.append(np.linalg.norm(x)) or -1.0,
-                Region.ball(3, 1.0), 256, r_min=0.25, seed=1)
+    negdef_scan(lambda X: seen.extend(np.linalg.norm(X, axis=1))
+                or [-1.0 for x in X], Region.ball(3, 1.0), 256, r_min=0.25,
+                seed=1)
     assert min(seen) >= 0.25
     with pytest.raises(ValueError, match="r_min"):
-        negdef_scan(lambda x: -1.0, Region.ball(3, 1.0), 16, r_min=0.0, seed=1)
+        negdef_scan(lambda X: [-1.0 for x in X], Region.ball(3, 1.0), 16,
+                    r_min=0.0, seed=1)
 
 
 def test_negdef_scan_box_region_and_nan_counts_as_violation():
     reg = Region.box([-1, -1], [2, 2])
-    rep = negdef_scan(lambda x: float("nan"), reg, 64, seed=5)
+    rep = negdef_scan(lambda X: [float("nan") for x in X], reg, 64, seed=5)
     assert rep.violations == 64
-    rep2 = negdef_scan(lambda x: -1.0, reg, 64, seed=5)
+    rep2 = negdef_scan(lambda X: [-1.0 for x in X], reg, 64, seed=5)
     assert rep2.violations == 0
     assert rep2.region["kind"] == "box"
 
 
 def test_report_serialization_roundtrip():
-    rep = negdef_scan(lambda x: -1.0, Region.ball(2, 1.0), 32, seed=11)
+    rep = negdef_scan(lambda X: [-1.0 for x in X], Region.ball(2, 1.0), 32,
+                      seed=11)
     d = json.loads(rep.to_json())
     assert d["N"] == 32 and d["seed"] == 11 and d["violations"] == 0
     assert len(d["worst_point"]) == 2
@@ -308,8 +333,9 @@ def test_negdef_scan_keeps_first_nan_as_worst():
     reg = Region.ball(3, 1.0)
     pts = sample_region(reg, 64, 1e-6, 5)
     bad = pts[10]
-    rep = negdef_scan(lambda x: float("nan") if np.array_equal(x, bad)
-                      else -float(x @ x), reg, 64, seed=5)
+    rep = negdef_scan(lambda X: [float("nan") if np.array_equal(x, bad)
+                                 else -float(x @ x) for x in X],
+                      reg, 64, seed=5)
     assert rep.violations == 1
     assert math.isnan(rep.worst_value)
     assert np.array_equal(rep.worst_point, bad)
@@ -438,3 +464,241 @@ def test_margin_nonfinite_ratio_raises(case):
     with pytest.raises(ArithmeticError, match=message):
         correction_ratio_sup(sys_, law, lyap, 0.5, Region.ball(3, 1.0), 256,
                              seed=3)
+
+
+# --- blocks of points ------------------------------------------------------------
+
+def _quartic_heis3_case():
+    # heis3 built from field closures, with a synthesized law
+    sys_ = system_from_fields(3, 2, heis3_system().fields, ((1, 2),),
+                              name="heis3")
+    lyap = LyapunovSpec(
+        3, v=lambda x: 0.5 * float(x @ x) + 0.25 * float(x[2]) ** 4,
+        grad=lambda x: np.array([x[0], x[1], x[2] + x[2] ** 3], dtype=_dt(x)))
+    return sys_, synthesized_law(sys_, lyap, 0.5, 0.1), lyap
+
+
+BLOCK_CASES = {
+    "brockett10-p1": lambda: (bk.brockett_system(), bk.brockett_law(1.0, 0.5, 0.1),
+                              bk.brockett_lyapunov(1.0)),
+    "brockett10-p1.5": lambda: (bk.brockett_system(),
+                                bk.brockett_law(1.5, 0.5, 0.1),
+                                bk.brockett_lyapunov(1.5)),
+    "brockett10-synthesized": lambda: (
+        bk.brockett_system(), bk.brockett_law(1.0, 0.5, 0.1, mode="synthesized"),
+        bk.brockett_lyapunov(1.0)),
+    "heis3-from-fields": _quartic_heis3_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_decrease_rate_rows_match_single_points(case):
+    sys_, law, lyap = BLOCK_CASES[case]()
+    rng = np.random.default_rng(41)
+    k = BLOCK + 6 if "synthesized" in case else 2 * BLOCK + 6
+    xs = rng.uniform(-1.5, 1.5, (k, sys_.n))
+    if sys_.n == 10:
+        # exact-zero bracket coordinates: profiles on their sign switch
+        rows = np.arange(0, k, 3)
+        xs[rows, 4 + rng.integers(0, 6, len(rows))] = 0.0
+        xs[::7, 4:] = 0.0
+    for gamma in (None, 1.0):
+        block = decrease_rate(sys_, law, lyap, xs, gamma=gamma)
+        assert all(t.shape == (k,) for t in block)
+        for r, x in enumerate(xs):
+            ref = decrease_rate(sys_, law, lyap, x, gamma=gamma)
+            assert all(type(t) is float for t in ref)
+            got = np.array([t[r] for t in block])
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    one = decrease_rate(sys_, law, lyap, xs[:1])
+    ref = decrease_rate(sys_, law, lyap, xs[0])
+    assert all(t.shape == (1,) for t in one)
+    assert np.all(np.abs(np.ravel(one) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def _reference_gain_scan(sys_, law, lyap, region, n, seed):
+    # the per-point loop over single-point certificates
+    pts = sample_region(region, n, 1e-6, seed)
+    ratio_sup, vals, checked = -np.inf, [], []
+    for x in pts:
+        _, a, b = decrease_rate(sys_, law, lyap, x, gamma=1.0)
+        finite = math.isfinite(a) and math.isfinite(b)
+        if finite and abs(a) > TOL_ALPHA:
+            ratio_sup = max(ratio_sup, -b / a)
+        vals.append(b if finite else float("nan"))
+        checked.append(not (finite and abs(a) > TOL_ALPHA))
+    return ratio_sup, _reference_report(vals, pts, checked)
+
+
+def _reference_margin_scan(sys_, law, lyap, gamma, region, n, seed):
+    sup, skipped = -np.inf, 0
+    for x in sample_region(region, n, 1e-6, seed):
+        g = np.asarray(lyap.grad(x), dtype=float)
+        if g @ g < GRAD_FLOOR * GRAD_FLOOR:
+            skipped += 1
+            continue
+        phi = correction_field(sys_, law, x, gamma=gamma)
+        sup = max(sup, float(g @ phi) / float(g @ g))
+    return sup, skipped
+
+
+def _close(a, b, rel=1e-12):
+    return a == b or abs(a - b) <= rel * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("case", ["brockett10-p1", "brockett10-p1.5",
+                                  "heis3-vanishing-drift"])
+def test_scans_match_per_point_reference(case):
+    if case == "heis3-vanishing-drift":
+        sys_, law = _heis_law(lambda x: -0.5 * x[2] * (1.0 + x[0]),
+                              lambda x: np.array([-0.5 * x[2], 0.0,
+                                                  -0.5 * (1.0 + x[0])]),
+                              v0_fn=lambda x: np.array([-x[0] * x[1], 0.0]))
+        lyap = _unit_ball_lyap(lambda x: np.asarray(x, dtype=float))
+        region = Region.ball(3, 1.0)
+    else:
+        sys_, law, lyap = BLOCK_CASES[case]()
+        region = Region.ball(10, 2.0)
+    n = 3 * BLOCK + 17
+    gb = gain_bound_scan(sys_, law, lyap, region, n, seed=9)
+    ratio_sup, (n_checked, violations, worst, worst_point) = \
+        _reference_gain_scan(sys_, law, lyap, region, n, 9)
+    assert _close(gb.ratio_sup, ratio_sup)
+    assert _close(gb.gamma_max, 1.0 / math.sqrt(ratio_sup) if ratio_sup > 0
+                  else math.inf)
+    assert (gb.report.n_samples, gb.report.violations) == (n_checked, violations)
+    assert _close(gb.report.worst_value, worst)
+    assert np.array_equal(gb.report.worst_point, worst_point)
+    for gamma in (0.5, 1.0):
+        cs = correction_ratio_sup(sys_, law, lyap, gamma, region, n, seed=9)
+        sup, skipped = _reference_margin_scan(sys_, law, lyap, gamma, region,
+                                              n, 9)
+        assert _close(cs.sup, sup) and cs.skipped == skipped
+
+
+def _flagged(fn, bad_points, flagged):
+    """``fn`` with ``flagged(x)`` in place of its value at ``bad_points``."""
+    def wrapped(x):
+        if any(np.array_equal(x, b) for b in bad_points):
+            return flagged(fn(x))
+        return fn(x)
+    return wrapped
+
+
+def _bad_profile(vals_jac, q=None):
+    vals, jac = vals_jac
+    vals = np.array(vals, dtype=float)
+    vals[q] = float("nan")
+    return vals, jac
+
+
+def _brockett_case(profile_at=(), jacobian_at=(), q_bad=4):
+    # closed-form p = 1 law whose pair q_bad has a NaN profile at the points
+    # profile_at, on a system whose Jacobian of f_2 is NaN at jacobian_at
+    bsys = bk.brockett_system()
+    sys_ = dataclasses.replace(bsys, jacobians=(
+        bsys.jacobians[0],
+        _flagged(bsys.jacobians[1], jacobian_at, lambda d: np.full_like(d, np.nan)),
+        *bsys.jacobians[2:]))
+    law = bk.brockett_law(1.0, 0.5, 0.1)
+    profiles_jac = _flagged(lambda x: bk._profiles_jac(1.0, x), profile_at,
+                            lambda vj: _bad_profile(vj, q_bad))
+    law = dataclasses.replace(
+        law, system=sys_,
+        components_jac=lambda x: (-np.asarray(x[:4], dtype=float),
+                                  *profiles_jac(x)))
+    return sys_, law, bk.brockett_lyapunov(1.0)
+
+
+def test_block_error_names_first_failing_point_and_pair():
+    xs = np.random.default_rng(43).uniform(0.2, 1.2, (2 * BLOCK, 10))
+    pair = bk.brockett_system().pairs[4]
+    for k in (0, 5, BLOCK + 3):
+        sys_, law, lyap = _brockett_case(profile_at=(xs[k], xs[k + 2]))
+        message = (rf"pair {re.escape(str(pair))} not finite at "
+                   rf"x={re.escape(str(xs[k].tolist()))}")
+        with pytest.raises(ArithmeticError, match=message):
+            decrease_rate(sys_, law, lyap, xs)
+    # a non-finite Jacobian at an earlier point wins over a later bad profile
+    sys_, law, lyap = _brockett_case(profile_at=(xs[9],), jacobian_at=(xs[4],))
+    with pytest.raises(ValueError, match="non-finite Jacobian"):
+        decrease_rate(sys_, law, lyap, xs)
+    # a bad profile wins over a later bad Jacobian; at one point the
+    # Jacobian check comes first
+    for j in (9, 12):
+        sys_, law, lyap = _brockett_case(profile_at=(xs[9],),
+                                         jacobian_at=(xs[j],))
+        error = ArithmeticError if j > 9 else ValueError
+        with pytest.raises(error):
+            decrease_rate(sys_, law, lyap, xs)
+
+
+def test_margin_scan_raises_for_first_failing_point():
+    region = Region.ball(10, 1.0)
+    pts = sample_region(region, 2 * BLOCK, 1e-6, 5)
+    grad = bk.brockett_lyapunov(1.0).grad
+    inf_grad = _flagged(grad, (pts[7],), lambda g: np.full_like(g, np.inf))
+    for profile_k, message in ((3, r"pair \(2, 4\) not finite at x="),
+                               (7, r"pair \(2, 4\) not finite at x="),
+                               (11, "margin ratio not finite at x=")):
+        sys_, law, lyap = _brockett_case(profile_at=(pts[profile_k],))
+        lyap = dataclasses.replace(lyap, grad=inf_grad)
+        x_bad = pts[min(profile_k, 7)]
+        with pytest.raises(ArithmeticError, match=message
+                           + re.escape(str(x_bad.tolist()))):
+            correction_ratio_sup(sys_, law, lyap, 0.5, region, 2 * BLOCK,
+                                 seed=5)
+
+
+@pytest.mark.parametrize("fn", [lambda X: -1.0, lambda X: -np.ones(len(X) - 1),
+                                lambda X: -np.ones((len(X), 1))])
+def test_negdef_scan_requires_one_value_per_point(fn):
+    with pytest.raises(ValueError, match=r"one value per sampled point"):
+        negdef_scan(fn, Region.ball(3, 1.0), 32, seed=1)
+
+
+def _counting(fn, counts, key):
+    def counted(x):
+        counts[key] += 1
+        return fn(x)
+    return counted
+
+
+def test_scans_call_each_callable_once_per_point(bsys, law_p1, lyap_p1):
+    counts = collections.Counter()
+    csys = dataclasses.replace(
+        bsys,
+        fields=tuple(_counting(f, counts, ("field", k))
+                     for k, f in enumerate(bsys.fields)),
+        jacobians=tuple(_counting(d, counts, ("jacobian", k))
+                        for k, d in enumerate(bsys.jacobians)))
+    law = dataclasses.replace(
+        law_p1, system=csys,
+        components_jac=_counting(law_p1.components_jac, counts, "components_jac"))
+    lyap = dataclasses.replace(lyap_p1,
+                               grad=_counting(lyap_p1.grad, counts, "grad"))
+    n = 2 * BLOCK + 9
+    expected = {"components_jac": n, "grad": n,
+                **{(kind, k): n for kind in ("field", "jacobian")
+                   for k in range(4)}}
+    counts.clear()
+    gain_bound_scan(csys, law, lyap, Region.ball(10, 2.0), n, seed=3)
+    assert counts == expected
+    counts.clear()
+    cs = correction_ratio_sup(csys, law, lyap, 0.5, Region.ball(10, 1.0), n,
+                              seed=3)
+    assert cs.skipped == 0
+    assert counts == expected
+
+
+def test_gain_scan_memory_stays_flat(bsys, law_p1, lyap_p1):
+    # callable values are stacked a block at a time, not for the whole sample
+    region = Region.ball(10, 2.0)
+    gain_bound_scan(bsys, law_p1, lyap_p1, region, BLOCK, seed=1)
+    tracemalloc.start()
+    try:
+        gain_bound_scan(bsys, law_p1, lyap_p1, region, 4096, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
