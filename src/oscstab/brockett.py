@@ -13,17 +13,21 @@ and the closed-form feedback profiles drive each bracket coordinate through
 its own oscillator pair.  For exponent p = 1 the norm decays exponentially
 in the simulations; larger exponents trade that for smoother profiles and a
 slower (polynomial-looking) tail.
+
+Every callable here also evaluates (k, 10) blocks of states, so it passes the
+block probe of :mod:`oscstab._block`; fields, Jacobians, V and its gradient
+also take one state of duals.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import functools
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _fastpath, dualnum
-from .controller import FeedbackLaw, synthesized_law, user_law
+from .controller import FeedbackLaw, OscillatorAssignment, synthesized_law
 from .lyapunov import LyapunovSpec
 from .vecfield import VectorFieldSystem
 
@@ -39,27 +43,41 @@ __all__ = [
 _PAIRS: Tuple[Tuple[int, int], ...] = _fastpath.PAIRS
 
 
+def _coords(x):
+    """``(c, 1, 0)`` for a state, ``(x^T, ones, zeros)`` for a (k, n) block:
+    a field lists its entries in these and transposes the array."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        return x, 1.0, 0.0
+    return x.T, np.ones(len(x)), np.zeros(len(x))
+
+
 def _f1(x):
-    return np.array([1.0, 0.0, 0.0, 0.0, -x[1], -x[2], -x[3], 0.0, 0.0, 0.0])
+    c, _1, _0 = _coords(x)
+    return np.array([_1, _0, _0, _0, -c[1], -c[2], -c[3], _0, _0, _0]).T
 
 
 def _f2(x):
-    return np.array([0.0, 1.0, 0.0, 0.0, x[0], 0.0, 0.0, -x[2], -x[3], 0.0])
+    c, _1, _0 = _coords(x)
+    return np.array([_0, _1, _0, _0, c[0], _0, _0, -c[2], -c[3], _0]).T
 
 
 def _f3(x):
-    return np.array([0.0, 0.0, 1.0, 0.0, 0.0, x[0], 0.0, x[1], 0.0, -x[3]])
+    c, _1, _0 = _coords(x)
+    return np.array([_0, _0, _1, _0, _0, c[0], _0, c[1], _0, -c[3]]).T
 
 
 def _f4(x):
-    return np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, x[0], 0.0, x[1], x[2]])
+    c, _1, _0 = _coords(x)
+    return np.array([_0, _0, _0, _1, _0, _0, c[0], _0, c[1], c[2]]).T
 
 
 def _const_jacobian(rows):
     j = np.zeros((10, 10))
     for r, c, val in rows:
         j[r, c] = val
-    return lambda x, _j=j: _j
+    return lambda x: j if np.ndim(x) == 1 else np.broadcast_to(
+        j, np.shape(x)[:-1] + j.shape)
 
 
 _J1 = _const_jacobian([(4, 1, -1.0), (5, 2, -1.0), (6, 3, -1.0)])
@@ -75,44 +93,61 @@ def brockett_system() -> VectorFieldSystem:
         jacobians=(_J1, _J2, _J3, _J4), pairs=_PAIRS, name="brockett10")
 
 
+@functools.lru_cache(maxsize=None)
 def brockett_lyapunov(p: float = 1.0) -> LyapunovSpec:
-    """Power-family candidate; closures evaluate on dual states as well."""
+    """Power-family candidate, built once per exponent; closures evaluate on
+    dual states as well."""
     if p < 1.0:
         raise ValueError("exponent p must be >= 1")
 
     def v(x):
-        head = 0.5 * (x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
-        tail = sum(abs(x[c]) ** (2.0 * p) for c in range(4, 10)) / (2.0 * p)
-        return head + tail
+        x = np.asarray(x)
+        return (0.5 * np.add.reduce(x[..., :4] ** 2, axis=-1)
+                + np.add.reduce(np.abs(x[..., 4:]) ** (2.0 * p), axis=-1)
+                / (2.0 * p))
 
     def grad(x):
-        out = list(x[:4])
-        for c in range(4, 10):
-            out.append(dualnum.sign(x[c]) * abs(x[c]) ** (2.0 * p - 1.0))
-        return np.array(out)
+        x = np.asarray(x)
+        out = x.astype(object if x.dtype == object else float)
+        tail = x[..., 4:]
+        out[..., 4:] = dualnum.sign(tail) * np.abs(tail) ** (2.0 * p - 1.0)
+        return out
 
-    def batch_v(xs):
-        xs = np.asarray(xs, dtype=float)
-        return (0.5 * np.sum(xs[:, :4] ** 2, axis=1)
-                + np.sum(np.abs(xs[:, 4:]) ** (2.0 * p), axis=1) / (2.0 * p))
-
-    return LyapunovSpec(n=10, v=v, grad=grad, batch_v=batch_v)
+    return LyapunovSpec(n=10, v=v, grad=grad)
 
 
 def brockett_vtilde(p: float, x) -> np.ndarray:
     """Closed-form pair profiles: ``-sign(x_c) |x_c|^(2p-1) / 2`` per pair,
-    where ``x_c`` is the bracket coordinate the pair excites."""
-    xt = np.asarray(x, dtype=float)[4:10]
+    where ``x_c`` is the bracket coordinate the pair excites; shape (6,) for
+    one state, (k, 6) for a block of k."""
+    xt = np.asarray(x, dtype=float)[..., 4:10]
     return -0.5 * np.sign(xt) * np.abs(xt) ** (2.0 * p - 1.0)
 
 
 def _profiles_jac(p: float, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form profiles and their (6, 10) Jacobian; profile q depends on
-    the bracket coordinate 4 + q alone."""
-    jac = np.zeros((6, 10))
-    xt = np.asarray(x, dtype=float)[4:10]
-    jac[:, 4:] = np.diag(-0.5 * (2.0 * p - 1.0) * np.abs(xt) ** (2.0 * p - 2.0))
+    """Closed-form profiles and their (6, 10) Jacobian, (k, 6) and
+    (k, 6, 10) for a block; profile q depends on the bracket coordinate
+    4 + q alone."""
+    xt = np.asarray(x, dtype=float)[..., 4:10]
+    jac = np.zeros(xt.shape + (10,))
+    jac[..., np.arange(6), np.arange(4, 10)] = (
+        -0.5 * (2.0 * p - 1.0) * np.abs(xt) ** (2.0 * p - 2.0))
     return brockett_vtilde(p, x), jac
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form(p: float):
+    """``(components, components_jac)`` at exponent ``p``, built once, so that
+    its laws share them and their block-probe verdicts."""
+    def v0(x):
+        return -np.asarray(x, dtype=float)[..., :4]
+
+    def components(x):
+        return v0(x), brockett_vtilde(p, x)
+
+    def components_jac(x):
+        return (v0(x), *_profiles_jac(p, x))
+    return components, components_jac
 
 
 def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
@@ -131,13 +166,11 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
     if mode != "closed-form":
         raise ValueError(f"unknown law mode {mode!r}")
 
-    def v0(x):
-        return -np.asarray(x, dtype=float)[:4]
-
-    law = user_law(sys, gamma, eps, v0=v0,
-                   profiles=lambda x: brockett_vtilde(p, x),
-                   profiles_jac=lambda x: _profiles_jac(p, x), kappas=kappas)
-    return replace(law, kernel_p=float(p))
+    components, components_jac = _closed_form(float(p))
+    return FeedbackLaw(system=sys, gamma=float(gamma),
+                       assignment=OscillatorAssignment(sys.pairs, kappas, eps),
+                       components=components, components_jac=components_jac,
+                       kernel_p=float(p))
 
 
 def brockett_decrease_parts(p: float, gamma: float, x):

@@ -20,11 +20,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import brockett
-from .integrator import (Trajectory, _write_csv, _write_json,
+from . import _block, brockett
+from .integrator import (Trajectory, _write_csv, _write_json, coupling_matrix,
                          integrate_classical, integrate_sampled,
-                         iterated_integral_coefficient, prediction_order_probe,
-                         write_trajectory_csv, write_windows_json)
+                         prediction_order_probe, write_trajectory_csv,
+                         write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
 from .sampling import Region, sample_region
 from .vecfield import bracket_generating_check
@@ -163,6 +163,17 @@ def _build(config: RunConfig):
     return law.system, lyap, law, p
 
 
+def _blockwise(sys_, law, lyap) -> dict:
+    """Which user callables passed the block probe (:mod:`oscstab._block`)."""
+    def ok(fn):
+        return _block.blockwise(fn, sys_.n)
+    return {"fields": list(map(ok, sys_.fields)),
+            "jacobians": list(map(ok, sys_.jacobians)),
+            "components": ok(law.components),
+            "components_jac": ok(law.components_jac),
+            "v": ok(lyap.v), "grad": ok(lyap.grad)}
+
+
 # --- convergence-rate estimation ---------------------------------------------
 
 def fit_exponential(t, y) -> Tuple[float, float]:
@@ -250,6 +261,7 @@ def _integrate_and_write(config: RunConfig, modes: Sequence[str]):
     """Integrate each mode, write its trajectory and window artifacts, and
     return ``(trajectories, summary sections, output directory)``."""
     sys_, lyap, law, _ = _build(config)
+    blockwise = _blockwise(sys_, law, lyap)
     x0 = config.resolved_x0()
     trajs: Dict[str, Trajectory] = {}
     for mode in modes:
@@ -261,7 +273,7 @@ def _integrate_and_write(config: RunConfig, modes: Sequence[str]):
     for mode, traj in trajs.items():
         write_trajectory_csv(traj, os.path.join(outdir, f"trajectory_{mode}.csv"))
         write_windows_json(traj, os.path.join(outdir, f"windows_{mode}.json"))
-        sections[mode] = _run_summary(traj)
+        sections[mode] = {**_run_summary(traj), "blockwise": blockwise}
     return trajs, sections, outdir
 
 
@@ -370,17 +382,16 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     # oscillator identities over one period
     a = law.assignment
     eps = a.eps
+    couplings = coupling_matrix(a, config.quad_steps)
     same_worst = 0.0
     cross_worst = 0.0
     for qa in range(len(a.pairs)):
-        same = iterated_integral_coefficient(a, a.pairs[qa], a.pairs[qa],
-                                             config.quad_steps)
+        same = float(couplings[qa, qa])
         same_worst = max(same_worst, abs(same + 2.0 * eps) / (2.0 * eps))
         for qb in range(len(a.pairs)):
             if qa == qb:
                 continue
-            cross = iterated_integral_coefficient(a, a.pairs[qa], a.pairs[qb],
-                                                  config.quad_steps)
+            cross = float(couplings[qa, qb])
             scale = a.amplitude(qa) * a.amplitude(qb) * eps * eps
             cross_worst = max(cross_worst, abs(cross) / scale)
     osc = {"same_pair_rel_err": same_worst, "cross_rel_coupling": cross_worst}
@@ -393,6 +404,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
         "command": "verify",
         "config": config.public_dict(),
         "checks": checks,
+        "blockwise": _blockwise(sys_, law, lyap),
         "all_pass": all_pass,
         "wall_clock_s": time.perf_counter() - t_start,
     }

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dualnum
+from . import _block, dualnum
 from .vecfield import (JACOBIAN_ERROR, VectorFieldSystem, _bracket_columns,
                        _condition_1norm, _pair_brackets, input_matrix)
 
@@ -217,8 +217,10 @@ class FeedbackLaw:
     ``kernel_p`` is set only on the case-study closed-form law of
     :func:`oscstab.brockett.brockett_law`, whose candidate exponent it
     holds; it lets the integrator run the compiled trajectory kernel and
-    never changes semantics.  Evaluation is pure and reentrant, so laws are
-    safe to share across sweep workers.
+    never changes semantics.  Either callable may also take a (k, n) float
+    block and return its results stacked per row; construction probes which
+    does (:func:`oscstab._block.probe`).  Evaluation is pure and reentrant,
+    so laws are safe to share across sweep workers.
     """
 
     system: VectorFieldSystem
@@ -234,6 +236,8 @@ class FeedbackLaw:
             raise ValueError("gamma must be >= 0")
         if self.assignment.pairs != self.system.pairs:
             raise ValueError("assignment pairs must match the system pair set")
+        for fn in (self.components, self.components_jac):
+            _block.probe(fn, self.system.n)
 
     @property
     def eps(self) -> float:
@@ -276,6 +280,11 @@ def user_law(sys: VectorFieldSystem, gamma: float, eps: float,
     Jacobian comes from dual evaluation of ``profiles``, which must then
     stick to dual-compatible operations.  The components must satisfy the
     same split identities as synthesized ones; nothing else is assumed.
+
+    Closures written on the last axis (``x[..., c]``), so that a (k, n)
+    block gives the stacked per-point results, pass the block probe of
+    :class:`FeedbackLaw` and run once per block of points in the scans;
+    others run once per point.  A dual-derived Jacobian runs per point.
     """
     assignment = OscillatorAssignment(sys.pairs,
                                       assign_frequencies(sys.pairs, kappas), eps)
@@ -340,22 +349,16 @@ def drift_field(law: FeedbackLaw, x) -> np.ndarray:
                                                     dtype=float)
 
 
-def _components_jac_block(law: FeedbackLaw, X: np.ndarray):
-    """``law.components_jac`` at every row of the block ``X``, stacked:
-    ``(v0, vals, jac)`` of shapes (k, m), (k, |S|) and (k, |S|, n)."""
-    rows = zip(*[law.components_jac(x) for x in X])
-    return tuple(np.array(a, dtype=float) for a in rows)
-
-
 def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None):
     """Input brackets and pair-bracket fields of all pairs at a block of points.
 
     ``X`` has shape (k, n), the profile values ``vals`` (k, |S|) and their
     gradient rows ``jac`` (k, |S|, n); ``f`` is passed on to
-    ``vecfield._pair_brackets``, which evaluates each field and Jacobian once
-    per point.  Returns ``(B, P, fail)``: ``B[r, q]`` is ``[f_i, f_j]`` and
-    ``P[r, q]`` the bracket of the two oscillatory fields of pair ``q`` at
-    ``X[r]`` (see :func:`pair_bracket_field`), both of shape (k, |S|, n).
+    ``vecfield._pair_brackets``, which evaluates each field and Jacobian at
+    every point, once per block where it passed the block probe.  Returns
+    ``(B, P, fail)``: ``B[r, q]`` is ``[f_i, f_j]`` and ``P[r, q]`` the
+    bracket of the two oscillatory fields of pair ``q`` at ``X[r]`` (see
+    :func:`pair_bracket_field`), both of shape (k, |S|, n).
     ``fail`` is None when every point passes the checks, else ``(r, exc)``
     for the first failing point ``r``: ``ValueError`` for a non-finite
     Jacobian, which comes first at one point, else ``ArithmeticError``
@@ -403,7 +406,7 @@ def pair_bracket_field(law: FeedbackLaw, x) -> np.ndarray:
     pair away from a switch raises ``ArithmeticError`` naming the pair.
     """
     X = np.asarray(x, dtype=float)[None]
-    _, vals, jac = _components_jac_block(law, X)
+    _, vals, jac = _block.rows(law.components_jac, X)
     _, p, fail = _pair_bracket_terms(law.system, X, vals, jac)
     if fail is not None:
         raise fail[1]

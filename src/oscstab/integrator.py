@@ -39,7 +39,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from . import _fastpath
+from . import _block, _fastpath
 from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
                          _check_law_system, drift_field, feedback_eval,
                          law_with_period, oscillator_amplitude,
@@ -51,7 +51,7 @@ __all__ = [
     "Trajectory", "WindowTable", "OneStepPrediction", "OrderProbeResult",
     "integrate_classical", "integrate_sampled", "chen_fliess_predict",
     "prediction_order_probe",
-    "iterated_integral_coefficient", "oscillator_coupling",
+    "iterated_integral_coefficient", "oscillator_coupling", "coupling_matrix",
     "write_trajectory_csv", "write_windows_json",
 ]
 
@@ -212,7 +212,7 @@ def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory
         substeps=substeps, mode="sampled" if sampled else "classical",
         diverged=diverged, solver_path=solver_path)
     if lyap is not None:
-        traj.v = _v_channel(lyap, xs)
+        traj.v = _block.rows(lyap.v, xs)
         n_windows = (n_valid - 1) // substeps
         jj = np.arange(n_windows)
         wb = np.empty(n_windows)
@@ -226,12 +226,6 @@ def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory
                                    v=traj.v[::substeps][:n_windows], w=wb,
                                    r_hat=_remainder(traj, wb))
     return traj
-
-
-def _v_channel(lyap: LyapunovSpec, states: np.ndarray) -> np.ndarray:
-    if lyap.batch_v is not None:
-        return np.asarray(lyap.batch_v(states), dtype=float)
-    return np.array([float(lyap.v(x)) for x in states])
 
 
 def _remainder(traj: Trajectory, w: np.ndarray) -> np.ndarray:
@@ -357,18 +351,33 @@ def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
     zero up to quadrature error.  This low-level entry point accepts equal
     multipliers deliberately, so a resonant pair can be shown to couple.
     """
+    return float(_couplings((kappa_a,), (kappa_b,), eps, quad_steps)[0, 0])
+
+
+def _couplings(kappas_a, kappas_b, eps: float, quad_steps: int) -> np.ndarray:
+    """``C[r, c] = oscillator_coupling(kappas_a[r], kappas_b[c], ...)`` bit for
+    bit: each entry takes the same two Simpson sums, but each running
+    integral is taken once per row or sine multiplier.  Channels are
+    recomputed, not kept, which holds peak memory near one coupling's."""
     if quad_steps < 10_000:
         raise ValueError("quad_steps must be at least 10000")
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count
     s = np.linspace(0.0, eps, steps + 1)
     om = 2.0 * math.pi / eps
-    fa = oscillator_amplitude(kappa_a, eps) * np.cos(kappa_a * om * s)
-    fb = oscillator_amplitude(kappa_b, eps) * np.sin(kappa_b * om * s)
-    inner_b = cumulative_simpson(fb, x=s, initial=0.0)
-    inner_a = cumulative_simpson(fa, x=s, initial=0.0)
-    fwd = simpson(fa * inner_b, x=s)
-    rev = simpson(fb * inner_a, x=s)
-    return float(fwd - rev)
+
+    def channel(trig, k):
+        return oscillator_amplitude(k, eps) * trig(k * om * s)
+
+    inner_b = {k: cumulative_simpson(channel(np.sin, k), x=s, initial=0.0)
+               for k in set(kappas_b)}
+    out = np.empty((len(kappas_a), len(kappas_b)))
+    for r, ka in enumerate(kappas_a):
+        fa = channel(np.cos, ka)
+        inner_a = cumulative_simpson(fa, x=s, initial=0.0)
+        out[r] = [simpson(fa * inner_b[kb], x=s)
+                  - simpson(channel(np.sin, kb) * inner_a, x=s)
+                  for kb in kappas_b]
+    return out
 
 
 def iterated_integral_coefficient(assignment: OscillatorAssignment,
@@ -377,6 +386,15 @@ def iterated_integral_coefficient(assignment: OscillatorAssignment,
     ka = assignment.kappas[assignment.index_of(pair_a)]
     kb = assignment.kappas[assignment.index_of(pair_b)]
     return oscillator_coupling(ka, kb, assignment.eps, quad_steps)
+
+
+def coupling_matrix(assignment: OscillatorAssignment,
+                    quad_steps: int) -> np.ndarray:
+    """Cross-coupling coefficients of all pairs, shape (|S|, |S|): entry
+    ``[a, b]`` is ``iterated_integral_coefficient`` of pairs ``a`` and ``b``
+    (bit for bit), with each oscillator signal integrated once."""
+    return _couplings(assignment.kappas, assignment.kappas, assignment.eps,
+                      quad_steps)
 
 
 # --- artifact formats --------------------------------------------------------

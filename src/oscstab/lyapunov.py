@@ -14,10 +14,13 @@ point is the honest artifact.
 
 The unit of evaluation is a block of points: :func:`decrease_rate` takes one
 state, shape (n,), or a block, shape (k, n), and the scans hand their whole
-sample over in blocks.  Only the user callables (fields, Jacobians,
-``law.components_jac`` and ``lyap.grad``) run once per point; their values
-are stacked, at most ``BLOCK`` (64) points at a time, and the pair-bracket
-algebra runs once per block.
+sample over in blocks of at most ``BLOCK`` (64) points.  The user callables
+(fields, Jacobians, ``law.components_jac``, ``lyap.v`` and ``lyap.grad``)
+share one contract: each takes one state and may also take a (k, n) block,
+returning the stacked per-point results.  Each is probed for that once, when
+its system, law or candidate is built (:mod:`oscstab._block`); one that
+passes runs once per block, the others once per point with their values
+stacked, and the pair-bracket algebra runs once per block either way.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .controller import (FeedbackLaw, _check_law_system, _components_jac_block,
-                         _pair_bracket_terms)
+from . import _block
+from .controller import FeedbackLaw, _check_law_system, _pair_bracket_terms
 from .sampling import Region, sample_region
 from .vecfield import VectorFieldSystem
 
@@ -55,17 +58,18 @@ class LyapunovSpec:
 
     ``grad`` returns the gradient as a flat array, understood as a row
     covector (it multiplies vector fields from the left).  Positive
-    definiteness is checked at construction on a deterministic sample of the
-    ball of radius ``CHECK_RADIUS`` (1.0); so is ``batch_v``, the optional
-    evaluator of V on a (k, n) block that trajectories take their V channel
-    from, against ``v`` within ``1e-12 * max(1, |V|)``.
+    definiteness is checked at construction on a deterministic sample of 64
+    points of the ball of radius ``CHECK_RADIUS`` (1.0).  ``v`` and ``grad``
+    may also take a (k, n) float block and return the (k,) or (k, n) stack
+    of their per-point results; each is probed for that here
+    (:func:`oscstab._block.probe`), ``v`` on that sample.  A ``v`` that
+    passes gives a trajectory its V channel in one call, a ``grad`` that
+    passes serves a scan once per block; the others run once per point.
     """
 
     n: int
     v: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    # optional row-wise evaluator for (k, n) sample blocks; must agree with v
-    batch_v: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         zero = np.zeros(self.n)
@@ -76,22 +80,16 @@ class LyapunovSpec:
             raise ValueError(f"grad must return shape ({self.n},)")
         if np.linalg.norm(g0) > 1e-12:
             raise ValueError("grad V(0) must vanish")
-        pts = sample_region(Region.ball(self.n, CHECK_RADIUS), 64,
-                            r_min=1e-3 * CHECK_RADIUS, seed=7)
+        # one more point when n == 64 keeps the sample a non-square block
+        pts = sample_region(Region.ball(self.n, CHECK_RADIUS),
+                            64 + (self.n == 64), r_min=1e-3 * CHECK_RADIUS,
+                            seed=7)
         vals = np.array([float(self.v(x)) for x in pts])
         if np.any(vals <= 0.0):
             bad = pts[int(np.argmin(vals))]
             raise ValueError(f"V is not positive at sampled point {bad.tolist()}")
-        if self.batch_v is not None:
-            bv = np.asarray(self.batch_v(pts), dtype=float)
-            if bv.shape != vals.shape:
-                raise ValueError(f"batch_v must return shape {vals.shape} for "
-                                 f"{len(pts)} states, got {bv.shape}")
-            off = ~(np.abs(bv - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
-            if off.any():
-                r = int(np.argmax(off))
-                raise ValueError(f"batch_v disagrees with v at sampled point "
-                                 f"{pts[r].tolist()}: {bv[r]!r} != {vals[r]!r}")
+        _block.probe(self.v, self.n, pts, vals)
+        _block.probe(self.grad, self.n)
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,15 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
 
     ``alpha`` is the derivative of V along the averaged drift, ``beta`` the
     summed derivative along the pair-bracket fields of all pairs; both come
-    from one ``components_jac`` call per point.  ``x`` of shape (n,) gives
-    floats; a block of shape (k, n) gives arrays with one entry per row, the
-    same terms a single-point call gives for that row.  ``gamma`` defaults to
-    the law's gain; passing a value rescales only the oscillatory term,
-    which is exactly how the gain enters.  ``law`` must be built for
-    ``sys``.  A non-finite Jacobian raises ``ValueError``, a non-finite live
-    profile or gradient ``ArithmeticError`` naming the pair, each for the
-    first failing point in row order.
+    from one evaluation of ``components_jac`` at each point (one call per
+    block of up to ``BLOCK`` points if it passed the block probe).  ``x`` of
+    shape (n,) gives floats; a block of shape (k, n) gives arrays with one
+    entry per row, the same terms a single-point call gives for that row.
+    ``gamma`` defaults to the law's gain; passing a value rescales only the
+    oscillatory term, which is exactly how the gain enters.  ``law`` must be
+    built for ``sys``.  A non-finite Jacobian raises ``ValueError``, a
+    non-finite live profile or gradient ``ArithmeticError`` naming the pair,
+    each for the first failing point in row order.
     """
     _check_law_system(sys, law)
     if gamma is None:
@@ -164,9 +163,9 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
 
 def _alpha_beta(sys, law, lyap, X):
     """``(alpha, beta)`` at the rows of the block ``X``, each of shape (k,)."""
-    g = np.array([lyap.grad(x) for x in X], dtype=float)
-    v0, vals, jac = _components_jac_block(law, X)
-    f = np.array([[fk(x) for fk in sys.fields] for x in X], dtype=float)
+    g = _block.rows(lyap.grad, X)
+    v0, vals, jac = _block.rows(law.components_jac, X)
+    f = _block.stacked(sys.fields, X)
     _, p, fail = _pair_bracket_terms(sys, X, vals, jac, f)
     if fail is not None:
         raise fail[1]
@@ -276,7 +275,7 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
-    _, vals, jac = _components_jac_block(law, x[None])
+    _, vals, jac = _block.rows(law.components_jac, x[None])
     phi, fail = _correction(sys, x[None], vals, jac, gamma)
     if fail is not None:
         raise fail[1]
@@ -317,7 +316,7 @@ def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = sample_region(region, n_samples, r_min, seed)
-    grads = np.array([lyap.grad(x) for x in pts], dtype=float)
+    grads = _block.rows(lyap.grad, pts)
     gn2 = np.einsum("rn,rn->r", grads, grads)
     skip = gn2 < GRAD_FLOOR * GRAD_FLOOR
     if skip.all():
@@ -326,7 +325,7 @@ def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
     pts, grads, gn2 = pts[keep], grads[keep], gn2[keep]
     sup = -np.inf
     for X, g, n2 in zip(*map(_blocks, (pts, grads, gn2))):
-        _, vals, jac = _components_jac_block(law, X)
+        _, vals, jac = _block.rows(law.components_jac, X)
         phi, fail = _correction(sys, X, vals, jac, gamma)
         with np.errstate(invalid="ignore"):
             # a non-finite term (e.g. inf * 0) gives a non-finite ratio

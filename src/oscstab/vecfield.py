@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from . import dualnum
+from . import _block, dualnum
 
 __all__ = [
     "VectorFieldSystem", "BracketMatrix", "system_from_fields", "input_matrix",
@@ -40,6 +40,10 @@ class VectorFieldSystem:
     The pair order fixes the bracket-column order of the bracket matrix and
     the oscillator frequency assignment downstream, so it is preserved
     exactly as given.
+
+    Each field and Jacobian takes one state of shape (n,), floats or duals,
+    and may also take a (k, n) float block and return its per-row results
+    stacked; construction probes which do (:func:`oscstab._block.probe`).
     """
 
     n: int
@@ -75,6 +79,8 @@ class VectorFieldSystem:
             raise ValueError("fields are not finite at the origin")
         if np.linalg.matrix_rank(cols, tol=1e-10) != self.m:
             raise ValueError("input fields are rank deficient at the origin")
+        for fn in (*self.fields, *self.jacobians):
+            _block.probe(fn, self.n)
 
     def field(self, j: int, x) -> np.ndarray:
         """Evaluate field ``f_j`` (1-based index)."""
@@ -103,7 +109,9 @@ def system_from_fields(n: int, m: int, fields: Sequence[FieldFn],
     the closures must stick to dual-compatible operations (see
     :mod:`oscstab.dualnum`).  On a state of duals the derived Jacobian is
     itself differentiated (nested duals), so these systems work wherever
-    analytic Jacobians do, synthesized laws included.
+    analytic Jacobians do, synthesized laws included.  Closures written on
+    the last axis (``x[..., c]``) pass the block probe; the derived
+    Jacobians always run once per point.
     """
     jacs = tuple(_dual_jacobian(f) for f in fields)
     return VectorFieldSystem(n=n, m=m, fields=tuple(fields), jacobians=jacs,
@@ -183,10 +191,11 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None):
     is False where a Jacobian has a non-finite entry, and that point's
     brackets are then not meaningful (the caller raises ``ValueError`` with
     ``JACOBIAN_ERROR``).  Each input field that appears in a pair, and its
-    Jacobian, is evaluated once per point; ``f``, the (k, m, n) values of all
-    input fields at ``X``, replaces the field calls when given.  The bracket
-    algebra runs once on the stacked values, ``DF = D @ F^T`` and
-    ``B = DF[J, :, I] - DF[I, :, J]`` per point.
+    Jacobian, is evaluated at every point of ``X``, on the whole block when
+    it passed the block probe (see :func:`oscstab._block.rows`); ``f``, the
+    (k, m, n) values of all input fields at ``X``, replaces the field calls
+    when given.  The bracket algebra runs once on the stacked values,
+    ``DF = D @ F^T`` and ``B = DF[J, :, I] - DF[I, :, J]`` per point.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != sys.n:
@@ -195,12 +204,10 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None):
         raise ValueError("state has non-finite entries")
     used, cols, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
     if f is None:
-        f = np.array([[sys.fields[u - 1](x) for u in used] for x in X],
-                     dtype=float)
+        f = _block.stacked([sys.fields[u - 1] for u in used], X)
     else:
         f = f[:, cols]
-    d = np.array([[sys.jacobians[u - 1](x) for u in used] for x in X],
-                 dtype=float)
+    d = _block.stacked([sys.jacobians[u - 1] for u in used], X)
     jac_ok = np.isfinite(d).all(axis=(1, 2, 3))
     if not jac_ok.all():
         # keep the bad points out of the algebra, as the check does per point

@@ -33,6 +33,17 @@ def heis3_system() -> VectorFieldSystem:
                              pairs=((1, 2),), name="heis3")
 
 
+def per_point(fn):
+    """``fn`` restricted to one state at a time: a block of states raises, so
+    the block probe (``oscstab._block``) keeps ``fn`` on the per-point path
+    and no block call reaches ``fn``."""
+    def one_state(x):
+        if np.ndim(x) != 1:
+            raise ValueError("one state at a time")
+        return fn(x)
+    return one_state
+
+
 def const_fields_system() -> VectorFieldSystem:
     """Constant input fields, zero bracket; not bracket generating."""
     z = np.zeros((3, 3))

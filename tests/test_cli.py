@@ -160,6 +160,22 @@ def test_run_synthesized_law_mode(tmp_path):
     assert payload["runs"]["classical"]["solver_path"] == "generic (no kernel_p)"
 
 
+def test_reports_record_which_callables_run_blockwise(tmp_path):
+    closed = {"fields": [True] * 4, "jacobians": [True] * 4,
+              "components": True, "components_jac": True, "v": True,
+              "grad": True}
+    payload, _ = run(_cfg(tmp_path, mode="both", T=0.2))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for mode in ("classical", "sampled"):
+        assert summary["runs"][mode]["blockwise"] == closed
+    payload, _ = run(_cfg(tmp_path, law_mode="synthesized", T=0.1))
+    assert payload["runs"]["classical"]["blockwise"] == {
+        **closed, "components": False, "components_jac": False}
+    payload, _ = verify(_cfg(tmp_path, **VERIFY_KW))
+    written = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert payload["blockwise"] == written["blockwise"] == closed
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / "root"))
     payload, code = run(RunConfig(x0=(0.0,) * 10, T=1.0, outdir="sub"))
@@ -247,8 +263,8 @@ def test_verify_case_study_passes(tmp_path):
 def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):
     # what two equal multipliers give: cross coupling -2 eps like a pair with
     # itself, which the orthogonality check must not let pass
-    monkeypatch.setattr(cli, "iterated_integral_coefficient",
-                        lambda a, pa, pb, steps: -2.0 * a.eps)
+    monkeypatch.setattr(cli, "coupling_matrix", lambda a, steps: np.full(
+        (len(a.pairs), len(a.pairs)), -2.0 * a.eps))
     payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
     assert code == 2
     osc = payload["checks"]["oscillators"]

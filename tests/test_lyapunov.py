@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oscstab import _block
 from oscstab import brockett as bk
 from oscstab.controller import synthesized_law, user_law
 from oscstab.lyapunov import (BLOCK, GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
@@ -17,7 +18,7 @@ from oscstab.lyapunov import (BLOCK, GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
 from oscstab.sampling import Region, sample_region
 from oscstab.vecfield import system_from_fields
 
-from conftest import _dt, heis3_system
+from conftest import _dt, heis3_system, per_point
 
 # dense i.i.d. oracle values, frozen from 1e5..2e5-point reference sweeps
 ORACLE_RATIO_SUP_P1_BALL2 = 0.735475
@@ -48,19 +49,29 @@ def test_candidate_rejects_indefinite_v():
                      grad=lambda x: np.array([2 * x[0], -2 * x[1]]))
 
 
-def test_candidate_rejects_batch_v_that_disagrees_with_v():
-    v = lambda x: float(x @ x)
+def test_candidate_v_that_disagrees_on_blocks_runs_per_point():
+    # v is probed on the 64-point positivity sample: a v whose block result
+    # is off anywhere, or misshapen, is kept to one state at a time
+    good = lambda x: np.sum(np.asarray(x) ** 2, axis=-1)
     grad = lambda x: 2.0 * np.asarray(x, dtype=float)
-    good = lambda X: np.sum(np.asarray(X) ** 2, axis=1)
-    assert LyapunovSpec(2, v=v, grad=grad, batch_v=good).batch_v is good
-    with pytest.raises(ValueError, match="batch_v disagrees with v"):
-        LyapunovSpec(2, v=v, grad=grad, batch_v=lambda X: 0.5 * good(X))
-    with pytest.raises(ValueError, match="batch_v disagrees with v"):
-        # one point off by far more than rounding
-        LyapunovSpec(2, v=v, grad=grad,
-                     batch_v=lambda X: good(X) + (np.arange(len(X)) == 9) * 1e-9)
-    with pytest.raises(ValueError, match="batch_v must return shape"):
-        LyapunovSpec(2, v=v, grad=grad, batch_v=lambda X: good(X)[:-1])
+
+    def off_by(delta):
+        def v(x):
+            x = np.asarray(x)
+            if x.ndim == 1:
+                return good(x)
+            return good(x) + delta(len(x))
+        return v
+
+    assert _block.blockwise(LyapunovSpec(2, v=good, grad=grad).v, 2)
+    states = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 2))
+    ref = _block.rows(LyapunovSpec(2, v=good, grad=grad).v, states)
+    for bad in (off_by(lambda k: good(np.ones(2))),        # all rows off
+                off_by(lambda k: (np.arange(k) == 9) * 1e-9),  # one row off
+                lambda x: good(x) if np.ndim(x) == 1 else good(x)[:-1]):
+        lyap = LyapunovSpec(2, v=bad, grad=grad)
+        assert not _block.blockwise(lyap.v, 2)
+        assert np.array_equal(_block.rows(lyap.v, states), ref)
 
 
 # --- certificate values ----------------------------------------------------------
@@ -577,12 +588,13 @@ def test_scans_match_per_point_reference(case):
 
 
 def _flagged(fn, bad_points, flagged):
-    """``fn`` with ``flagged(x)`` in place of its value at ``bad_points``."""
+    """``fn`` with ``flagged(x)`` in place of its value at ``bad_points``;
+    it takes one state at a time, so that the flags see every point."""
     def wrapped(x):
         if any(np.array_equal(x, b) for b in bad_points):
             return flagged(fn(x))
         return fn(x)
-    return wrapped
+    return per_point(wrapped)
 
 
 def _bad_profile(vals_jac, q=None):
@@ -664,19 +676,25 @@ def _counting(fn, counts, key):
     return counted
 
 
-def test_scans_call_each_callable_once_per_point(bsys, law_p1, lyap_p1):
-    counts = collections.Counter()
+def _counted_case(bsys, law_p1, lyap_p1, counts, wrap):
     csys = dataclasses.replace(
         bsys,
-        fields=tuple(_counting(f, counts, ("field", k))
+        fields=tuple(wrap(_counting(f, counts, ("field", k)))
                      for k, f in enumerate(bsys.fields)),
-        jacobians=tuple(_counting(d, counts, ("jacobian", k))
+        jacobians=tuple(wrap(_counting(d, counts, ("jacobian", k)))
                         for k, d in enumerate(bsys.jacobians)))
     law = dataclasses.replace(
-        law_p1, system=csys,
-        components_jac=_counting(law_p1.components_jac, counts, "components_jac"))
-    lyap = dataclasses.replace(lyap_p1,
-                               grad=_counting(lyap_p1.grad, counts, "grad"))
+        law_p1, system=csys, components_jac=wrap(
+            _counting(law_p1.components_jac, counts, "components_jac")))
+    lyap = dataclasses.replace(
+        lyap_p1, grad=wrap(_counting(lyap_p1.grad, counts, "grad")))
+    return csys, law, lyap
+
+
+def test_scans_call_each_callable_once_per_point(bsys, law_p1, lyap_p1):
+    # the stacked path: callables that take one state at a time
+    counts = collections.Counter()
+    csys, law, lyap = _counted_case(bsys, law_p1, lyap_p1, counts, per_point)
     n = 2 * BLOCK + 9
     expected = {"components_jac": n, "grad": n,
                 **{(kind, k): n for kind in ("field", "jacobian")
@@ -689,6 +707,27 @@ def test_scans_call_each_callable_once_per_point(bsys, law_p1, lyap_p1):
                               seed=3)
     assert cs.skipped == 0
     assert counts == expected
+
+
+def test_scans_call_block_capable_callables_once_per_block(bsys, law_p1,
+                                                           lyap_p1):
+    # the block path: the brockett10 callables pass the probe, so does a
+    # counting wrapper around them, and each runs once per block of points
+    counts = collections.Counter()
+    csys, law, lyap = _counted_case(bsys, law_p1, lyap_p1, counts,
+                                    lambda fn: fn)
+    n = 2 * BLOCK + 9
+    blocks = 3
+    per_block = {"components_jac": blocks,
+                 **{(kind, k): blocks for kind in ("field", "jacobian")
+                    for k in range(4)}}
+    counts.clear()
+    gain_bound_scan(csys, law, lyap, Region.ball(10, 2.0), n, seed=3)
+    assert counts == {**per_block, "grad": blocks}
+    counts.clear()
+    correction_ratio_sup(csys, law, lyap, 0.5, Region.ball(10, 1.0), n, seed=3)
+    # the margin scan takes every gradient in one call, before it skips
+    assert counts == {**per_block, "grad": 1}
 
 
 def test_gain_scan_memory_stays_flat(bsys, law_p1, lyap_p1):
