@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from . import _block, _fastpath
 from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
@@ -215,17 +214,33 @@ def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory
         traj.v = _block.rows(lyap.v, xs)
         n_windows = (n_valid - 1) // substeps
         jj = np.arange(n_windows)
-        wb = np.empty(n_windows)
-        for j in range(n_windows):
-            try:
-                wb[j] = decrease_rate(sys, law, lyap, xs[j * substeps]).w
-            except SynthesisError as exc:
-                raise SynthesisError(str(exc), exc.condition, j * substeps,
-                                     float(t[j * substeps]), j) from exc
+        wb = _window_rates(sys, law, lyap, xs[::substeps][:n_windows], t,
+                           substeps)
         traj.windows = WindowTable(j=jj, t=jj * law.eps,
                                    v=traj.v[::substeps][:n_windows], w=wb,
                                    r_hat=_remainder(traj, wb))
     return traj
+
+
+def _window_rates(sys, law, lyap, xb, t, substeps) -> np.ndarray:
+    """Certificate ``w`` at the window starts ``xb``, in one block call.
+
+    A ``SynthesisError`` does not say which row raised it, so the windows
+    are then walked one point at a time: the error raised is the one of the
+    first failing window, a ``SynthesisError`` carrying that window's step,
+    time and index."""
+    if len(xb) == 0:
+        return np.empty(0)
+    try:
+        return decrease_rate(sys, law, lyap, xb).w
+    except SynthesisError:
+        for j, x in enumerate(xb):
+            try:
+                decrease_rate(sys, law, lyap, x)
+            except SynthesisError as exc:
+                raise SynthesisError(str(exc), exc.condition, j * substeps,
+                                     float(t[j * substeps]), j) from exc
+        raise
 
 
 def _remainder(traj: Trajectory, w: np.ndarray) -> np.ndarray:
@@ -359,6 +374,7 @@ def _couplings(kappas_a, kappas_b, eps: float, quad_steps: int) -> np.ndarray:
     bit: each entry takes the same two Simpson sums, but each running
     integral is taken once per row or sine multiplier.  Channels are
     recomputed, not kept, which holds peak memory near one coupling's."""
+    from scipy.integrate import cumulative_simpson, simpson
     if quad_steps < 10_000:
         raise ValueError("quad_steps must be at least 10000")
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count

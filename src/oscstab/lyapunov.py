@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _block
 from .controller import FeedbackLaw, _check_law_system, _pair_bracket_terms
-from .sampling import Region, sample_region
+from .sampling import Region, iid_ball, sample_region
 from .vecfield import VectorFieldSystem
 
 __all__ = [
@@ -58,8 +58,10 @@ class LyapunovSpec:
 
     ``grad`` returns the gradient as a flat array, understood as a row
     covector (it multiplies vector fields from the left).  Positive
-    definiteness is checked at construction on a deterministic sample of 64
-    points of the ball of radius ``CHECK_RADIUS`` (1.0).  ``v`` and ``grad``
+    definiteness is checked at construction on a deterministic i.i.d. sample
+    of 64 points of the ball of radius ``CHECK_RADIUS`` (1.0), drawn from
+    ``np.random.default_rng(7)`` (:func:`oscstab.sampling.iid_ball`; 65 at
+    n = 64), with norms at least ``1e-3 * CHECK_RADIUS``.  ``v`` and ``grad``
     may also take a (k, n) float block and return the (k,) or (k, n) stack
     of their per-point results; each is probed for that here
     (:func:`oscstab._block.probe`), ``v`` on that sample.  A ``v`` that
@@ -81,9 +83,8 @@ class LyapunovSpec:
         if np.linalg.norm(g0) > 1e-12:
             raise ValueError("grad V(0) must vanish")
         # one more point when n == 64 keeps the sample a non-square block
-        pts = sample_region(Region.ball(self.n, CHECK_RADIUS),
-                            64 + (self.n == 64), r_min=1e-3 * CHECK_RADIUS,
-                            seed=7)
+        pts = iid_ball(self.n, 64 + (self.n == 64), CHECK_RADIUS,
+                       r_min=1e-3 * CHECK_RADIUS, seed=7)
         vals = np.array([float(self.v(x)) for x in pts])
         if np.any(vals <= 0.0):
             bad = pts[int(np.argmin(vals))]

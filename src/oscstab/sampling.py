@@ -1,9 +1,15 @@
-"""Seeded low-discrepancy sampling of scan regions.
+"""Seeded sampling of scan regions and of the candidates' check ball.
 
-Definiteness scans want worst-case coverage per sample, so points come from a
-scrambled Sobol sequence rather than i.i.d. draws.  Regions are balls or
-axis-aligned boxes; an inner radius excludes a shell around the origin where
-sign conditions are vacuous.
+Definiteness scans want worst-case coverage per sample, so their points come
+from a scrambled Sobol sequence (``scipy.stats.qmc.Sobol``) rather than
+i.i.d. draws.  Regions are balls or axis-aligned boxes; an inner radius
+excludes a shell around the origin where sign conditions are vacuous.
+
+The positivity sample a :class:`~oscstab.lyapunov.LyapunovSpec` is checked
+on at construction is a plain i.i.d. one, from numpy's
+``default_rng(seed)`` (:func:`iid_ball`).  It maps its draws onto the ball
+by the same radius law as the ball scans.  scipy is imported only when a
+scan samples, so building systems, laws and candidates needs numpy alone.
 """
 
 from __future__ import annotations
@@ -12,10 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
-__all__ = ["Region", "sample_region"]
+__all__ = ["Region", "sample_region", "iid_ball"]
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,36 @@ class Region:
 
 
 def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc
     # draw a power-of-two block to keep the sequence balanced, then truncate
     gen = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(1, int(np.ceil(np.log2(max(n, 2)))))
     return gen.random_base2(m)[:n]
+
+
+def _onto_ball(z: np.ndarray, u: np.ndarray, radius: float,
+               r_min: float) -> np.ndarray:
+    """Points ``r_min <= ||x|| <= radius`` from the Gaussian rows ``z`` (their
+    directions) and the uniforms ``u`` in [0, 1) (their radii)."""
+    d = z.shape[1]
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    # radius law that is uniform in volume over the annulus
+    rad = (u * (radius ** d - r_min ** d) + r_min ** d) ** (1.0 / d)
+    return z * rad[:, None]
+
+
+def iid_ball(dim: int, n: int, radius: float, r_min: float,
+             seed: int) -> np.ndarray:
+    """``n`` i.i.d. points with ``r_min <= ||x|| <= radius`` in R^dim.
+
+    Normalised Gaussian directions and volume-uniform radii, all drawn from
+    ``np.random.default_rng(seed)``; numpy alone, deterministic for fixed
+    arguments.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, dim))
+    return _onto_ball(z, rng.random(n), radius, r_min)
+
 
 def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray:
     """``n`` quasi-random points with ``r_min <= ||x||`` inside the region.
@@ -72,12 +102,10 @@ def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray
     if region.kind == "ball":
         if r_min >= region.radius:
             raise ValueError("r_min must be below the ball radius")
+        from scipy.special import ndtri
         u = _sobol(d + 1, n, seed)
         z = ndtri(np.clip(u[:, :d], 1e-15, 1.0 - 1e-15))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        # radius law that is uniform in volume over the annulus
-        rad = (u[:, d] * (region.radius ** d - r_min ** d) + r_min ** d) ** (1.0 / d)
-        return z * rad[:, None]
+        return _onto_ball(z, u[:, d], region.radius, r_min)
     # box: affine map, then walk the sequence skipping the excluded shell
     pts = np.empty((n, d))
     have = 0

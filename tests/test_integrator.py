@@ -343,13 +343,25 @@ def test_synthesis_error_in_a_classical_step_names_step_time_and_window():
     _assert_located(info.value, 57, 57 * (0.1 / 50), 1)
 
 
+def _raising_at(fn, states):
+    """``fn`` that raises a ``SynthesisError`` at each of ``states``."""
+    def wrapped(x):
+        if any(np.array_equal(x, s) for s in states):
+            raise SynthesisError("bracket matrix too ill-conditioned", 1e13)
+        return fn(x)
+    return per_point(wrapped)
+
+
 def test_synthesis_error_in_a_window_certificate_names_its_window():
     sys_, law = _linear_law(gamma=0.5)
     lyap = LyapunovSpec(3, v=lambda x: 0.5 * float(x @ x),
                         grad=lambda x: np.asarray(x, dtype=float))
-    # one components_jac call per window certificate: call 3 is window 2
-    bad = dataclasses.replace(law, components_jac=_raising_on_call(
-        law.components_jac, 3))
+    # the certificates fail at the starts of windows 4 and 2 (the stepper
+    # never calls components_jac); the first failing window is named
+    starts = integrate_classical(sys_, law, np.ones(3), T=0.5,
+                                 substeps=50).states[::50]
+    bad = dataclasses.replace(law, components_jac=_raising_at(
+        law.components_jac, starts[[4, 2]]))
     with pytest.raises(SynthesisError) as info:
         integrate_classical(sys_, bad, np.ones(3), T=0.5, substeps=50,
                             lyap=lyap)
