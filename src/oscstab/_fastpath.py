@@ -1,17 +1,24 @@
-"""Compiled trajectory kernel for the ten-state case-study closed loop.
+"""Compiled trajectory kernel and CSV formatter.
 
-The kernel mirrors the generic stepper in :mod:`oscstab.integrator` exactly
-(same scheme, same step plan, same blow-up guard); it exists only to make the
-long reproduction runs cheap.  Its C source lives in this module and is
-compiled with the system C compiler (``cc`` or ``gcc``) on first use, never at
-import, then loaded with :mod:`ctypes`.  The shared library is cached per user
-in ``$XDG_CACHE_HOME/oscstab`` (else ``~/.cache/oscstab``) under a name keyed
-on a hash of the source and the compiler flags, so a changed kernel never
+The trajectory kernel integrates the ten-state case-study closed loop.  It
+mirrors the generic stepper in :mod:`oscstab.integrator` exactly (same
+scheme, same step plan, same blow-up guard); it exists only to make the long
+reproduction runs cheap.  The CSV formatter writes tables of doubles in the
+artifacts' ``"%.17g"`` row format, byte for byte as Python's ``%`` operator
+does: values with a decimal exponent in [-16, 16] are rounded exactly in
+128-bit integer arithmetic (where the compiler has it), all others go
+through the C library's ``snprintf``.
+
+Both live in one C source in this module, compiled with the system C
+compiler (``cc`` or ``gcc``) on first use, never at import, then loaded with
+:mod:`ctypes`.  The shared library is cached per user in
+``$XDG_CACHE_HOME/oscstab`` (else ``~/.cache/oscstab``) under a name keyed
+on a hash of the source and the compiler flags, so a changed source never
 loads a stale build.  When that directory cannot be written the process
 builds into a temporary directory, removed once the library is loaded.
 Without a compiler, or when the build fails, :func:`kernel` raises
-:class:`KernelUnavailable` naming the reason and the integrator keeps the
-generic path.
+:class:`KernelUnavailable` naming the reason; the integrator then keeps the
+generic stepper and the Python CSV writer, which give the same results.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +43,7 @@ COMPILERS = ("cc", "gcc")
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 LDLIBS = ("-lm",)
 
-SOURCE = r"""
+_KERNEL_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
@@ -111,12 +118,146 @@ int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
 }
 """ % {"blowup": BLOWUP_SQ}
 
+# longest "%.17g" text of a double ("-2.2250738585072014e-308") plus the
+# comma or newline after it
+CSV_FIELD_BYTES = 25
+
+_WRITER_SOURCE = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
+
+/* the C library's "%.17g", with a locale's decimal comma as a point */
+static int fmt_libc(double v, char *out)
+{
+    char tmp[32];
+    int n = snprintf(tmp, sizeof tmp, "%.17g", v);
+    for (int i = 0; i < n; ++i) out[i] = tmp[i] == ',' ? '.' : tmp[i];
+    return n;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+#define P5(hi, lo) (((u128)(hi) << 64) | (u128)(lo))
+static const u128 POW5[33] = {
+POW5_TABLE
+};
+
+/* 17 significant digits of a normal |v| with decimal exponent in [-16, 16],
+   rounded half to even, as "%.17g" lays them out; -1 for any other v */
+static int fmt_exact(uint64_t bits, char *out)
+{
+    const int bexp = (int)((bits >> 52) & 0x7ff);
+    if (bexp == 0 || bexp == 0x7ff) return -1;   /* subnormal or inf */
+    const uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    const int e = bexp - 1075;                   /* |v| = m 2^e */
+    /* floor(log10 2^(bexp - 1023)): the decimal exponent or one less */
+    int x = (int)((bexp - 1023) * 0.30102999566398120 + 1000.0) - 1000;
+    uint64_t d;
+    for (;;) {
+        const int k = 16 - x;
+        if (k < 0 || k > 32) return -1;
+        const u128 p = (u128)m * POW5[k];        /* |v| 10^k = p 2^(e+k) */
+        const int s = -(e + k);
+        u128 q = s <= 0 ? p << -s : p >> s;
+        if (q >= (u128)100000000000000000ULL) { ++x; continue; }
+        d = (uint64_t)q;
+        if (s > 0) {
+            const u128 r = p & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
+            d += r > half || (r == half && (d & 1));
+        }
+        break;
+    }
+    if (d == 100000000000000000ULL) {            /* rounded up a decade */
+        d /= 10;
+        if (++x > 16) return -1;
+    }
+    char dig[17];
+    for (int i = 16; i >= 0; --i) { dig[i] = (char)('0' + d % 10); d /= 10; }
+    int nd = 17;
+    while (dig[nd - 1] == '0') --nd;
+    char *o = out;
+    if (x < -4) {                                /* d.ddde-XX */
+        *o++ = dig[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, dig + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = '-';
+        *o++ = (char)('0' + -x / 10);
+        *o++ = (char)('0' + -x % 10);
+    } else if (x < 0) {                          /* 0.000ddd */
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = -1; i > x; --i) *o++ = '0';
+        memcpy(o, dig, nd);
+        o += nd;
+    } else {                                     /* ddd.ddd */
+        memcpy(o, dig, x + 1);
+        o += x + 1;
+        if (nd > x + 1) {
+            *o++ = '.';
+            memcpy(o, dig + x + 1, nd - x - 1);
+            o += nd - x - 1;
+        }
+    }
+    return (int)(o - out);
+}
+#endif
+
+/* "%.17g" of v as Python prints it: nan is unsigned, -0.0 is "-0" */
+static int fmt17g(double v, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (v != v) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    int sign = (int)(bits >> 63);
+    if (sign) *out = '-';
+    if (v == 0.0) {
+        out[sign] = '0';
+        return sign + 1;
+    }
+#ifdef __SIZEOF_INT128__
+    int n = fmt_exact(bits, out + sign);
+    if (n >= 0) return sign + n;
+#endif
+    return fmt_libc(v, out);
+}
+
+/* rows x cols doubles (row major) as CSV lines; buf holds at least
+   rows * (cols * CSV_FIELD_BYTES + 1) bytes, CSV_FIELD_BYTES being the
+   Python constant.  Returns the bytes written. */
+int64_t format_csv(const double *table, int64_t rows, int64_t cols, char *buf)
+{
+    char *o = buf;
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t c = 0; c < cols; ++c) {
+            if (c) *o++ = ',';
+            o += fmt17g(table[i * cols + c], o);
+        }
+        *o++ = '\n';
+    }
+    return (int64_t)(o - buf);
+}
+""".replace(
+    "POW5_TABLE", ",\n".join(
+        f"    P5({5 ** k >> 64:#x}ULL, {5 ** k % 2 ** 64:#x}ULL)"
+        for k in range(33)))
+
+SOURCE = _KERNEL_SOURCE + _WRITER_SOURCE
+
 
 class KernelUnavailable(RuntimeError):
-    """The compiled kernel cannot be built or loaded; the message says why."""
+    """The compiled library cannot be built or loaded; the message says why."""
 
 
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_U8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 # the loaded library, or the reason it could not be had (tried once a process)
 _kernel: Union[ctypes.CDLL, str, None] = None
@@ -198,11 +339,15 @@ def _load(path: str) -> ctypes.CDLL:
     fn.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
                    ctypes.c_double, _F64, _F64, ctypes.c_int, _F64]
     fn.restype = ctypes.c_int64
+    fn = lib.format_csv
+    fn.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, _U8]
+    fn.restype = ctypes.c_int64
     return lib
 
 
 def kernel() -> ctypes.CDLL:
-    """The loaded kernel library, built on the first call of the process.
+    """The loaded library (trajectory kernel and CSV formatter), built on
+    the first call of the process.
 
     Raises :class:`KernelUnavailable` when no compiler is found or the build
     fails; the outcome is kept, so later calls raise again without retrying.
@@ -250,3 +395,29 @@ def brockett_trajectory(sys, law, x0, J, substeps, h,
                                       float(law.kernel_p), kw, gamma_amp,
                                       int(bool(sampled)), xs)
     return xs, int(n_valid)
+
+
+def csv_chunks(table, chunk_rows: int) -> Iterator[np.ndarray]:
+    """The CSV lines of a 2-D float table, ``"%.17g"`` comma-joined and LF
+    terminated as Python's ``%`` operator prints them, as byte arrays of at
+    most ``chunk_rows`` rows each.
+
+    Every chunk is a view of one buffer that the next chunk overwrites, so
+    the memory used is bounded by ``chunk_rows`` whatever the table's
+    length.  Raises :class:`KernelUnavailable` at the call, before any
+    chunk, when the library cannot be had.
+    """
+    fmt = kernel().format_csv
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError(f"table must be 2-D, got shape {table.shape}")
+    rows, cols = table.shape
+    buf = np.empty(min(rows, chunk_rows) * (cols * CSV_FIELD_BYTES + 1),
+                   dtype=np.uint8)
+
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, rows, chunk_rows):
+            block = table[start:start + chunk_rows]
+            yield buf[:fmt(block, block.shape[0], cols, buf)]
+
+    return chunks()

@@ -271,9 +271,11 @@ def _integrate_and_write(config: RunConfig, modes: Sequence[str]):
     os.makedirs(outdir, exist_ok=True)
     sections = {}
     for mode, traj in trajs.items():
-        write_trajectory_csv(traj, os.path.join(outdir, f"trajectory_{mode}.csv"))
+        writer = write_trajectory_csv(
+            traj, os.path.join(outdir, f"trajectory_{mode}.csv"))
         write_windows_json(traj, os.path.join(outdir, f"windows_{mode}.json"))
-        sections[mode] = {**_run_summary(traj), "blockwise": blockwise}
+        sections[mode] = {**_run_summary(traj), "blockwise": blockwise,
+                          "csv_writer": writer}
     return trajs, sections, outdir
 
 

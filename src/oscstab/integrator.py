@@ -25,7 +25,9 @@ the compiled trajectory kernel of :mod:`oscstab._fastpath`; results are
 interchangeable with the generic path and the generic path always remains
 available.  Every trajectory records in ``solver_path`` which path produced
 it, and a law with ``kernel_p`` set that falls back to the generic path
-raises one ``RuntimeWarning`` per process naming the reason.
+raises one ``RuntimeWarning`` per process naming the reason.  The CSV
+artifacts are formatted by the same compiled library, or by the Python
+writer with the same bytes when it cannot be had.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ __all__ = [
 MIN_SUBSTEPS_PER_KAPPA = 50
 # reference steps of the order probe: 16 times the default 400 per window
 PROBE_SUBSTEPS = 16 * 400
+# rows per call of the compiled CSV formatter: bounds the write buffer
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -415,11 +419,27 @@ def coupling_matrix(assignment: OscillatorAssignment,
 
 # --- artifact formats --------------------------------------------------------
 
-def _write_csv(path, header: str, table: np.ndarray) -> None:
-    """CSV of ``table`` under ``header``: 17 significant digits, LF."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n" + "".join(row % tuple(r) for r in table.tolist()))
+def _write_csv(path, header: str, table: np.ndarray) -> str:
+    """CSV of ``table`` under ``header``: 17 significant digits, LF.
+
+    The compiled formatter of :mod:`oscstab._fastpath` writes the rows,
+    ``CSV_CHUNK_ROWS`` at a time; without the compiled library the Python
+    ``%`` writer below gives the same bytes.  Returns which writer ran:
+    ``"compiled"`` or ``"python (<reason>)"``.
+    """
+    try:
+        chunks = _fastpath.csv_chunks(table, CSV_CHUNK_ROWS)
+    except _fastpath.KernelUnavailable as exc:
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        with open(path, "w", newline="\n") as fh:
+            fh.write(header + "\n"
+                     + "".join(row % tuple(r) for r in table.tolist()))
+        return f"python ({exc})"
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for chunk in chunks:
+            fh.write(chunk)
+    return "compiled"
 
 
 def _write_json(path, payload) -> None:
@@ -429,14 +449,15 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with header ``t,x1,...,xn,V,norm``; 17 significant digits, LF."""
+def write_trajectory_csv(traj: Trajectory, path) -> str:
+    """CSV with header ``t,x1,...,xn,V,norm``; 17 significant digits, LF.
+    Returns which writer ran, as :func:`_write_csv` does."""
     if traj.v is None:
         raise ValueError("trajectory has no V channel; integrate with a candidate")
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i}" for i in range(1, n + 1)) + ",V,norm"
-    _write_csv(path, header,
-               np.column_stack((traj.t, traj.states, traj.v, traj.norms)))
+    return _write_csv(path, header, np.column_stack(
+        (traj.t, traj.states, traj.v, traj.norms)))
 
 
 def write_windows_json(traj: Trajectory, path) -> None:

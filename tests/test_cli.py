@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from oscstab import cli
+from oscstab import _fastpath, cli, integrator
 from oscstab.cli import (ConfigError, RunConfig, compare, fit_exponential,
                          fit_powerlaw, load_config_file, run, verify)
+
+from conftest import needs_cc
 
 
 def _cfg(tmp_path, **kw):
@@ -174,6 +176,29 @@ def test_reports_record_which_callables_run_blockwise(tmp_path):
     payload, _ = verify(_cfg(tmp_path, **VERIFY_KW))
     written = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert payload["blockwise"] == written["blockwise"] == closed
+
+
+def _no_kernel():
+    raise _fastpath.KernelUnavailable("no compiler: disabled for the test")
+
+
+@pytest.mark.parametrize("kernel", [pytest.param("compiled", marks=needs_cc),
+                                    "missing"])
+def test_reports_record_the_csv_writer(tmp_path, monkeypatch, kernel):
+    if kernel == "missing":
+        monkeypatch.setattr(_fastpath, "kernel", _no_kernel)
+        monkeypatch.setattr(integrator, "_fallback_warned", True)
+        want = "python (no compiler: disabled for the test)"
+    else:
+        want = "compiled"
+    payload, _ = compare(_cfg(tmp_path, T=0.2))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for mode in ("classical", "sampled"):
+        assert payload["runs"][mode]["csv_writer"] == want
+        assert summary["runs"][mode]["csv_writer"] == want
+        assert summary["runs"][mode]["solver_path"] == (
+            "compiled" if kernel == "compiled"
+            else "generic (no compiler: disabled for the test)")
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

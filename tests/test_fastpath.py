@@ -1,4 +1,5 @@
-"""Build, cache and fallback behaviour of the compiled trajectory kernel.
+"""Build, cache and fallback behaviour of the compiled library: the
+trajectory kernel and the CSV formatter.
 
 Each case runs in a fresh interpreter with its own ``XDG_CACHE_HOME`` and
 ``PATH``, so the kernel state of this process and the user's cache stay out
@@ -16,7 +17,8 @@ import textwrap
 import pytest
 
 import oscstab
-from oscstab import _fastpath
+from oscstab import _fastpath, integrator
+from oscstab.cli import RunConfig, compare
 
 from conftest import needs_cc
 
@@ -98,8 +100,12 @@ def test_build_on_first_use_then_cached(tmp_path):
     assert _calls(log) == 2 and lib.exists()        # rebuilt
 
 
+def _declined(*args):
+    raise _fastpath.KernelUnavailable("declined for the test")
+
+
 @pytest.mark.parametrize("compiler", ["missing", "broken"])
-def test_fallback_is_generic_and_warned_once(tmp_path, compiler):
+def test_fallback_is_generic_and_warned_once(tmp_path, monkeypatch, compiler):
     bindir = tmp_path / "bin"
     bindir.mkdir()
     log = tmp_path / "cc.log"
@@ -118,13 +124,36 @@ def test_fallback_is_generic_and_warned_once(tmp_path, compiler):
     if compiler == "broken":
         assert "exited with 1: cc1: error: no can do" in out["paths"][0]
 
-    # the CLI shows the one warning on stderr and still completes the run
+    # the CLI shows the one warning on stderr and still completes the run;
+    # the CSV writer reuses the kernel's load outcome: no second build, no
+    # second warning
     cli = _run(["-c", "from oscstab.cli import main; raise SystemExit(main())",
                 "compare", "--x0", "fig1-left", "--T", "0.1",
                 "--outdir", str(tmp_path / "out")], tmp_path, str(bindir))
     assert cli.returncode == 3, cli.stderr         # one window: not converged
     assert cli.stderr.count("RuntimeWarning") == 1
     assert reason in cli.stderr
+    assert _calls(log) == (2 if compiler == "broken" else 0)
+    runs = json.loads((tmp_path / "out" / "summary.json").read_text())["runs"]
+    for mode in ("classical", "sampled"):
+        assert runs[mode]["csv_writer"].startswith(f"python ({reason}")
+        assert runs[mode]["csv_writer"][len("python"):] == \
+            runs[mode]["solver_path"][len("generic"):]
+
+    if _fastpath.find_compiler() is not None:
+        # the same config, integrated by the generic stepper as above but
+        # written by the compiled formatter, gives the same bytes
+        monkeypatch.setattr(_fastpath, "brockett_trajectory", _declined)
+        monkeypatch.setattr(integrator, "_fallback_warned", True)
+        payload, _ = compare(RunConfig(x0="fig1-left", T=0.1,
+                                       outdir=str(tmp_path / "ref")))
+        for mode in ("classical", "sampled"):
+            assert payload["runs"][mode]["solver_path"].startswith("generic (")
+            assert payload["runs"][mode]["csv_writer"] == "compiled"
+        for name in ("trajectory_classical.csv", "trajectory_sampled.csv",
+                     "compare.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
 
 
 @needs_cc
