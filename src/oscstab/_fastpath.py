@@ -3,11 +3,11 @@
 The trajectory kernel integrates the ten-state case-study closed loop.  It
 mirrors the generic stepper in :mod:`oscstab.integrator` exactly (same
 scheme, same step plan, same blow-up guard); it exists only to make the long
-reproduction runs cheap.  The CSV formatter writes tables of doubles in the
-artifacts' ``"%.17g"`` row format, byte for byte as Python's ``%`` operator
-does: values with a decimal exponent in [-16, 16] are rounded exactly in
-128-bit integer arithmetic (where the compiler has it), all others go
-through the C library's ``snprintf``.
+reproduction runs cheap.  The CSV formatter turns blocks of table rows into
+the lines that :func:`oscstab.integrator._write_csv` writes, byte for byte as
+Python's ``"%.17g" %`` prints them: values with a decimal exponent in
+[-16, 16] are rounded exactly in 128-bit integer arithmetic (where the
+compiler has it), all others go through the C library's ``snprintf``.
 
 Both live in one C source in this module, compiled with the system C
 compiler (``cc`` or ``gcc``) on first use, never at import, then loaded with
@@ -18,7 +18,7 @@ loads a stale build.  When that directory cannot be written the process
 builds into a temporary directory, removed once the library is loaded.
 Without a compiler, or when the build fails, :func:`kernel` raises
 :class:`KernelUnavailable` naming the reason; the integrator then keeps the
-generic stepper and the Python CSV writer, which give the same results.
+generic stepper and the Python CSV formatter, which give the same results.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -397,27 +397,22 @@ def brockett_trajectory(sys, law, x0, J, substeps, h,
     return xs, int(n_valid)
 
 
-def csv_chunks(table, chunk_rows: int) -> Iterator[np.ndarray]:
-    """The CSV lines of a 2-D float table, ``"%.17g"`` comma-joined and LF
-    terminated as Python's ``%`` operator prints them, as byte arrays of at
-    most ``chunk_rows`` rows each.
+def csv_formatter(max_rows: int, cols: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A formatter of C-contiguous float64 blocks of at most ``max_rows``
+    rows of ``cols`` columns: it returns their CSV lines, ``"%.17g"``
+    comma-joined and LF terminated as Python's ``%`` operator prints them.
 
-    Every chunk is a view of one buffer that the next chunk overwrites, so
-    the memory used is bounded by ``chunk_rows`` whatever the table's
-    length.  Raises :class:`KernelUnavailable` at the call, before any
-    chunk, when the library cannot be had.
+    Every call returns a byte-array view of one buffer, sized once for
+    ``max_rows`` rows, that the next call overwrites.  Raises
+    :class:`KernelUnavailable` here, before any block, when the library
+    cannot be had.
     """
     fmt = kernel().format_csv
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError(f"table must be 2-D, got shape {table.shape}")
-    rows, cols = table.shape
-    buf = np.empty(min(rows, chunk_rows) * (cols * CSV_FIELD_BYTES + 1),
-                   dtype=np.uint8)
+    buf = np.empty(max_rows * (cols * CSV_FIELD_BYTES + 1), dtype=np.uint8)
 
-    def chunks() -> Iterator[np.ndarray]:
-        for start in range(0, rows, chunk_rows):
-            block = table[start:start + chunk_rows]
-            yield buf[:fmt(block, block.shape[0], cols, buf)]
+    def format_block(block: np.ndarray) -> np.ndarray:
+        if block.shape[0] > max_rows or block.shape[1:] != (cols,):
+            raise ValueError(f"block {block.shape} exceeds ({max_rows}, {cols})")
+        return buf[:fmt(block, block.shape[0], cols, buf)]
 
-    return chunks()
+    return format_block

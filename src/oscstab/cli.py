@@ -110,26 +110,31 @@ class RunConfig:
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str = ""):
+    """``raw`` as the type of ``key``; errors start with ``where``."""
     raw = raw.strip()
     if key not in _FIELDS:
-        raise ConfigError(f"unknown config key {key!r}")
-    if key == "kappas":
-        return tuple(int(v) for v in raw.split(",")) if raw else None
-    if key == "cf_eps":
-        return tuple(float(v) for v in raw.split(","))
-    if key == "x0":
-        if any(c.isalpha() for c in raw):
-            return raw
-        return tuple(float(v) for v in raw.split(","))
-    if key == "p":
-        return None if raw.lower() in ("", "none") else float(raw)
-    default = getattr(RunConfig(), key)
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    try:
+        if key == "kappas":
+            return tuple(int(v) for v in raw.split(",")) if raw else None
+        if key == "cf_eps":
+            return tuple(float(v) for v in raw.split(","))
+        if key == "x0":
+            if any(c.isalpha() for c in raw):
+                return raw
+            return tuple(float(v) for v in raw.split(","))
+        if key == "p":
+            return None if raw.lower() in ("", "none") else float(raw)
+        default = getattr(RunConfig(), key)
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+        return raw
+    except ValueError:
+        raise ConfigError(
+            f"{where}bad value {raw!r} for config key {key!r}") from None
 
 
 def load_config_file(path: str) -> Dict[str, object]:
@@ -143,7 +148,7 @@ def load_config_file(path: str) -> Dict[str, object]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
-            out[key] = _parse_value(key, raw)
+            out[key] = _parse_value(key, raw, f"{path}:{lineno}: ")
     return out
 
 
@@ -385,17 +390,13 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     a = law.assignment
     eps = a.eps
     couplings = coupling_matrix(a, config.quad_steps)
-    same_worst = 0.0
-    cross_worst = 0.0
-    for qa in range(len(a.pairs)):
-        same = float(couplings[qa, qa])
-        same_worst = max(same_worst, abs(same + 2.0 * eps) / (2.0 * eps))
-        for qb in range(len(a.pairs)):
-            if qa == qb:
-                continue
-            cross = float(couplings[qa, qb])
-            scale = a.amplitude(qa) * a.amplitude(qb) * eps * eps
-            cross_worst = max(cross_worst, abs(cross) / scale)
+    amps = np.array([a.amplitude(q) for q in range(len(a.pairs))])
+    scale = np.outer(amps, amps) * eps * eps
+    cross = ~np.eye(len(a.pairs), dtype=bool)
+    # np.max keeps a NaN coupling, which then fails the check
+    same_worst = float(np.max(np.abs(np.diag(couplings) + 2.0 * eps)
+                              / (2.0 * eps)))
+    cross_worst = float(np.max(np.abs(couplings[cross]) / scale[cross]))
     osc = {"same_pair_rel_err": same_worst, "cross_rel_coupling": cross_worst}
     osc_pass = same_worst <= 1e-6 and cross_worst <= 1e-8
     checks["oscillators"] = {"pass": bool(osc_pass), **osc}

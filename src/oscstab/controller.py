@@ -103,7 +103,8 @@ class OscillatorAssignment:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("period eps must be positive")
-        # route through the validator so invariants hold however constructed
+        # kappas may be None (the defaults) or any sequence: validated once,
+        # here, however constructed, and kept as a tuple
         object.__setattr__(self, "kappas",
                            assign_frequencies(self.pairs, self.kappas))
 
@@ -259,8 +260,7 @@ def synthesized_law(sys: VectorFieldSystem, lyap, gamma: float, eps: float,
     ``lyap.grad`` must accept a state of duals (see :mod:`oscstab.dualnum`)
     for the profile Jacobian.
     """
-    assignment = OscillatorAssignment(sys.pairs,
-                                      assign_frequencies(sys.pairs, kappas), eps)
+    assignment = OscillatorAssignment(sys.pairs, kappas, eps)
     return FeedbackLaw(
         system=sys, gamma=float(gamma), assignment=assignment,
         components=lambda x: synthesize_components(sys, lyap, x),
@@ -286,8 +286,7 @@ def user_law(sys: VectorFieldSystem, gamma: float, eps: float,
     :class:`FeedbackLaw` and run once per block of points in the scans;
     others run once per point.  A dual-derived Jacobian runs per point.
     """
-    assignment = OscillatorAssignment(sys.pairs,
-                                      assign_frequencies(sys.pairs, kappas), eps)
+    assignment = OscillatorAssignment(sys.pairs, kappas, eps)
     if np.shape(profiles(np.zeros(sys.n))) != (len(sys.pairs),):
         raise ValueError("need one profile per bracket pair")
     if profiles_jac is None:

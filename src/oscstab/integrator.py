@@ -26,8 +26,8 @@ interchangeable with the generic path and the generic path always remains
 available.  Every trajectory records in ``solver_path`` which path produced
 it, and a law with ``kernel_p`` set that falls back to the generic path
 raises one ``RuntimeWarning`` per process naming the reason.  The CSV
-artifacts are formatted by the same compiled library, or by the Python
-writer with the same bytes when it cannot be had.
+artifacts are written by one loop, in blocks of rows formatted by the same
+compiled library or, with the same bytes, by Python's ``%`` operator.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
 MIN_SUBSTEPS_PER_KAPPA = 50
 # reference steps of the order probe: 16 times the default 400 per window
 PROBE_SUBSTEPS = 16 * 400
-# rows per call of the compiled CSV formatter: bounds the write buffer
+# rows per block of the CSV write loop: bounds either formatter's buffer
 CSV_CHUNK_ROWS = 4096
 
 
@@ -419,27 +419,31 @@ def coupling_matrix(assignment: OscillatorAssignment,
 
 # --- artifact formats --------------------------------------------------------
 
-def _write_csv(path, header: str, table: np.ndarray) -> str:
-    """CSV of ``table`` under ``header``: 17 significant digits, LF.
+def _write_csv(path, header: str, table) -> str:
+    """CSV of the 2-D ``table`` under ``header``: 17 significant digits, LF.
 
-    The compiled formatter of :mod:`oscstab._fastpath` writes the rows,
-    ``CSV_CHUNK_ROWS`` at a time; without the compiled library the Python
-    ``%`` writer below gives the same bytes.  Returns which writer ran:
-    ``"compiled"`` or ``"python (<reason>)"``.
+    One loop writes ``CSV_CHUNK_ROWS`` rows at a time, formatted by the
+    compiled library of :mod:`oscstab._fastpath` or, without it, by the
+    Python ``%`` join below with the same bytes.  Returns which formatter
+    ran: ``"compiled"`` or ``"python (<reason>)"``.
     """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    rows, cols = table.shape
     try:
-        chunks = _fastpath.csv_chunks(table, CSV_CHUNK_ROWS)
+        format_block = _fastpath.csv_formatter(min(rows, CSV_CHUNK_ROWS), cols)
+        writer = "compiled"
     except _fastpath.KernelUnavailable as exc:
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n"
-                     + "".join(row % tuple(r) for r in table.tolist()))
-        return f"python ({exc})"
+        line = ",".join(["%.17g"] * cols) + "\n"
+
+        def format_block(block: np.ndarray) -> bytes:
+            return "".join(line % tuple(r) for r in block.tolist()).encode()
+
+        writer = f"python ({exc})"
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for chunk in chunks:
-            fh.write(chunk)
-    return "compiled"
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            fh.write(format_block(table[start:start + CSV_CHUNK_ROWS]))
+    return writer
 
 
 def _write_json(path, payload) -> None:

@@ -47,6 +47,28 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(str(f))
 
 
+@pytest.mark.parametrize("flag, raw", [("--gamma", "abc"), ("--kappas", "1,x"),
+                                       ("--substeps", "4.5"),
+                                       ("--cf-eps", "0.1,")])
+def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, flag, raw):
+    key = flag[2:].replace("-", "_")
+    assert cli.main(["run", flag, raw, "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad value {raw!r} for config key {key!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_malformed_config_file_value_names_the_line(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("# gain\ngamma = 0.5x\n")
+    with pytest.raises(ConfigError, match=r":2: bad value '0\.5x'"):
+        load_config_file(str(f))
+    assert cli.main(["run", "--config", str(f),
+                     "--outdir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {f}:2: bad value '0.5x' for config key 'gamma'\n"
+
+
 # keys that were settable once and are module constants (or gone) now
 REMOVED_KEYS = ("span_radius", "negdef_radius", "gain_radius", "c1_radius",
                 "conv_threshold", "norm_floor", "fit_lo", "fit_hi",
@@ -296,6 +318,41 @@ def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):
     assert not osc["pass"]
     assert osc["same_pair_rel_err"] == 0.0
     assert osc["cross_rel_coupling"] > 1e-3
+    others = {k for k, c in payload["checks"].items() if not c["pass"]}
+    assert others == {"oscillators"}
+
+
+def test_verify_oscillator_errors_match_loop_reference(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    seen = {}
+
+    def couplings(a, steps):
+        k = len(a.pairs)
+        c = rng.standard_normal((k, k)) * 1e-6 - 2.0 * a.eps * np.eye(k)
+        seen.update(a=a, c=c)
+        return c
+
+    monkeypatch.setattr(cli, "coupling_matrix", couplings)
+    payload, _ = verify(_cfg(tmp_path, **VERIFY_KW))
+    a, c = seen["a"], seen["c"]
+    eps, k = a.eps, len(a.pairs)
+    same = max(abs(float(c[q, q]) + 2.0 * eps) / (2.0 * eps) for q in range(k))
+    cross = max(abs(float(c[qa, qb]))
+                / (a.amplitude(qa) * a.amplitude(qb) * eps * eps)
+                for qa in range(k) for qb in range(k) if qa != qb)
+    osc = payload["checks"]["oscillators"]
+    assert (osc["same_pair_rel_err"], osc["cross_rel_coupling"]) == (same, cross)
+
+
+def test_verify_fails_nan_couplings(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "coupling_matrix", lambda a, steps: np.full(
+        (len(a.pairs), len(a.pairs)), np.nan))
+    payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
+    assert code == 2
+    osc = payload["checks"]["oscillators"]
+    assert not osc["pass"]
+    assert math.isnan(osc["same_pair_rel_err"])
+    assert math.isnan(osc["cross_rel_coupling"])
     others = {k for k, c in payload["checks"].items() if not c["pass"]}
     assert others == {"oscillators"}
 

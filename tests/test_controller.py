@@ -43,6 +43,30 @@ def test_assignment_type_validates_on_any_construction(bsys):
         OscillatorAssignment(bsys.pairs, (1, 2, 3, 4, 5, 6), 0.0)
 
 
+def test_law_builders_validate_multipliers_once(monkeypatch, bsys, lyap_p1):
+    calls = []
+
+    def counted(pairs, override=None):
+        calls.append(override)
+        return assign_frequencies(pairs, override)
+
+    monkeypatch.setattr(controller, "assign_frequencies", counted)
+    kappas = [6, 5, 4, 3, 2, 1]
+    for build in (
+            lambda k, eps: synthesized_law(bsys, lyap_p1, 0.5, eps, k),
+            lambda k, eps: user_law(bsys, 0.5, eps, v0=lambda x: x[:4],
+                                    profiles=lambda x: x[4:], kappas=k)):
+        calls.clear()
+        assert build(kappas, 0.1).assignment.kappas == tuple(kappas)
+        assert calls == [kappas]
+        assert build(None, 0.1).assignment.kappas == (1, 2, 3, 4, 5, 6)
+        with pytest.raises(ValueError, match="duplicate"):
+            build((1, 1, 2, 3, 4, 5), 0.1)
+        # a bad period is reported first, as for brockett_law
+        with pytest.raises(ValueError, match="period"):
+            build((1, 1, 2, 3, 4, 5), 0.0)
+
+
 # --- oscillators ---------------------------------------------------------------
 
 def test_oscillator_values():

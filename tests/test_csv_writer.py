@@ -27,7 +27,7 @@ def _both(tmp_path, monkeypatch, table: np.ndarray, header: str = "a,b"):
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     assert integrator._write_csv(fast, header, table) == "compiled"
     with monkeypatch.context() as m:
-        m.setattr(_fastpath, "csv_chunks", _unavailable)
+        m.setattr(_fastpath, "csv_formatter", _unavailable)
         assert integrator._write_csv(slow, header, table) == \
             "python (no compiler: disabled for the test)"
     return fast.read_bytes(), slow.read_bytes()
