@@ -8,8 +8,8 @@ numerically verifies the sign and expansion conditions behind the design.
 
 from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
                          assign_frequencies, feedback_eval, law_with_period,
-                         oscillator, split_component, synthesize_components,
-                         synthesized_law, user_law)
+                         oscillator_waves, split_component,
+                         synthesize_components, synthesized_law, user_law)
 from .integrator import (OneStepPrediction, Trajectory, chen_fliess_predict,
                          coupling_matrix, integrate_classical,
                          integrate_sampled, iterated_integral_coefficient,

@@ -55,54 +55,60 @@ static const int J_IDX[6] = {1, 2, 3, 2, 3, 3};
 
 static double sgn(double v) { return v > 0.0 ? 1.0 : (v < 0.0 ? -1.0 : 0.0); }
 
-/* control from the (possibly frozen) state xf, fields from x */
-static void rhs(const double *x, const double *xf, double t, double p,
-                const double *kw, const double *gamma_amp, double *out)
+/* control from the (possibly frozen) state xf and the oscillators cs at the
+   stage time (cos at [q], sin at [6 + q]), fields from x.  The split factors
+   of the profiles at xf go to vs (vi at [q], vj at [6 + q]) unless `held`:
+   the later stages of a sampled window reuse those of its first. */
+static void rhs(const double *x, const double *xf, int held, double p,
+                double *vs, const double *cs, const double *gamma_amp,
+                double *out)
 {
     double u[4] = {-xf[0], -xf[1], -xf[2], -xf[3]};
     for (int q = 0; q < 6; ++q) {
-        double xc = xf[4 + q];
-        double vt = -0.5 * sgn(xc) * pow(fabs(xc), 2.0 * p - 1.0);
-        double vi = sqrt(fabs(vt));
-        double vj = vi * sgn(vt);
-        double th = kw[q] * t;
-        u[I_IDX[q]] += gamma_amp[q] * vi * cos(th);
-        u[J_IDX[q]] += gamma_amp[q] * vj * sin(th);
+        if (!held) {
+            double xc = xf[4 + q];
+            double vt = -0.5 * sgn(xc) * pow(fabs(xc), 2.0 * p - 1.0);
+            vs[q] = sqrt(fabs(vt));
+            vs[6 + q] = vs[q] * sgn(vt);
+        }
+        u[I_IDX[q]] += gamma_amp[q] * vs[q] * cs[q];
+        u[J_IDX[q]] += gamma_amp[q] * vs[6 + q] * cs[6 + q];
     }
-    out[0] = u[0];
-    out[1] = u[1];
-    out[2] = u[2];
-    out[3] = u[3];
-    out[4] = x[0] * u[1] - x[1] * u[0];
-    out[5] = x[0] * u[2] - x[2] * u[0];
-    out[6] = x[0] * u[3] - x[3] * u[0];
-    out[7] = x[1] * u[2] - x[2] * u[1];
-    out[8] = x[1] * u[3] - x[3] * u[1];
-    out[9] = x[2] * u[3] - x[3] * u[2];
+    for (int d = 0; d < 4; ++d) out[d] = u[d];
+    for (int q = 0; q < 6; ++q)
+        out[4 + q] = x[I_IDX[q]] * u[J_IDX[q]] - x[J_IDX[q]] * u[I_IDX[q]];
 }
 
 /* RK4 over J windows of `substeps` steps; xs holds J*substeps+1 rows of 10.
-   Returns the number of valid rows (fewer on blow-up). */
+   Stages 2 and 3 share their time, so the oscillators are evaluated at three
+   times per step.  Returns the number of valid rows (fewer on blow-up). */
 int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
                             double h, double p, const double *kw,
                             const double *gamma_amp, int sampled, double *xs)
 {
     const int64_t K = J * substeps + 1;
     double x[10], xf[10], xt[10], k1[10], k2[10], k3[10], k4[10];
+    double vs[12], cs[3][12];
     for (int d = 0; d < 10; ++d) {
         x[d] = xf[d] = xs[d] = x0[d];
     }
     for (int64_t step = 0; step < K - 1; ++step) {
-        if (sampled && step %% substeps == 0)
+        const int start = step %% substeps == 0;
+        if (sampled && start)
             for (int d = 0; d < 10; ++d) xf[d] = x[d];
-        double t = step * h;
-        rhs(x, sampled ? xf : x, t, p, kw, gamma_amp, k1);
+        double t = step * h, ts[3] = {t, t + 0.5 * h, t + h};
+        for (int k = 0; k < 3; ++k)
+            for (int q = 0; q < 6; ++q) {
+                cs[k][q] = cos(kw[q] * ts[k]);
+                cs[k][6 + q] = sin(kw[q] * ts[k]);
+            }
+        rhs(x, sampled ? xf : x, sampled && !start, p, vs, cs[0], gamma_amp, k1);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + 0.5 * h * k1[d];
-        rhs(xt, sampled ? xf : xt, t + 0.5 * h, p, kw, gamma_amp, k2);
+        rhs(xt, sampled ? xf : xt, sampled, p, vs, cs[1], gamma_amp, k2);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + 0.5 * h * k2[d];
-        rhs(xt, sampled ? xf : xt, t + 0.5 * h, p, kw, gamma_amp, k3);
+        rhs(xt, sampled ? xf : xt, sampled, p, vs, cs[1], gamma_amp, k3);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + h * k3[d];
-        rhs(xt, sampled ? xf : xt, t + h, p, kw, gamma_amp, k4);
+        rhs(xt, sampled ? xf : xt, sampled, p, vs, cs[2], gamma_amp, k4);
         double nrm = 0.0;
         int ok = 1;
         double *row = xs + 10 * (step + 1);

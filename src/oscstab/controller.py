@@ -37,7 +37,7 @@ from .vecfield import (JACOBIAN_ERROR, VectorFieldSystem, _bracket_columns,
 
 __all__ = [
     "OscillatorAssignment", "FeedbackLaw", "SynthesisError",
-    "assign_frequencies", "oscillator", "split_component",
+    "assign_frequencies", "oscillator_waves", "split_component",
     "synthesize_components", "synthesized_law", "user_law", "feedback_eval",
     "law_with_period", "pair_bracket_field", "drift_field",
     "oscillator_amplitude",
@@ -122,20 +122,12 @@ class OscillatorAssignment:
             raise KeyError(f"pair {pair} not in assignment") from None
 
 
-def oscillator(assignment: OscillatorAssignment, pair: Pair, role: str,
-               t: float) -> float:
-    """Oscillator sample for one pair: cosine channel ("first") or sine
-    channel ("second"), amplitude ``2 sqrt(kappa pi / eps)``."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    q = assignment.index_of(pair)
-    th = assignment.kappas[q] * assignment.omega * t
-    amp = assignment.amplitude(q)
-    if role == "first":
-        return amp * math.cos(th)
-    if role == "second":
-        return amp * math.sin(th)
-    raise ValueError(f"role must be 'first' or 'second', got {role!r}")
+def oscillator_waves(kappas: Sequence[int], omega: float, t: np.ndarray):
+    """``(cos, sin)`` of ``kappa_q omega t``, shape (len(kappas), len(t)) for
+    a 1-D array ``t``: a pair's channels are its rows times its amplitude,
+    cosine on the pair's first input and sine on its second."""
+    th = np.multiply.outer(np.asarray(kappas) * omega, t)
+    return np.cos(th), np.sin(th, out=th)
 
 
 def split_component(vt):
@@ -318,13 +310,11 @@ def feedback_eval(law: FeedbackLaw, x, t: float | np.ndarray) -> np.ndarray:
     many = isinstance(t, np.ndarray)
     if law.gamma == 0.0:
         return np.tile(u, (len(t), 1)) if many else u
+    a = law.assignment
     if many:
         # accumulate as (m, k) so that ``u[i - 1]`` is a channel either way
         u = np.repeat(u[:, None], len(t), axis=1)
-        cos, sin = np.cos, np.sin
-    else:
-        cos, sin = math.cos, math.sin
-    a = law.assignment
+        waves = oscillator_waves(a.kappas, a.omega, t)
     vts = np.asarray(vts, dtype=float)
     for q, (i, j) in enumerate(a.pairs):
         vt = vts[q]
@@ -332,10 +322,14 @@ def feedback_eval(law: FeedbackLaw, x, t: float | np.ndarray) -> np.ndarray:
             raise ArithmeticError(f"profile for pair {a.pairs[q]} "
                                   f"is not finite at x={x.tolist()}")
         vi, vj = split_component(vt)
-        th = a.kappas[q] * a.omega * t
+        if many:
+            cos, sin = waves[0][q], waves[1][q]
+        else:
+            th = a.kappas[q] * a.omega * t
+            cos, sin = math.cos(th), math.sin(th)
         amp = a.amplitude(q)
-        u[i - 1] += law.gamma * vi * amp * cos(th)
-        u[j - 1] += law.gamma * vj * amp * sin(th)
+        u[i - 1] += law.gamma * vi * amp * cos
+        u[j - 1] += law.gamma * vj * amp * sin
     return u.T if many else u
 
 

@@ -44,7 +44,7 @@ from . import _block, _fastpath
 from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
                          _check_law_system, drift_field, feedback_eval,
                          law_with_period, oscillator_amplitude,
-                         pair_bracket_field)
+                         oscillator_waves, pair_bracket_field)
 from .lyapunov import LyapunovSpec, decrease_rate
 from .vecfield import VectorFieldSystem, input_matrix
 
@@ -370,33 +370,44 @@ def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
     zero up to quadrature error.  This low-level entry point accepts equal
     multipliers deliberately, so a resonant pair can be shown to couple.
     """
-    return float(_couplings((kappa_a,), (kappa_b,), eps, quad_steps)[0, 0])
+    return float(_couplings((kappa_a, kappa_b), eps, quad_steps)[0, 1])
 
 
-def _couplings(kappas_a, kappas_b, eps: float, quad_steps: int) -> np.ndarray:
-    """``C[r, c] = oscillator_coupling(kappas_a[r], kappas_b[c], ...)`` bit for
-    bit: each entry takes the same two Simpson sums, but each running
-    integral is taken once per row or sine multiplier.  Channels are
-    recomputed, not kept, which holds peak memory near one coupling's."""
-    from scipy.integrate import cumulative_simpson, simpson
+def _quadrature_channels(kappas, eps: float, quad_steps: int):
+    """``(s, cos, sin)``: the grid of an even number of intervals over one
+    period and the channels of the multipliers on it, amplitudes included."""
     if quad_steps < 10_000:
         raise ValueError("quad_steps must be at least 10000")
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count
     s = np.linspace(0.0, eps, steps + 1)
-    om = 2.0 * math.pi / eps
+    cos, sin = oscillator_waves(kappas, 2.0 * math.pi / eps, s)
+    amp = np.array([oscillator_amplitude(k, eps) for k in kappas])[:, None]
+    cos *= amp
+    sin *= amp
+    return s, cos, sin
 
-    def channel(trig, k):
-        return oscillator_amplitude(k, eps) * trig(k * om * s)
 
-    inner_b = {k: cumulative_simpson(channel(np.sin, k), x=s, initial=0.0)
-               for k in set(kappas_b)}
-    out = np.empty((len(kappas_a), len(kappas_b)))
-    for r, ka in enumerate(kappas_a):
-        fa = channel(np.cos, ka)
-        inner_a = cumulative_simpson(fa, x=s, initial=0.0)
-        out[r] = [simpson(fa * inner_b[kb], x=s)
-                  - simpson(channel(np.sin, kb) * inner_a, x=s)
-                  for kb in kappas_b]
+def _couplings(kappas, eps: float, quad_steps: int) -> np.ndarray:
+    """``C[r, c] = int f G - int g F`` over one period, for the cosine
+    channel ``f`` of ``kappas[r]``, the sine channel ``g`` of ``kappas[c]``
+    and their running integrals ``F``, ``G`` (``cumulative_simpson``, one
+    per channel).  The outer integrals are dot products of single rows with
+    the composite-Simpson weights ``w``, so an entry does not depend on the
+    other multipliers; only the two channel families are held."""
+    from scipy.integrate import cumulative_simpson
+    s, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
+    h = s[1]
+    w = np.full(len(s), 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+    out = np.empty((len(kappas), len(kappas)))
+    for c, g in enumerate(sin):
+        iw = w * cumulative_simpson(g, dx=h, initial=0.0)
+        out[:, c] = [f @ iw for f in cos]
+        g *= w
+    for r, f in enumerate(cos):
+        i_r = cumulative_simpson(f, dx=h, initial=0.0)
+        out[r] -= [gw @ i_r for gw in sin]
     return out
 
 
@@ -412,9 +423,8 @@ def coupling_matrix(assignment: OscillatorAssignment,
                     quad_steps: int) -> np.ndarray:
     """Cross-coupling coefficients of all pairs, shape (|S|, |S|): entry
     ``[a, b]`` is ``iterated_integral_coefficient`` of pairs ``a`` and ``b``
-    (bit for bit), with each oscillator signal integrated once."""
-    return _couplings(assignment.kappas, assignment.kappas, assignment.eps,
-                      quad_steps)
+    (bit for bit), with each oscillator channel integrated once."""
+    return _couplings(assignment.kappas, assignment.eps, quad_steps)
 
 
 # --- artifact formats --------------------------------------------------------

@@ -14,7 +14,7 @@ point is the honest artifact.
 
 The unit of evaluation is a block of points: :func:`decrease_rate` takes one
 state, shape (n,), or a block, shape (k, n), and the scans hand their whole
-sample over in blocks of at most ``BLOCK`` (64) points.  The user callables
+sample over in blocks of at most ``BLOCK`` (128) points.  The user callables
 (fields, Jacobians, ``law.components_jac``, ``lyap.v`` and ``lyap.grad``)
 share one contract: each takes one state and may also take a (k, n) block,
 returning the stacked per-point results.  Each is probed for that once, when
@@ -49,7 +49,7 @@ TOL_ALPHA = 1e-6
 # margin scan: points with ||grad V|| below this are skipped
 GRAD_FLOOR = 1e-12
 # most points whose callable values are stacked at once; bounds peak memory
-BLOCK = 64
+BLOCK = 128
 
 
 @dataclass(frozen=True)

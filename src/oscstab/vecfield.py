@@ -12,6 +12,7 @@ so systems can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
@@ -224,11 +225,17 @@ def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:
 
 
 def _condition_1norm(mat: np.ndarray) -> float:
-    """Exact 1-norm condition number ``||F||_1 ||F^-1||_1`` of a square
-    matrix; ``inf`` when it is singular or has a non-finite entry."""
+    """Exact 1-norm condition number ``||F||_1 ||F^-1||_1`` (largest column
+    sums) of a square matrix, bit for bit ``np.linalg.cond(mat, 1)``;
+    ``inf`` when it is singular or has a non-finite entry."""
     if not np.all(np.isfinite(mat)):
         return float("inf")
-    return float(np.linalg.cond(mat, 1))
+    try:
+        cond = (float(np.abs(mat).sum(axis=0).max())
+                * float(np.abs(np.linalg.inv(mat)).sum(axis=0).max()))
+    except np.linalg.LinAlgError:
+        return float("inf")
+    return float("inf") if math.isnan(cond) else cond
 
 
 def assemble_bracket_matrix(sys: VectorFieldSystem, x) -> BracketMatrix:

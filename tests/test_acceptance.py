@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 
 from oscstab import brockett as bk
 from oscstab.cli import RunConfig, compare
-from oscstab.controller import oscillator, synthesize_components
+from oscstab.controller import oscillator_waves, synthesize_components
 from oscstab.integrator import (integrate_classical, oscillator_coupling,
                                 prediction_order_probe)
 from oscstab.lyapunov import negdef_scan
@@ -100,11 +100,11 @@ def test_criterion_4_oscillator_identities(law_p1):
     s = np.linspace(0.0, eps, 4001)
     mean_err = 0.0
     energy_err = 0.0
-    for pair in a.pairs:
-        q = a.index_of(pair)
+    waves = oscillator_waves(a.kappas, a.omega, s)
+    for q in range(len(a.pairs)):
         amp = a.amplitude(q)
-        for role in ("first", "second"):
-            f = np.array([oscillator(a, pair, role, t) for t in s])
+        for wave in waves:
+            f = amp * wave[q]
             mean_err = max(mean_err, abs(simpson(f, x=s)) / amp)
             energy_err = max(energy_err,
                              abs(simpson(f * f, x=s) / eps / (amp * amp / 2.0) - 1.0))

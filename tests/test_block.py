@@ -11,9 +11,11 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from oscstab import _block
 from oscstab import brockett as bk
-from oscstab.controller import (law_with_period, oscillator_amplitude,
-                                synthesized_law, user_law)
-from oscstab.integrator import (coupling_matrix, integrate_sampled,
+from oscstab.controller import (feedback_eval, law_with_period,
+                                oscillator_amplitude, synthesized_law,
+                                user_law)
+from oscstab.integrator import (_quadrature_channels, coupling_matrix,
+                                integrate_sampled,
                                 iterated_integral_coefficient,
                                 oscillator_coupling)
 from oscstab.lyapunov import (BLOCK, LyapunovSpec, correction_ratio_sup,
@@ -249,13 +251,37 @@ def test_coupling_matrix_matches_single_couplings_bit_for_bit(law_p1):
     a = law_p1.assignment
     got = coupling_matrix(a, 10_000)
     assert got.shape == (6, 6)
+    amps = [a.amplitude(q) for q in range(6)]
     for qa, pa in enumerate(a.pairs):
         for qb, pb in enumerate(a.pairs):
+            # every entry point shares one path: equal bit for bit
+            assert oscillator_coupling(a.kappas[qa], a.kappas[qb], a.eps,
+                                       10_000) == got[qa, qb]
+            assert iterated_integral_coefficient(a, pa, pb, 10_000) \
+                == got[qa, qb]
+            # Simpson weights against scipy's unequal-interval sums: the
+            # same rule summed in another order, a few roundings apart
             want = _reference_coupling(a.kappas[qa], a.kappas[qb], a.eps,
                                        10_000)
-            assert got[qa, qb] == want
-            assert iterated_integral_coefficient(a, pa, pb, 10_000) == want
+            assert abs(got[qa, qb] - want) \
+                <= 1e-15 * amps[qa] * amps[qb] * a.eps * a.eps
     # equal multipliers keep their meaning: a resonant pair couples
     same = oscillator_coupling(3, 3, 0.1, 10_001)
-    assert same == _reference_coupling(3, 3, 0.1, 10_001)
+    assert abs(same - _reference_coupling(3, 3, 0.1, 10_001)) <= 1e-15
     assert abs(same + 0.2) < 1e-9
+
+
+def test_quadrature_channels_are_the_feedback_oscillators(bsys, law_p1):
+    # a unit profile on pair q and no v0: the feedback on the quadrature grid
+    # is pair q's two channels, which the oscillator check integrates
+    a = law_p1.assignment
+    s, cos, sin = _quadrature_channels(a.kappas, a.eps, 10_000)
+    assert s[-1] == a.eps and len(s) == 10_001
+    for q, (i, j) in enumerate(a.pairs):
+        unit = np.eye(len(a.pairs))[q]
+        law = user_law(bsys, 1.0, a.eps, lambda x: np.zeros(bsys.m),
+                       lambda x, unit=unit: unit,
+                       lambda x, unit=unit: (unit, np.zeros((6, bsys.n))))
+        u = feedback_eval(law, np.zeros(bsys.n), s)
+        assert np.array_equal(u[:, i - 1], cos[q])
+        assert np.array_equal(u[:, j - 1], sin[q])

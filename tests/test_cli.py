@@ -307,6 +307,22 @@ def test_verify_case_study_passes(tmp_path):
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
 
 
+def test_verify_law_modes_agree(tmp_path, monkeypatch):
+    # the synthesized law solves for the closed-form one's components, so
+    # its span, gain and margin checks read the same values; the order
+    # probe, which would integrate the synthesized law for seconds, is stubbed
+    monkeypatch.setattr(cli, "prediction_order_probe", lambda *args: (
+        integrator.OrderProbeResult(1.5, (0.1,), (1e-3,), ())))
+    kw = dict(VERIFY_KW, gain_n=128, c1_n=64)
+    closed, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "c"), **kw))
+    synth, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "s"),
+                           law_mode="synthesized", **kw))
+    assert synth["config"]["law_mode"] == "synthesized"
+    for name in ("span", "gain_bound", "synthesis_margin"):
+        assert closed["checks"][name]["pass"], name
+        assert synth["checks"][name] == closed["checks"][name], name
+
+
 def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):
     # what two equal multipliers give: cross coupling -2 eps like a pair with
     # itself, which the orthogonality check must not let pass

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from oscstab import controller
 from oscstab.controller import (OscillatorAssignment, SynthesisError,
                                 assign_frequencies, feedback_eval,
-                                law_with_period, oscillator, split_component,
+                                law_with_period, oscillator_waves,
+                                split_component,
                                 synthesize_components, synthesized_law,
                                 user_law)
 from oscstab.lyapunov import decrease_rate
@@ -71,37 +72,44 @@ def test_law_builders_validate_multipliers_once(monkeypatch, bsys, lyap_p1):
 
 def test_oscillator_values():
     a = OscillatorAssignment(((1, 2), (1, 3)), (1, 2), 0.1)
-    first = oscillator(a, (1, 2), "first", 0.0)
+    cos, sin = oscillator_waves(a.kappas, a.omega, np.array([0.0, 0.05]))
+    assert cos.shape == sin.shape == (2, 2)
+    first = a.amplitude(0) * cos[0, 0]
     assert math.isclose(first, 2.0 * math.sqrt(10 * math.pi), rel_tol=1e-12)
     assert math.isclose(first, 11.209982432795858, rel_tol=1e-9)
-    assert oscillator(a, (1, 2), "second", 0.0) == 0.0
+    assert sin[0, 0] == 0.0
     # kappa * omega * t = 2 * (2 pi / 0.1) * 0.05 = 2 pi
-    v = oscillator(a, (1, 3), "first", 0.05)
+    v = a.amplitude(1) * cos[1, 1]
     assert math.isclose(v, 2.0 * math.sqrt(20 * math.pi), rel_tol=1e-12)
-    with pytest.raises(ValueError, match="role"):
-        oscillator(a, (1, 2), "third", 0.0)
-    with pytest.raises(KeyError):
-        oscillator(a, (2, 3), "first", 0.0)
+    # the phase is the scalar loop's kappa * omega * t: another rounding of
+    # it would move the values by an ulp of the phase (5.7e-14 at 389.6),
+    # far above the last bit by which numpy's and libm's cos may differ
+    t = np.array([0.0137, 0.2, 3.1])
+    cos, sin = oscillator_waves(a.kappas, a.omega, t)
+    for q, k in enumerate(a.kappas):
+        for r, tt in enumerate(t):
+            th = k * a.omega * float(tt)
+            assert abs(cos[q, r] - math.cos(th)) <= 1e-15
+            assert abs(sin[q, r] - math.sin(th)) <= 1e-15
 
 
 def test_oscillator_periodicity_zero_mean_and_energy():
     eps = 0.1
     a = OscillatorAssignment(((1, 2), (1, 3), (2, 3)), (1, 2, 5), eps)
     s = np.linspace(0.0, eps, 4001)
-    for pair in a.pairs:
-        q = a.index_of(pair)
+    waves = oscillator_waves(a.kappas, a.omega, s)
+    for q in range(len(a.pairs)):
         amp = a.amplitude(q)
-        for role in ("first", "second"):
-            f = np.array([oscillator(a, pair, role, t) for t in s])
+        for wave in waves:
+            f = amp * wave[q]
             # mean over a full period vanishes
             assert abs(simpson(f, x=s)) <= 1e-10 * amp
             # averaged square energy is amp^2 / 2
             assert math.isclose(simpson(f * f, x=s) / eps, amp * amp / 2.0,
                                 rel_tol=1e-8)
-        t = 0.0137
-        assert math.isclose(oscillator(a, pair, "first", t),
-                            oscillator(a, pair, "first", t + eps),
-                            rel_tol=0, abs_tol=1e-10 * amp)
+        t = np.array([0.0137, 0.0137 + eps])
+        first = amp * oscillator_waves(a.kappas, a.omega, t)[0][q]
+        assert math.isclose(first[0], first[1], rel_tol=0, abs_tol=1e-10 * amp)
 
 
 # --- split ----------------------------------------------------------------------

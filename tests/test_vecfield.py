@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oscstab.vecfield import (VectorFieldSystem, assemble_bracket_matrix,
+from oscstab.vecfield import (VectorFieldSystem, _condition_1norm,
+                              assemble_bracket_matrix,
                               bracket_generating_check, input_matrix,
                               lie_bracket, system_from_fields)
 
@@ -84,6 +85,21 @@ def test_column_order_follows_pair_set(bsys):
         assert np.array_equal(bm1.matrix[:, k - 1], bsys.field(k, x))
     for q, pair in enumerate(bsys.pairs):
         assert np.array_equal(bm1.matrix[:, 4 + q], lie_bracket(bsys, *pair, x))
+
+
+def test_condition_matches_numpy_cond_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 4, 10):
+        for _ in range(50):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            near = a.copy()
+            near[:, -1] = near[:, 0] * (1.0 + 1e-15 * rng.standard_normal())
+            singular = a.copy()
+            singular[-1] = 0.0
+            for mat in (a, near, singular):
+                assert _condition_1norm(mat) == np.linalg.cond(mat, 1)
+    assert _condition_1norm(np.zeros((3, 3))) == np.inf
+    assert _condition_1norm(np.array([[1.0, np.nan], [0.0, 1.0]])) == np.inf
 
 
 def test_duplicate_columns_give_condition_sentinel():
