@@ -96,9 +96,20 @@ def rows(fn, X: np.ndarray):
 
 
 def stacked(fns, X: np.ndarray) -> np.ndarray:
-    """:func:`rows` of each of ``fns``, stacked along axis 1 into one
-    C-contiguous array of shape (k, len(fns), ...)."""
+    """:func:`rows` of each of ``fns``, stacked along axis 1 into one fresh,
+    writable, C-contiguous array of shape (k, len(fns), ...).
+
+    On a block with a callable that passed its probe, the output is
+    allocated once and each callable's rows are assigned into its slot, so
+    a result that is a view (a broadcast constant Jacobian, say) is copied
+    once and never shared.
+    """
     if len(X) > 1 and any(blockwise(fn, X.shape[1]) for fn in fns):
-        return np.ascontiguousarray(
-            np.array([rows(fn, X) for fn in fns]).swapaxes(0, 1))
+        out = None
+        for c, fn in enumerate(fns):
+            r = rows(fn, X)
+            if out is None:
+                out = np.empty((len(X), len(fns)) + r.shape[1:])
+            out[:, c] = r
+        return out
     return np.array([[fn(x) for fn in fns] for x in X], dtype=float)

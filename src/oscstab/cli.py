@@ -338,8 +338,8 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     # spanning condition of fields plus brackets over a sampled ball
     pts = sample_region(Region.ball(sys_.n, SPAN_RADIUS), config.span_n,
                         r_min=0.0, seed=config.seed)
-    good, sv = np.array([bracket_generating_check(sys_, x)
-                         for x in np.vstack([np.zeros(sys_.n), pts])]).T
+    good, sv = bracket_generating_check(sys_, np.vstack([np.zeros(sys_.n),
+                                                         pts]))
     checks["span"] = {"pass": bool(np.all(good)),
                       "min_singular_value": float(np.min(sv)),
                       "n_points": config.span_n + 1,

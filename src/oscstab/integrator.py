@@ -370,7 +370,7 @@ def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
     zero up to quadrature error.  This low-level entry point accepts equal
     multipliers deliberately, so a resonant pair can be shown to couple.
     """
-    return float(_couplings((kappa_a, kappa_b), eps, quad_steps)[0, 1])
+    return float(_couplings((kappa_a,), (kappa_b,), eps, quad_steps)[0, 0])
 
 
 def _quadrature_channels(kappas, eps: float, quad_steps: int):
@@ -387,20 +387,24 @@ def _quadrature_channels(kappas, eps: float, quad_steps: int):
     return s, cos, sin
 
 
-def _couplings(kappas, eps: float, quad_steps: int) -> np.ndarray:
+def _couplings(cos_kappas, sin_kappas, eps: float,
+               quad_steps: int) -> np.ndarray:
     """``C[r, c] = int f G - int g F`` over one period, for the cosine
-    channel ``f`` of ``kappas[r]``, the sine channel ``g`` of ``kappas[c]``
-    and their running integrals ``F``, ``G`` (``cumulative_simpson``, one
-    per channel).  The outer integrals are dot products of single rows with
-    the composite-Simpson weights ``w``, so an entry does not depend on the
-    other multipliers; only the two channel families are held."""
+    channel ``f`` of ``cos_kappas[r]``, the sine channel ``g`` of
+    ``sin_kappas[c]`` and their running integrals ``F``, ``G``
+    (``cumulative_simpson``, one per channel).  The outer integrals are dot
+    products of single rows with the composite-Simpson weights ``w``, so an
+    entry does not depend on the other multipliers; only the two channel
+    families are held, and only the channels named are integrated."""
     from scipy.integrate import cumulative_simpson
-    s, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
+    s, cos, sin = _quadrature_channels(cos_kappas, eps, quad_steps)
+    if tuple(sin_kappas) != tuple(cos_kappas):
+        sin = _quadrature_channels(sin_kappas, eps, quad_steps)[2]
     h = s[1]
     w = np.full(len(s), 2.0 * h / 3.0)
     w[1::2] = 4.0 * h / 3.0
     w[0] = w[-1] = h / 3.0
-    out = np.empty((len(kappas), len(kappas)))
+    out = np.empty((len(cos_kappas), len(sin_kappas)))
     for c, g in enumerate(sin):
         iw = w * cumulative_simpson(g, dx=h, initial=0.0)
         out[:, c] = [f @ iw for f in cos]
@@ -424,7 +428,8 @@ def coupling_matrix(assignment: OscillatorAssignment,
     """Cross-coupling coefficients of all pairs, shape (|S|, |S|): entry
     ``[a, b]`` is ``iterated_integral_coefficient`` of pairs ``a`` and ``b``
     (bit for bit), with each oscillator channel integrated once."""
-    return _couplings(assignment.kappas, assignment.eps, quad_steps)
+    return _couplings(assignment.kappas, assignment.kappas, assignment.eps,
+                      quad_steps)
 
 
 # --- artifact formats --------------------------------------------------------

@@ -130,10 +130,17 @@ def input_matrix(sys: VectorFieldSystem, x) -> np.ndarray:
     return np.column_stack([f(x) for f in sys.fields])
 
 
-def _check_point(sys: VectorFieldSystem, x) -> np.ndarray:
+def _check_point(sys: VectorFieldSystem, x, block: bool = False) -> np.ndarray:
+    """``x`` as an array, checked to be one state of shape (n,) or, with
+    ``block``, also a (k, n) float block with ``k >= 1``, with finite float
+    entries."""
     x = np.asarray(x)
-    if x.shape != (sys.n,):
-        raise ValueError(f"state must have shape ({sys.n},), got {x.shape}")
+    if x.shape != (sys.n,) and not (
+            block and x.ndim == 2 and x.shape[1] == sys.n and len(x)
+            and x.dtype != object):
+        want = (f"({sys.n},) or (k, {sys.n}) with k >= 1" if block
+                else f"({sys.n},)")
+        raise ValueError(f"state must have shape {want}, got {x.shape}")
     if x.dtype != object and not np.all(np.isfinite(x)):
         raise ValueError("state has non-finite entries")
     return x
@@ -143,11 +150,21 @@ def lie_bracket(sys: VectorFieldSystem, i: int, j: int, x) -> np.ndarray:
     """First-order Lie bracket ``Df_j(x) f_i(x) - Df_i(x) f_j(x)``.
 
     Antisymmetric in ``(i, j)``; indices are 1-based.  Accepts dual states
-    for derivative propagation.
+    for derivative propagation.  A (k, n) float block gives the (k, n)
+    brackets at its rows, bit for bit the per-row results: each of the two
+    fields and Jacobians runs once on the block when it passed the block
+    probe and once per row otherwise (:func:`oscstab._block.rows`), and a
+    non-finite Jacobian at any row raises as at one point.
     """
     if not (1 <= i <= sys.m and 1 <= j <= sys.m):
         raise ValueError(f"field indices out of range: ({i},{j}) with m={sys.m}")
-    x = _check_point(sys, x)
+    x = _check_point(sys, x, block=True)
+    if x.ndim == 2:
+        fi, fj, dfi, dfj = (_block.rows(fn, x) for fn in (
+            sys.fields[i - 1], sys.fields[j - 1],
+            sys.jacobians[i - 1], sys.jacobians[j - 1]))
+        _check_jacobians(dfi, dfj)
+        return (dfj @ fi[..., None] - dfi @ fj[..., None])[..., 0]
     fi = sys.field(i, x)
     fj = sys.field(j, x)
     dfi = sys.jacobian(i, x)
@@ -219,9 +236,12 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None):
 
 
 def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:
-    cols = [sys.field(k, x) for k in range(1, sys.m + 1)]
+    """Field columns, then bracket columns in pair order: (n, n) at one
+    state, (k, n, n) at a (k, n) float block."""
+    block = x.ndim == 2
+    cols = [_block.rows(f, x) if block else f(x) for f in sys.fields]
     cols += [lie_bracket(sys, i, j, x) for (i, j) in sys.pairs]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=2) if block else np.column_stack(cols)
 
 
 def _condition_1norm(mat: np.ndarray) -> float:
@@ -250,15 +270,21 @@ def assemble_bracket_matrix(sys: VectorFieldSystem, x) -> BracketMatrix:
     return BracketMatrix(x=x, matrix=mat, condition=_condition_1norm(mat))
 
 
-def bracket_generating_check(sys: VectorFieldSystem, x) -> Tuple[bool, float]:
+def bracket_generating_check(sys: VectorFieldSystem, x):
     """Spanning test for the field-plus-bracket columns at ``x``.
 
     Passes iff every singular value of the bracket matrix exceeds
     ``SPAN_TOL`` (1e-10) times the largest one; returns the verdict and the
     smallest singular value.  Singular values make the test insensitive to
-    the column scaling that bracket columns typically carry.
+    the column scaling that bracket columns typically carry.  A (k, n)
+    block of states gives a bool array and a float array of length ``k``,
+    bit for bit the per-row results: the (k, n, n) stack of bracket
+    matrices comes from one :func:`lie_bracket` call per pair on the whole
+    block, and one batched SVD.
     """
-    x = _check_point(sys, np.asarray(x, dtype=float))
+    x = _check_point(sys, np.asarray(x, dtype=float), block=True)
     svals = np.linalg.svd(_bracket_columns(sys, x), compute_uv=False)
+    if x.ndim == 2:
+        return svals[:, -1] > SPAN_TOL * svals[:, 0], svals[:, -1]
     return bool(svals[-1] > SPAN_TOL * svals[0]), float(svals[-1])
 

@@ -233,6 +233,22 @@ def test_block_scans_match_per_point_scans(p):
         assert blk_c.skipped == ref_c.skipped
 
 
+def test_stacked_copies_broadcast_jacobians_once(bsys):
+    # brockett10's constant Jacobians return read-only broadcast views of
+    # one matrix; the stack holds its own writable copy, which
+    # vecfield._pair_brackets zeroes in place at rows with a bad Jacobian
+    X = np.random.default_rng(21).uniform(-1.0, 1.0, (BLOCK, bsys.n))
+    views = [jac(X) for jac in bsys.jacobians]
+    assert all(v.strides[0] == 0 and not v.flags.writeable for v in views)
+    got = _block.stacked(bsys.jacobians, X)
+    assert got.shape == (BLOCK, bsys.m, bsys.n, bsys.n)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not any(np.shares_memory(got, v) for v in views)
+    assert np.array_equal(got, [[jac(x) for jac in bsys.jacobians]
+                                for x in X])
+    got[3] = 0.0
+
+
 # --- oscillator couplings ------------------------------------------------------
 
 def _reference_coupling(ka, kb, eps, quad_steps):

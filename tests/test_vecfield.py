@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from oscstab.vecfield import (VectorFieldSystem, _condition_1norm,
-                              assemble_bracket_matrix,
+from oscstab import _block
+from oscstab.cli import SPAN_RADIUS, RunConfig
+from oscstab.sampling import Region, sample_region
+from oscstab.vecfield import (JACOBIAN_ERROR, VectorFieldSystem,
+                              _condition_1norm, assemble_bracket_matrix,
                               bracket_generating_check, input_matrix,
                               lie_bracket, system_from_fields)
 
@@ -130,6 +135,69 @@ def test_bracket_generating_fails_on_rank_deficiency():
     assert ok0  # the 3-state integrator does span
 
 
+def _span_sample(n: int) -> np.ndarray:
+    """The points of ``oscstab verify``'s span check at the default knobs:
+    the origin, then the sampled ball."""
+    cfg = RunConfig()
+    return np.vstack([np.zeros(n), sample_region(
+        Region.ball(n, SPAN_RADIUS), cfg.span_n, r_min=0.0, seed=cfg.seed)])
+
+
+@pytest.mark.parametrize("name", ["brockett10", "heis3 from fields"])
+def test_block_span_check_is_the_per_row_check_bit_for_bit(bsys, name):
+    # brockett10's callables run on the block; heis3 rebuilt from its field
+    # closures indexes x[i] and derives its Jacobians by duals, so every
+    # callable runs per row
+    if name == "brockett10":
+        sys_ = bsys
+    else:
+        h = heis3_system()
+        sys_ = system_from_fields(3, 2, h.fields, h.pairs)
+    assert _block.blockwise(sys_.jacobians[0], sys_.n) == (name == "brockett10")
+    X = _span_sample(sys_.n)
+    for i, j in sys_.pairs:
+        got = lie_bracket(sys_, i, j, X)
+        assert got.shape == X.shape
+        assert np.array_equal(got, [lie_bracket(sys_, i, j, x) for x in X])
+    good, smin = bracket_generating_check(sys_, X)
+    rows = [bracket_generating_check(sys_, x) for x in X]
+    assert good.dtype == bool and good.all()
+    assert np.array_equal(good, [r[0] for r in rows])
+    assert np.array_equal(smin, [r[1] for r in rows])
+
+
+def _nan_jacobian_beyond(j, blockwise: bool):
+    """``j`` where ``x_1 <= 1``, NaN where ``x_1 > 1``; on blocks or not."""
+    if blockwise:
+        def jac(x):
+            out = np.array(np.broadcast_to(j, np.shape(x)[:-1] + j.shape))
+            out[np.asarray(x)[..., 0] > 1.0] = np.nan
+            return out
+        return jac
+    return lambda x: j if x[0] <= 1.0 else np.full(j.shape, np.nan)
+
+
+@pytest.mark.parametrize("blockwise", [True, False])
+def test_block_span_check_raises_as_the_point_path(blockwise):
+    h = heis3_system()
+    jac = _nan_jacobian_beyond(h.jacobians[0](np.zeros(3)), blockwise)
+    sys_ = VectorFieldSystem(n=3, m=2, fields=h.fields,
+                             jacobians=(jac, h.jacobians[1]), pairs=h.pairs)
+    assert _block.blockwise(jac, 3) == blockwise
+    X = np.random.default_rng(9).uniform(-0.5, 0.5, (5, 3))
+    bad_state, bad_jac = X.copy(), X.copy()
+    bad_state[3, 1] = np.nan
+    bad_jac[2, 0] = 1.5
+    for fn in (lambda x: lie_bracket(sys_, 1, 2, x),
+               lambda x: bracket_generating_check(sys_, x)):
+        fn(X)
+        for block, r, msg in ((bad_state, 3, "state has non-finite entries"),
+                              (bad_jac, 2, JACOBIAN_ERROR)):
+            for x in (block, block[r]):   # the block, then its bad row alone
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    fn(x)
+
+
 def test_index_and_state_validation(bsys):
     with pytest.raises(ValueError):
         lie_bracket(bsys, 0, 2, np.zeros(10))
@@ -141,6 +209,13 @@ def test_index_and_state_validation(bsys):
         lie_bracket(bsys, 1, 2, bad)
     with pytest.raises(ValueError):
         lie_bracket(bsys, 1, 2, np.zeros(9))
+    # blocks need n columns, and the bracket matrix takes one point
+    with pytest.raises(ValueError, match=r"got \(3, 9\)"):
+        lie_bracket(bsys, 1, 2, np.zeros((3, 9)))
+    with pytest.raises(ValueError, match=r"got \(0, 10\)"):
+        bracket_generating_check(bsys, np.zeros((0, 10)))
+    with pytest.raises(ValueError, match=r"got \(2, 10\)"):
+        assemble_bracket_matrix(bsys, np.zeros((2, 10)))
 
 
 def test_construction_invariants():
