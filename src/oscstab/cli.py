@@ -21,10 +21,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _block, brockett
-from .integrator import (Trajectory, _write_csv, _write_json, coupling_matrix,
-                         integrate_classical, integrate_sampled,
-                         prediction_order_probe, write_trajectory_csv,
-                         write_windows_json)
+from .integrator import (MIN_QUAD_STEPS, Trajectory, _plan, _write_csv,
+                         _write_json, coupling_matrix, integrate_classical,
+                         integrate_sampled, prediction_order_probe,
+                         write_trajectory_csv, write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
 from .sampling import Region, sample_region
 from .vecfield import bracket_generating_check
@@ -168,6 +168,23 @@ def _build(config: RunConfig):
     return law.system, lyap, law, p
 
 
+def _check_verify_knobs(config: RunConfig) -> None:
+    """Refuse sample counts, quadrature steps and probe periods the checks
+    cannot run with."""
+    for key in ("span_n", "negdef_n", "gain_n", "c1_n"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, "
+                              f"got {getattr(config, key)}")
+    if config.quad_steps < MIN_QUAD_STEPS:
+        raise ConfigError(f"quad_steps must be at least {MIN_QUAD_STEPS}, "
+                          f"got {config.quad_steps}")
+    e = config.cf_eps
+    if (len(e) < 3 or not all(0 < v < math.inf for v in e)
+            or any(not b < a for a, b in zip(e, e[1:]))):
+        raise ConfigError("cf_eps must hold at least 3 strictly decreasing "
+                          f"finite positive periods, got {list(e)}")
+
+
 def _blockwise(sys_, law, lyap) -> dict:
     """Which user callables passed the block probe (:mod:`oscstab._block`)."""
     def ok(fn):
@@ -266,6 +283,10 @@ def _integrate_and_write(config: RunConfig, modes: Sequence[str]):
     """Integrate each mode, write its trajectory and window artifacts, and
     return ``(trajectories, summary sections, output directory)``."""
     sys_, lyap, law, _ = _build(config)
+    try:  # a horizon or step count the integrator cannot plan
+        _plan(law, config.T, config.substeps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     blockwise = _blockwise(sys_, law, lyap)
     x0 = config.resolved_x0()
     trajs: Dict[str, Trajectory] = {}
@@ -332,6 +353,7 @@ def compare(config: RunConfig) -> Tuple[dict, int]:
 def verify(config: RunConfig) -> Tuple[dict, int]:
     """Run every numerical hypothesis check and aggregate the verdicts."""
     t_start = time.perf_counter()
+    _check_verify_knobs(config)
     sys_, lyap, law, p = _build(config)
     checks: Dict[str, dict] = {}
 

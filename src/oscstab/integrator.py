@@ -21,8 +21,8 @@ low-exponent candidate families, so the classical order theory does not
 apply there; correctness is established by step-halving checks instead.
 
 The case-study closed-form law (the one law with ``kernel_p`` set) runs on
-the compiled trajectory kernel of :mod:`oscstab._fastpath`; results are
-interchangeable with the generic path and the generic path always remains
+the compiled trajectory kernel of :mod:`oscstab._fastpath`; its states agree
+with the generic path's up to rounding, and the generic path always remains
 available.  Every trajectory records in ``solver_path`` which path produced
 it, and a law with ``kernel_p`` set that falls back to the generic path
 raises one ``RuntimeWarning`` per process naming the reason.  The CSV
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 MIN_SUBSTEPS_PER_KAPPA = 50
+# fewest Simpson intervals of the oscillator quadrature
+MIN_QUAD_STEPS = 10_000
 # reference steps of the order probe: 16 times the default 400 per window
 PROBE_SUBSTEPS = 16 * 400
 # rows per block of the CSV write loop: bounds either formatter's buffer
@@ -113,9 +115,11 @@ class Trajectory:
 
 def _plan(law: FeedbackLaw, T: float, substeps: int) -> Tuple[int, float]:
     eps = law.eps
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T={T} is not finite")
     J = int(round(T / eps))
     if J < 1:
-        raise ValueError(f"horizon {T} shorter than one period {eps}")
+        raise ValueError(f"horizon T={T} shorter than one period {eps}")
     need = MIN_SUBSTEPS_PER_KAPPA * max(law.assignment.kappas)
     if substeps < need:
         raise ValueError(
@@ -376,8 +380,8 @@ def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
 def _quadrature_channels(kappas, eps: float, quad_steps: int):
     """``(s, cos, sin)``: the grid of an even number of intervals over one
     period and the channels of the multipliers on it, amplitudes included."""
-    if quad_steps < 10_000:
-        raise ValueError("quad_steps must be at least 10000")
+    if quad_steps < MIN_QUAD_STEPS:
+        raise ValueError(f"quad_steps must be at least {MIN_QUAD_STEPS}")
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count
     s = np.linspace(0.0, eps, steps + 1)
     cos, sin = oscillator_waves(kappas, 2.0 * math.pi / eps, s)

@@ -1,6 +1,14 @@
 """Shared fixtures: reference systems, finite-difference oracles, run cache."""
 
-import numpy as np
+import os
+
+# one BLAS thread unless the caller chose otherwise: on a busy host the worker
+# threads of OpenBLAS stall the suite's many small products.  The variables
+# are read when numpy loads, so they are set before the first numpy import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from oscstab import _fastpath

@@ -116,6 +116,31 @@ def test_unknown_system_and_mode_errors(tmp_path):
     assert cli.main(["run", "--system", "segway"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--span-n", "0"], "span_n must be at least 1, got 0"),
+    (["verify", "--negdef-n", "0"], "negdef_n must be at least 1, got 0"),
+    (["verify", "--gain-n", "0"], "gain_n must be at least 1, got 0"),
+    (["verify", "--c1-n", "0"], "c1_n must be at least 1, got 0"),
+    (["verify", "--quad-steps", "100"],
+     "quad_steps must be at least 10000, got 100"),
+    (["verify", "--cf-eps", "0.1,0.05"],
+     "cf_eps must hold at least 3 strictly decreasing finite positive "
+     "periods, got [0.1, 0.05]"),
+    (["verify", "--cf-eps", "inf,0.05,0.025"],
+     "cf_eps must hold at least 3 strictly decreasing finite positive "
+     "periods, got [inf, 0.05, 0.025]"),
+    (["run", "--substeps", "0"],
+     "substeps=0 resolves the fastest oscillator poorly; need at least 300"),
+    (["compare", "--T", "inf"], "horizon T=inf is not finite"),
+], ids=["span_n", "negdef_n", "gain_n", "c1_n", "quad_steps", "cf_eps",
+        "cf_eps-inf", "substeps", "T-inf"])
+def test_unusable_knob_is_a_config_error_before_any_work(tmp_path, capsys,
+                                                         argv, message):
+    assert cli.main([*argv, "--outdir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_duplicate_multiplier_override_rejected_before_running(tmp_path):
     with pytest.raises(ConfigError, match="duplicate"):
         run(_cfg(tmp_path, kappas=(1, 1, 2, 3, 4, 5)))

@@ -74,6 +74,33 @@ def test_generic_and_fast_paths_agree(bsys, lyap_p1, lyap_p15):
             assert np.max(np.abs(fast.states - slow.states)) <= 1e-9
 
 
+# (p, x0, kappas, substeps) of the long agreement runs; the kernel forms each
+# oscillator from one sin and cos of the base phase by complex powers, so its
+# states match the generic ones to rounding, not bit for bit
+AGREEMENT_CASES = {
+    "p1": (1.0, X0_LEFT, None, 400),
+    "p1.5": (1.5, X0_RIGHT, None, 400),
+    "kappas-1-2-3-5-8-13": (1.0, X0_LEFT, (1, 2, 3, 5, 8, 13), 800),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("case, mode", [
+    ("p1", "classical"), ("p1", "sampled"), ("p1.5", "classical"),
+    ("p1.5", "sampled"), ("kappas-1-2-3-5-8-13", "classical")])
+def test_compiled_kernel_agrees_with_generic_to_rounding(bsys, case, mode):
+    p, x0, kappas, substeps = AGREEMENT_CASES[case]
+    law = bk.brockett_law(p, 0.5, 0.1, kappas=kappas)
+    assert law.assignment.kappas == (kappas or (1, 2, 3, 4, 5, 6))
+    integrate = integrate_classical if mode == "classical" else integrate_sampled
+    fast = integrate(bsys, law, x0, T=5.0, substeps=substeps)
+    slow = integrate(bsys, law, x0, T=5.0, substeps=substeps, use_fast=False)
+    assert fast.solver_path == "compiled"
+    assert slow.solver_path == "generic (use_fast=False)"
+    assert fast.states.shape == slow.states.shape == (50 * substeps + 1, 10)
+    assert np.max(np.abs(fast.states - slow.states)) <= 1e-12
+
+
 def _per_stage_sampled(sys_, law, x0, T, substeps):
     """Sampled RK4 written out stage by stage: the control at the frozen
     window-start state is evaluated afresh at every stage time."""
