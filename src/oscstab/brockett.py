@@ -22,6 +22,7 @@ also take one state of duals.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,12 +94,17 @@ def brockett_system() -> VectorFieldSystem:
         jacobians=(_J1, _J2, _J3, _J4), pairs=_PAIRS, name="brockett10")
 
 
+def _check_exponent(p: float) -> None:
+    """Refuse a candidate exponent that is not a finite number >= 1."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
+
+
 @functools.lru_cache(maxsize=None)
 def brockett_lyapunov(p: float = 1.0) -> LyapunovSpec:
     """Power-family candidate, built once per exponent; closures evaluate on
     dual states as well."""
-    if p < 1.0:
-        raise ValueError("exponent p must be >= 1")
+    _check_exponent(p)
 
     def v(x):
         x = np.asarray(x)
@@ -160,6 +166,7 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
     bracket matrix pointwise and must agree with the closed forms, which the
     test-suite checks.
     """
+    _check_exponent(p)
     sys = brockett_system()
     if mode == "synthesized":
         return synthesized_law(sys, brockett_lyapunov(p), gamma, eps, kappas)
@@ -236,8 +243,7 @@ def stable_gain_interval(p: float, H: Optional[float] = None) -> Tuple[float, fl
     (see the gain-bound scan), and for p = 1 they show the upper end of the
     published interval is optimistic.
     """
-    if p < 1.0:
-        raise ValueError("exponent p must be >= 1")
+    _check_exponent(p)
     if p == 1.0:
         return (0.0, float(np.sqrt(2.0)))
     if H is None or H <= 0:

@@ -121,9 +121,10 @@ def _parse_value(key: str, raw: str, where: str = ""):
         if key == "cf_eps":
             return tuple(float(v) for v in raw.split(","))
         if key == "x0":
-            if any(c.isalpha() for c in raw):
+            try:  # a comma-separated vector, else a preset name
+                return tuple(float(v) for v in raw.split(","))
+            except ValueError:
                 return raw
-            return tuple(float(v) for v in raw.split(","))
         if key == "p":
             return None if raw.lower() in ("", "none") else float(raw)
         default = getattr(RunConfig(), key)
@@ -159,18 +160,24 @@ def _build(config: RunConfig):
     if config.mode not in ("classical", "sampled", "both"):
         raise ConfigError(f"bad mode {config.mode!r}")
     p = config.resolved_p()
-    lyap = brockett.brockett_lyapunov(p)
     try:
+        lyap = brockett.brockett_lyapunov(p)
         law = brockett.brockett_law(p, config.gamma, config.eps,
                                     kappas=config.kappas, mode=config.law_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    x0 = config.resolved_x0()
+    if x0.shape != (law.system.n,) or not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must hold {law.system.n} finite entries, "
+                          f"got {x0.tolist()}")
     return law.system, lyap, law, p
 
 
 def _check_verify_knobs(config: RunConfig) -> None:
-    """Refuse sample counts, quadrature steps and probe periods the checks
-    cannot run with."""
+    """Refuse sample counts, quadrature steps, probe periods and seeds the
+    checks cannot run with."""
+    if config.seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {config.seed}")
     for key in ("span_n", "negdef_n", "gain_n", "c1_n"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key} must be at least 1, "

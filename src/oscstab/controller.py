@@ -33,7 +33,8 @@ import numpy as np
 
 from . import _block, dualnum
 from .vecfield import (JACOBIAN_ERROR, VectorFieldSystem, _bracket_columns,
-                       _condition_1norm, _pair_brackets, input_matrix)
+                       _condition_1norm, _pair_brackets, _pair_rows,
+                       input_matrix)
 
 __all__ = [
     "OscillatorAssignment", "FeedbackLaw", "SynthesisError",
@@ -101,8 +102,9 @@ class OscillatorAssignment:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("period eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"period eps must be finite and positive, "
+                             f"got {self.eps}")
         # kappas may be None (the defaults) or any sequence: validated once,
         # here, however constructed, and kept as a tuple
         object.__setattr__(self, "kappas",
@@ -225,8 +227,8 @@ class FeedbackLaw:
     kernel_p: Optional[float] = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.assignment.pairs != self.system.pairs:
             raise ValueError("assignment pairs must match the system pair set")
         for fn in (self.components, self.components_jac):
@@ -342,23 +344,26 @@ def drift_field(law: FeedbackLaw, x) -> np.ndarray:
                                                     dtype=float)
 
 
-def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None):
+def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None, g=None):
     """Input brackets and pair-bracket fields of all pairs at a block of points.
 
     ``X`` has shape (k, n), the profile values ``vals`` (k, |S|) and their
-    gradient rows ``jac`` (k, |S|, n); ``f`` is passed on to
+    gradient rows ``jac`` (k, |S|, n); ``f`` and ``g`` are passed on to
     ``vecfield._pair_brackets``, which evaluates each field and Jacobian at
     every point, once per block where it passed the block probe.  Returns
     ``(B, P, fail)``: ``B[r, q]`` is ``[f_i, f_j]`` and ``P[r, q]`` the
     bracket of the two oscillatory fields of pair ``q`` at ``X[r]`` (see
-    :func:`pair_bracket_field`), both of shape (k, |S|, n).
+    :func:`pair_bracket_field`), both of shape (k, |S|, n); with the
+    covector block ``g`` (k, n) they are the projections ``g . B`` and
+    ``g . P``, of shape (k, |S|), formed without the vectors.
     ``fail`` is None when every point passes the checks, else ``(r, exc)``
     for the first failing point ``r``: ``ValueError`` for a non-finite
     Jacobian, which comes first at one point, else ``ArithmeticError``
     naming the first pair with a non-finite live profile or gradient.  The
     failing terms are left out, so that row of ``P`` is not meaningful.
     """
-    fi, fj, b, jac_ok = _pair_brackets(sys, X, f)
+    f, b, jac_ok = _pair_brackets(sys, X, f, g)
+    _, _, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
     live = vals != 0.0
     bad = live & ~(np.isfinite(vals) & np.isfinite(jac).all(axis=2))
     fail = None
@@ -373,9 +378,14 @@ def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None):
         vals = np.where(live, vals, 0.0)
     # gradient rows at switch points may be anything; their rows are zeroed
     jac = np.where(live[..., None], jac, 0.0)
-    gi = np.einsum("rqk,rqk->rq", jac, fi)[..., None]  # grad vtilde . f_i
-    gj = np.einsum("rqk,rqk->rq", jac, fj)[..., None]
-    p = vals[..., None] * b + 0.5 * (gi * fj - gj * fi)
+    gf = jac @ f.swapaxes(1, 2)  # grad vtilde_q . f_b, (k, |S|, U)
+    q = np.arange(len(i))
+    gi, gj = gf[:, q, i], gf[:, q, j]
+    if g is None:
+        vals, gi, gj = vals[..., None], gi[..., None], gj[..., None]
+    else:
+        f = (f @ g[..., None])[..., 0]  # g . f_b, (k, U)
+    p = vals * b + 0.5 * (gi * f[:, j] - gj * f[:, i])
     p[~live] = 0.0
     return b, p, fail
 

@@ -391,16 +391,39 @@ def _quadrature_channels(kappas, eps: float, quad_steps: int):
     return s, cos, sin
 
 
+def _running_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of the samples ``y`` (at least 3, spacing ``h``)
+    from 0: bit for bit ``scipy.integrate.cumulative_simpson(y, dx=h,
+    initial=0)``.
+
+    That rule integrates each interval ``[s, s + 1]`` over the parabola
+    through three neighbouring samples, those from ``s`` on for even ``s``
+    and those up to ``s + 1`` for odd ``s`` and for the last interval.
+    scipy forms both candidates on every interval and keeps one; here only
+    the kept ones are formed, with the same operations in the same order,
+    and summed with a running sum from 0.
+    """
+    n = len(y)
+    out = np.empty(n)
+    out[0] = 0.0
+    a, b, c = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
+    out[1:n - 1:2] = h / 3 * (5 * a / 4 + 2 * b - c / 4)
+    out[2::2] = h / 3 * (5 * c / 4 + 2 * b - a / 4)
+    if n % 2 == 0:
+        out[-1] = h / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    return np.cumsum(out, out=out)
+
+
 def _couplings(cos_kappas, sin_kappas, eps: float,
                quad_steps: int) -> np.ndarray:
     """``C[r, c] = int f G - int g F`` over one period, for the cosine
     channel ``f`` of ``cos_kappas[r]``, the sine channel ``g`` of
     ``sin_kappas[c]`` and their running integrals ``F``, ``G``
-    (``cumulative_simpson``, one per channel).  The outer integrals are dot
-    products of single rows with the composite-Simpson weights ``w``, so an
-    entry does not depend on the other multipliers; only the two channel
-    families are held, and only the channels named are integrated."""
-    from scipy.integrate import cumulative_simpson
+    (:func:`_running_simpson`, one channel at a time).  The outer integrals
+    are dot products of single rows with the composite-Simpson weights
+    ``w``, so an entry does not depend on the other multipliers; only the
+    two channel families are held, and only the channels named are
+    integrated."""
     s, cos, sin = _quadrature_channels(cos_kappas, eps, quad_steps)
     if tuple(sin_kappas) != tuple(cos_kappas):
         sin = _quadrature_channels(sin_kappas, eps, quad_steps)[2]
@@ -410,11 +433,11 @@ def _couplings(cos_kappas, sin_kappas, eps: float,
     w[0] = w[-1] = h / 3.0
     out = np.empty((len(cos_kappas), len(sin_kappas)))
     for c, g in enumerate(sin):
-        iw = w * cumulative_simpson(g, dx=h, initial=0.0)
+        iw = w * _running_simpson(g, h)
         out[:, c] = [f @ iw for f in cos]
         g *= w
     for r, f in enumerate(cos):
-        i_r = cumulative_simpson(f, dx=h, initial=0.0)
+        i_r = _running_simpson(f, h)
         out[r] -= [gw @ i_r for gw in sin]
     return out
 

@@ -14,13 +14,19 @@ point is the honest artifact.
 
 The unit of evaluation is a block of points: :func:`decrease_rate` takes one
 state, shape (n,), or a block, shape (k, n), and the scans hand their whole
-sample over in blocks of at most ``BLOCK`` (128) points.  The user callables
+sample over in blocks of at most ``BLOCK`` (256) points.  The user callables
 (fields, Jacobians, ``law.components_jac``, ``lyap.v`` and ``lyap.grad``)
 share one contract: each takes one state and may also take a (k, n) block,
 returning the stacked per-point results.  Each is probed for that once, when
 its system, law or candidate is built (:mod:`oscstab._block`); one that
 passes runs once per block, the others once per point with their values
 stacked, and the pair-bracket algebra runs once per block either way.
+
+Both terms of ``w`` and the margin ratio are derivatives of V along fields,
+so the scans contract the pair-bracket algebra with ``grad V`` before any
+vector is formed (``controller._pair_bracket_terms`` with a covector): per
+point they need ``grad V . B_q`` and ``grad V . P_q``, not the bracket
+fields themselves.  :func:`correction_field` gives the vector field.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ TOL_ALPHA = 1e-6
 # margin scan: points with ||grad V|| below this are skipped
 GRAD_FLOOR = 1e-12
 # most points whose callable values are stacked at once; bounds peak memory
-BLOCK = 128
+# (a 4096-point brockett10 gain scan traces about 1.6 MiB at 256)
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,9 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     oscillatory term, which is exactly how the gain enters.  ``law`` must be
     built for ``sys``.  A non-finite Jacobian raises ``ValueError``, a
     non-finite live profile or gradient ``ArithmeticError`` naming the pair,
-    each for the first failing point in row order.
+    each for the first failing point in row order.  Both terms come from the
+    pair-bracket algebra contracted with ``grad V``; a non-finite ``grad V``
+    gives non-finite terms at its points, without a warning.
     """
     _check_law_system(sys, law)
     if gamma is None:
@@ -167,12 +176,13 @@ def _alpha_beta(sys, law, lyap, X):
     g = _block.rows(lyap.grad, X)
     v0, vals, jac = _block.rows(law.components_jac, X)
     f = _block.stacked(sys.fields, X)
-    _, p, fail = _pair_bracket_terms(sys, X, vals, jac, f)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # a non-finite gradient gives non-finite terms, not a warning
+        _, gp, fail = _pair_bracket_terms(sys, X, vals, jac, f, g)
     if fail is not None:
         raise fail[1]
     drift = (v0[:, None] @ f)[:, 0]
-    return (np.einsum("rn,rn->r", g, drift),
-            (p @ g[..., None])[..., 0].sum(axis=1))
+    return np.einsum("rn,rn->r", g, drift), gp.sum(axis=1)
 
 
 def _report(vals, pts: np.ndarray, region: dict, seed: int,
@@ -283,13 +293,14 @@ def correction_field(sys: VectorFieldSystem, law: FeedbackLaw, x,
     return phi[0]
 
 
-def _correction(sys: VectorFieldSystem, X, vals, jac, gamma: float):
-    """``(Phi, fail)`` on the block ``X``: Phi of shape (k, n) and the first
-    failing point of the pair-bracket checks (see
+def _correction(sys: VectorFieldSystem, X, vals, jac, gamma: float, g=None):
+    """``(Phi, fail)`` on the block ``X``: Phi of shape (k, n), or its
+    projection ``g . Phi`` of shape (k,) with the covector block ``g``, and
+    the first failing point of the pair-bracket checks (see
     ``controller._pair_bracket_terms``)."""
-    b, p, fail = _pair_bracket_terms(sys, X, vals, jac)
+    b, p, fail = _pair_bracket_terms(sys, X, vals, jac, g=g)
     return (gamma * gamma * np.sum(p, axis=1)
-            - np.einsum("rq,rqn->rn", vals, b)), fail
+            - np.einsum("rq,rq...->r...", vals, b)), fail
 
 
 class CorrectionSup(NamedTuple):
@@ -307,8 +318,10 @@ def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
     the mismatch, which is the margin condition for the synthesized law.
     ``law``, built for ``sys``, supplies the profiles; its gain is ignored
     in favor of ``gamma``.  Points where the gradient norm falls below
-    ``GRAD_FLOOR`` (1e-12) are skipped and counted.  Phi and the ratios are
-    formed per block of points.  A non-finite ratio (from a field, profile
+    ``GRAD_FLOOR`` (1e-12) are skipped and counted.  The projections
+    ``grad V . Phi`` and the ratios are formed per block of points, with the
+    pair-bracket algebra contracted with ``grad V`` (Phi itself is never
+    formed).  A non-finite ratio (from a field, profile
     or gradient that is not finite) raises ``ArithmeticError``, and so do
     the checks of :func:`correction_field`, each for the first failing point
     in sample order.
@@ -327,10 +340,10 @@ def correction_ratio_sup(sys: VectorFieldSystem, law: FeedbackLaw,
     sup = -np.inf
     for X, g, n2 in zip(*map(_blocks, (pts, grads, gn2))):
         _, vals, jac = _block.rows(law.components_jac, X)
-        phi, fail = _correction(sys, X, vals, jac, gamma)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             # a non-finite term (e.g. inf * 0) gives a non-finite ratio
-            ratio = np.einsum("rn,rn->r", g, phi) / n2
+            gphi, fail = _correction(sys, X, vals, jac, gamma, g)
+            ratio = gphi / n2
         bad = ~np.isfinite(ratio)
         r = int(np.argmax(bad)) if bad.any() else len(X)
         if fail is not None and fail[0] <= r:

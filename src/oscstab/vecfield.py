@@ -199,21 +199,28 @@ def _pair_rows(pairs: Tuple[Tuple[int, int], ...]):
     return tuple(used), cols, i, j
 
 
-def _pair_brackets(sys: VectorFieldSystem, X, f=None):
+def _pair_brackets(sys: VectorFieldSystem, X, f=None, g=None):
     """Fields and brackets of every pair at a block of float points.
 
-    ``X`` has shape (k, n).  Returns ``(Fi, Fj, B, jac_ok)``: the first three
-    of shape (k, |S|, n) in pair order, so that for point ``r`` and pair
-    ``q = (i, j)``, ``Fi[r, q] = f_i(X[r])``, ``Fj[r, q] = f_j(X[r])`` and
-    ``B[r, q] = [f_i, f_j](X[r])`` as in :func:`lie_bracket`; ``jac_ok[r]``
-    is False where a Jacobian has a non-finite entry, and that point's
-    brackets are then not meaningful (the caller raises ``ValueError`` with
-    ``JACOBIAN_ERROR``).  Each input field that appears in a pair, and its
-    Jacobian, is evaluated at every point of ``X``, on the whole block when
-    it passed the block probe (see :func:`oscstab._block.rows`); ``f``, the
-    (k, m, n) values of all input fields at ``X``, replaces the field calls
-    when given.  The bracket algebra runs once on the stacked values,
-    ``DF = D @ F^T`` and ``B = DF[J, :, I] - DF[I, :, J]`` per point.
+    ``X`` has shape (k, n).  Returns ``(F, B, jac_ok)``: ``F`` of shape
+    (k, U, n) holds the values of the U inputs that enter a pair, in the
+    order of :func:`_pair_rows`, and ``B`` of shape (k, |S|, n) the brackets
+    in pair order, ``B[r, q] = [f_i, f_j](X[r])`` for pair ``q = (i, j)`` as
+    in :func:`lie_bracket`; ``jac_ok[r]`` is False where a Jacobian has a
+    non-finite entry, and that point's brackets are then not meaningful (the
+    caller raises ``ValueError`` with ``JACOBIAN_ERROR``).  Each input field
+    that appears in a pair, and its Jacobian, is evaluated at every point of
+    ``X``, on the whole block when it passed the block probe (see
+    :func:`oscstab._block.rows`); ``f``, the (k, m, n) values of all input
+    fields at ``X``, replaces the field calls when given.  The bracket
+    algebra runs once on the stacked values, ``DF[r, a, b] = Df_a f_b`` and
+    ``B = DF[J, I] - DF[I, J]`` per point.
+
+    With the covector block ``g`` of shape (k, n), ``B`` is the projection
+    ``g . [f_i, f_j]``, of shape (k, |S|): the Jacobians are contracted
+    first, ``W_a = g^T Df_a`` and ``DF[r, a, b] = W_a . f_b``, so neither
+    the brackets nor the (k, U, U, n) products ``Df_a f_b`` are formed (the
+    vector-Jacobian product of reverse mode).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != sys.n:
@@ -230,9 +237,12 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None):
     if not jac_ok.all():
         # keep the bad points out of the algebra, as the check does per point
         d[~jac_ok] = 0.0
-    df = d @ f[:, None].swapaxes(2, 3)  # df[r, a, :, b] = Df_a f_b at X[r]
-    b = df[:, j, :, i] - df[:, i, :, j]  # (|S|, k, n): split advanced indices
-    return f[:, i], f[:, j], b.swapaxes(0, 1), jac_ok
+    if g is None:
+        df = (d @ f[:, None].swapaxes(2, 3)).swapaxes(2, 3)  # (k, U, U, n)
+    else:
+        w = (g[:, None, None] @ d)[:, :, 0]  # W_a = g^T Df_a, (k, U, n)
+        df = w @ f.swapaxes(1, 2)  # W_a . f_b, (k, U, U)
+    return f, df[:, j, i] - df[:, i, j], jac_ok
 
 
 def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:

@@ -14,8 +14,8 @@ from oscstab import brockett as bk
 from oscstab.controller import (feedback_eval, law_with_period,
                                 oscillator_amplitude, synthesized_law,
                                 user_law)
-from oscstab.integrator import (_quadrature_channels, coupling_matrix,
-                                integrate_sampled,
+from oscstab.integrator import (_quadrature_channels, _running_simpson,
+                                coupling_matrix, integrate_sampled,
                                 iterated_integral_coefficient,
                                 oscillator_coupling)
 from oscstab.lyapunov import (BLOCK, LyapunovSpec, correction_ratio_sup,
@@ -285,6 +285,18 @@ def test_coupling_matrix_matches_single_couplings_bit_for_bit(law_p1):
     same = oscillator_coupling(3, 3, 0.1, 10_001)
     assert abs(same - _reference_coupling(3, 3, 0.1, 10_001)) <= 1e-15
     assert abs(same + 0.2) < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 101, 1000, 10_001, 10_002])
+def test_running_simpson_is_scipys_rule_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3, -0.0):     # -0.0: signed zeros throughout
+        y = scale * rng.standard_normal(n)
+        h = float(rng.uniform(1e-4, 1.0))
+        want = cumulative_simpson(y, dx=h, initial=0)
+        got = _running_simpson(y, h)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_quadrature_channels_are_the_feedback_oscillators(bsys, law_p1):

@@ -155,6 +155,22 @@ def test_candidate_requires_p_at_least_one():
         bk.brockett_lyapunov(0.9)
 
 
+@pytest.mark.parametrize("knob, value", [
+    (k, v) for k in ("p", "gamma", "eps") for v in (math.nan, math.inf)])
+def test_non_finite_law_parameters_are_refused(knob, value):
+    # a check like ``gamma < 0`` is False for NaN and for inf, so both used
+    # to build a law whose runs were NaN throughout
+    kw = {"p": 1.0, "gamma": 0.5, "eps": 0.1, knob: value}
+    for mode in ("closed-form", "synthesized"):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            bk.brockett_law(mode=mode, **kw)
+    if knob == "p":
+        with pytest.raises(ValueError, match="p must be finite"):
+            bk.brockett_lyapunov(value)
+        with pytest.raises(ValueError, match="p must be finite"):
+            bk.stable_gain_interval(value, H=1.0)
+
+
 def _reference_decrease_parts(p, gamma, x):
     # the per-point loop: a pair on its sign switch is skipped and flagged
     x = np.asarray(x, dtype=float)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscstab
 from oscstab import _fastpath, cli, integrator
 from oscstab.cli import (ConfigError, RunConfig, compare, fit_exponential,
                          fit_powerlaw, load_config_file, run, verify)
@@ -34,6 +38,16 @@ def test_config_file_parsing(tmp_path):
     assert values["kappas"] == (2, 1, 3, 4, 5, 6)
     assert values["x0"] == "fig1-right"
     assert values["cf_eps"] == (0.1, 0.05)
+
+
+def test_x0_vector_with_exponents_is_a_vector(tmp_path):
+    # a letter in a number (1e-1) does not make it a preset name
+    x0 = "1E-1, -2e0" + ", 0" * 8
+    f = tmp_path / "run.cfg"
+    f.write_text(f"x0 = {x0}\n")
+    want = (0.1, -2.0) + (0.0,) * 8
+    assert load_config_file(str(f))["x0"] == want
+    assert cli._parse_value("x0", x0.replace(" ", "")) == want
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -132,12 +146,35 @@ def test_unknown_system_and_mode_errors(tmp_path):
     (["run", "--substeps", "0"],
      "substeps=0 resolves the fastest oscillator poorly; need at least 300"),
     (["compare", "--T", "inf"], "horizon T=inf is not finite"),
+    (["verify", "--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
+    (["verify", "--gamma", "inf"], "gamma must be finite and >= 0, got inf"),
+    (["verify", "--eps", "nan"],
+     "period eps must be finite and positive, got nan"),
+    (["run", "--p", "nan"], "exponent p must be finite and >= 1, got nan"),
+    (["run", "--x0", "1,2"], "x0 must hold 10 finite entries, got [1.0, 2.0]"),
+    (["run", "--x0", "inf" + ",0" * 9],
+     "x0 must hold 10 finite entries, got [inf" + ", 0.0" * 9 + "]"),
+    (["verify", "--seed", "-1"], "seed must be at least 0, got -1"),
 ], ids=["span_n", "negdef_n", "gain_n", "c1_n", "quad_steps", "cf_eps",
-        "cf_eps-inf", "substeps", "T-inf"])
+        "cf_eps-inf", "substeps", "T-inf", "gamma-nan", "gamma-inf", "eps-nan",
+        "p-nan", "x0-length", "x0-inf", "seed"])
 def test_unusable_knob_is_a_config_error_before_any_work(tmp_path, capsys,
                                                          argv, message):
     assert cli.main([*argv, "--outdir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_module_entry_point_runs_the_command_line(tmp_path):
+    # python -m oscstab from a source tree, with src on the path only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oscstab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscstab", "verify", "--seed", "-1",
+         "--outdir", str(tmp_path / "o")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: seed must be at least 0, got -1\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -1,4 +1,4 @@
-"""scipy stays off the build path: only verify's scans and quadrature load it.
+"""scipy stays off the build path: only verify's scans load it.
 
 Checked in a fresh interpreter, since the test process has scipy loaded
 already.
@@ -69,6 +69,7 @@ def test_scipy_loads_only_for_verify(tmp_path):
     for stage in ("import", "build", "compare", "feedback_eval"):
         assert out[stage] == [], f"{stage} loaded {out[stage]}"
     assert out["u_finite"]
-    # the scans and the quadrature do load it, and verify passes
+    # the scans do load it (scipy.stats brings scipy.integrate along), and
+    # verify passes
     assert out["verify"] == sorted(SCIPY_SUBMODULES)
     assert out["verify_pass"] and out["verify_code"] == 0

@@ -10,11 +10,12 @@ import pytest
 
 from oscstab import _block
 from oscstab import brockett as bk
-from oscstab.controller import synthesized_law, user_law
+from oscstab.controller import (drift_field, pair_bracket_field,
+                                synthesized_law, user_law)
 from oscstab.lyapunov import (BLOCK, GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
-                              LyapunovSpec, _report, correction_field,
-                              correction_ratio_sup, decrease_rate,
-                              gain_bound_scan, negdef_scan)
+                              LyapunovSpec, _correction, _report,
+                              correction_field, correction_ratio_sup,
+                              decrease_rate, gain_bound_scan, negdef_scan)
 from oscstab.sampling import Region, sample_region
 from oscstab.vecfield import system_from_fields
 
@@ -467,6 +468,20 @@ def _inf_lyapunov_gradient_case():
     return sys_, law, _unit_ball_lyap(grad), "margin ratio not finite"
 
 
+def test_gain_bound_counts_infinite_gradient_as_violation():
+    # grad V is infinite on x[0] > 0; the scan contracts the brackets with
+    # it, and inf * 0 there must give a violation, not a RuntimeWarning
+    sys_, law, lyap, _ = _inf_lyapunov_gradient_case()
+    pts = sample_region(Region.ball(3, 1.0), 256, 1e-6, 3)
+    n_inf = int(np.sum(pts[:, 0] > 0))
+    gb = gain_bound_scan(sys_, law, lyap, Region.ball(3, 1.0), 256, seed=3)
+    _, alpha, beta = decrease_rate(sys_, law, lyap, pts)
+    assert not np.isfinite(beta[pts[:, 0] > 0]).any()
+    assert np.isfinite(alpha[pts[:, 0] <= 0]).all()
+    assert gb.report.violations >= n_inf
+    assert math.isnan(gb.report.worst_value)
+
+
 @pytest.mark.parametrize("case", [_inf_profile_gradient_case, _nan_field_case,
                                   _inf_lyapunov_gradient_case])
 def test_margin_nonfinite_ratio_raises(case):
@@ -525,6 +540,32 @@ def test_block_decrease_rate_rows_match_single_points(case):
     ref = decrease_rate(sys_, law, lyap, xs[0])
     assert all(t.shape == (1,) for t in one)
     assert np.all(np.abs(np.ravel(one) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_scan_terms_match_the_vector_path(case):
+    # the scans project the bracket algebra on grad V before any vector is
+    # formed; per point, alpha, beta and the margin ratio must equal the
+    # projections of the vector fields
+    sys_, law, lyap = BLOCK_CASES[case]()
+    rng = np.random.default_rng(44)
+    k = 40 if "synthesized" in case else BLOCK + 6
+    xs = rng.uniform(-1.5, 1.5, (k, sys_.n))
+    if sys_.n == 10:
+        xs[::3, 4 + rng.integers(0, 6)] = 0.0    # profiles on a sign switch
+    _, alpha, beta = decrease_rate(sys_, law, lyap, xs)
+    _, vals, jac = _block.rows(law.components_jac, xs)
+    g = _block.rows(lyap.grad, xs)
+    gphi, fail = _correction(sys_, xs, vals, jac, 0.5, g)
+    assert fail is None
+    ratio = gphi / np.einsum("rn,rn->r", g, g)
+    for r, x in enumerate(xs):
+        gv = np.asarray(lyap.grad(x), dtype=float)
+        want = (gv @ drift_field(law, x),
+                float(np.sum(pair_bracket_field(law, x) @ gv)),
+                gv @ correction_field(sys_, law, x, gamma=0.5) / (gv @ gv))
+        for got, ref in zip((alpha[r], beta[r], ratio[r]), want):
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def _reference_gain_scan(sys_, law, lyap, region, n, seed):
