@@ -12,8 +12,7 @@ from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
                          synthesize_components, synthesized_law, user_law)
 from .integrator import (OneStepPrediction, Trajectory, chen_fliess_predict,
                          coupling_matrix, integrate_classical,
-                         integrate_sampled, iterated_integral_coefficient,
-                         oscillator_coupling, prediction_order_probe,
+                         integrate_sampled, prediction_order_probe,
                          write_trajectory_csv, write_windows_json)
 from .lyapunov import (DefinitenessReport, LyapunovSpec, correction_ratio_sup,
                        decrease_rate, gain_bound_scan, negdef_scan)

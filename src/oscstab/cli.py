@@ -21,7 +21,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _block, brockett
-from .integrator import (MIN_QUAD_STEPS, Trajectory, _plan, _write_csv,
+from .integrator import (MIN_QUAD_STEPS, MIN_SUBSTEPS_PER_KAPPA,
+                         PROBE_SUBSTEPS, Trajectory, _plan, _write_csv,
                          _write_json, coupling_matrix, integrate_classical,
                          integrate_sampled, prediction_order_probe,
                          write_trajectory_csv, write_windows_json)
@@ -174,8 +175,8 @@ def _build(config: RunConfig):
 
 
 def _check_verify_knobs(config: RunConfig) -> None:
-    """Refuse sample counts, quadrature steps, probe periods and seeds the
-    checks cannot run with."""
+    """Refuse sample counts, quadrature steps, probe periods, multipliers
+    and seeds the checks cannot run with."""
     if config.seed < 0:
         raise ConfigError(f"seed must be at least 0, got {config.seed}")
     for key in ("span_n", "negdef_n", "gain_n", "c1_n"):
@@ -190,6 +191,11 @@ def _check_verify_knobs(config: RunConfig) -> None:
             or any(not b < a for a, b in zip(e, e[1:]))):
         raise ConfigError("cf_eps must hold at least 3 strictly decreasing "
                           f"finite positive periods, got {list(e)}")
+    # the order probe steps PROBE_SUBSTEPS per window, whatever the period
+    top = PROBE_SUBSTEPS // MIN_SUBSTEPS_PER_KAPPA
+    if config.kappas and max(config.kappas) > top:
+        raise ConfigError(f"the order probe resolves multipliers up to {top}, "
+                          f"got kappas {list(config.kappas)}")
 
 
 def _blockwise(sys_, law, lyap) -> dict:
@@ -418,7 +424,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     # oscillator identities over one period
     a = law.assignment
     eps = a.eps
-    couplings = coupling_matrix(a, config.quad_steps)
+    couplings = coupling_matrix(a.kappas, eps, config.quad_steps)
     amps = np.array([a.amplitude(q) for q in range(len(a.pairs))])
     scale = np.outer(amps, amps) * eps * eps
     cross = ~np.eye(len(a.pairs), dtype=bool)

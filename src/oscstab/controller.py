@@ -117,12 +117,6 @@ class OscillatorAssignment:
     def amplitude(self, q: int) -> float:
         return oscillator_amplitude(self.kappas[q], self.eps)
 
-    def index_of(self, pair: Pair) -> int:
-        try:
-            return self.pairs.index(tuple(pair))
-        except ValueError:
-            raise KeyError(f"pair {pair} not in assignment") from None
-
 
 def oscillator_waves(kappas: Sequence[int], omega: float, t: np.ndarray):
     """``(cos, sin)`` of ``kappa_q omega t``, shape (len(kappas), len(t)) for

@@ -2,12 +2,14 @@
 
 A :class:`Dual` carries a value together with the full gradient row with
 respect to the seed coordinates, so one evaluation of a closure on a seeded
-state yields the exact Jacobian row by row.  Closures stay ordinary Python:
-they receive an object ndarray of duals and may use ``+ - * / **``, ``abs``,
-``np.sqrt`` / ``np.sin`` / ``np.cos`` / ``np.exp`` / ``np.log`` (numpy
-dispatches these to the methods below on object arrays) and the module-level
-:func:`sign`.  An ndarray operand is left to numpy, which applies the
-operation entry by entry.
+state yields the exact Jacobian row by row: :func:`jacobian` seeds and
+evaluates, and :func:`tangents` splits an evaluated array into values and
+rows.  Closures stay ordinary Python: they receive an object ndarray of
+duals and may use ``+ - * / **``, ``abs``, ``np.sqrt`` / ``np.sin`` /
+``np.cos`` / ``np.exp`` / ``np.log`` (numpy dispatches these to the
+methods below on object arrays) and the module-level :func:`sign`.  An
+ndarray operand is left to numpy, which applies the operation entry by
+entry.
 
 Duals nest: seeding a state whose entries are themselves duals (see
 :func:`jacobian`) gives values and gradient rows that carry the outer
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Dual", "sign", "seed_state", "gradient", "jacobian", "tangents"]
+__all__ = ["Dual", "sign", "seed_state", "jacobian", "tangents"]
 
 
 class Dual:
@@ -178,19 +180,6 @@ def seed_state(x):
         g[i] = 1.0
         out[i] = Dual(float(x[i]) if x.dtype != object else x[i], g)
     return out
-
-
-def gradient(f, x):
-    """Value and gradient of a scalar-valued closure at ``x``.
-
-    Returns ``(f(x), grad)`` with ``grad`` of shape ``(n,)``.  If ``f`` turns
-    out to be locally constant (returns a plain float) the gradient is zero.
-    """
-    x = np.asarray(x, dtype=float)
-    r = f(seed_state(x))
-    if isinstance(r, Dual):
-        return r.val, np.asarray(r.grad, dtype=float)
-    return float(r), np.zeros(x.shape[0])
 
 
 def jacobian(f, x):

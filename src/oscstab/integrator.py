@@ -20,6 +20,10 @@ The right-hand side is merely continuous at profile sign switches for the
 low-exponent candidate families, so the classical order theory does not
 apply there; correctness is established by step-halving checks instead.
 
+The oscillator identities the design rests on, one-period iterated
+integrals of ``-2 eps`` for a pair against itself and zero for distinct
+multipliers, have one entry point, :func:`coupling_matrix`.
+
 The case-study closed-form law (the one law with ``kernel_p`` set) runs on
 the compiled trajectory kernel of :mod:`oscstab._fastpath`; its states agree
 with the generic path's up to rounding, and the generic path always remains
@@ -41,18 +45,17 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _block, _fastpath
-from .controller import (FeedbackLaw, OscillatorAssignment, SynthesisError,
-                         _check_law_system, drift_field, feedback_eval,
-                         law_with_period, oscillator_amplitude,
-                         oscillator_waves, pair_bracket_field)
+from .controller import (FeedbackLaw, SynthesisError, _check_law_system,
+                         drift_field, feedback_eval, law_with_period,
+                         oscillator_amplitude, oscillator_waves,
+                         pair_bracket_field)
 from .lyapunov import LyapunovSpec, decrease_rate
 from .vecfield import VectorFieldSystem, input_matrix
 
 __all__ = [
     "Trajectory", "WindowTable", "OneStepPrediction", "OrderProbeResult",
     "integrate_classical", "integrate_sampled", "chen_fliess_predict",
-    "prediction_order_probe",
-    "iterated_integral_coefficient", "oscillator_coupling", "coupling_matrix",
+    "prediction_order_probe", "coupling_matrix",
     "write_trajectory_csv", "write_windows_json",
 ]
 
@@ -166,6 +169,10 @@ def _generic_steps(sys, law, x0, J, substeps, h, sampled: bool) -> Tuple[np.ndar
     except SynthesisError as exc:
         raise SynthesisError(str(exc), exc.condition, step, t,
                              step // substeps) from exc
+    except ArithmeticError as exc:
+        # a non-finite profile: located as a SynthesisError is, same type
+        raise type(exc)(f"{exc} (at step {step}, t={t!r}, "
+                        f"window {step // substeps})") from exc
     return xs, K
 
 
@@ -363,20 +370,6 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
                             excluded=tuple(excluded))
 
 
-def oscillator_coupling(kappa_a: int, kappa_b: int, eps: float,
-                        quad_steps: int) -> float:
-    """Antisymmetrized second-order iterated integral of two oscillators.
-
-    Integrates the cosine channel at multiplier ``kappa_a`` against the sine
-    channel at ``kappa_b`` over one period (both orderings, difference
-    taken) by composite Simpson quadrature.  Equal multipliers give -2 eps;
-    distinct integer multipliers are orthogonal over the period and give
-    zero up to quadrature error.  This low-level entry point accepts equal
-    multipliers deliberately, so a resonant pair can be shown to couple.
-    """
-    return float(_couplings((kappa_a,), (kappa_b,), eps, quad_steps)[0, 0])
-
-
 def _quadrature_channels(kappas, eps: float, quad_steps: int):
     """``(s, cos, sin)``: the grid of an even number of intervals over one
     period and the channels of the multipliers on it, amplitudes included."""
@@ -414,24 +407,29 @@ def _running_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _couplings(cos_kappas, sin_kappas, eps: float,
-               quad_steps: int) -> np.ndarray:
-    """``C[r, c] = int f G - int g F`` over one period, for the cosine
-    channel ``f`` of ``cos_kappas[r]``, the sine channel ``g`` of
-    ``sin_kappas[c]`` and their running integrals ``F``, ``G``
-    (:func:`_running_simpson`, one channel at a time).  The outer integrals
-    are dot products of single rows with the composite-Simpson weights
-    ``w``, so an entry does not depend on the other multipliers; only the
-    two channel families are held, and only the channels named are
-    integrated."""
-    s, cos, sin = _quadrature_channels(cos_kappas, eps, quad_steps)
-    if tuple(sin_kappas) != tuple(cos_kappas):
-        sin = _quadrature_channels(sin_kappas, eps, quad_steps)[2]
+def coupling_matrix(kappas: Sequence[int], eps: float,
+                    quad_steps: int) -> np.ndarray:
+    """Antisymmetrized second-order iterated integrals of the oscillators
+    at the multipliers ``kappas`` over one period ``eps``.
+
+    Entry ``[a, b]`` is ``int f G - int g F`` for the cosine channel ``f``
+    of ``kappas[a]``, the sine channel ``g`` of ``kappas[b]`` and their
+    running integrals ``F``, ``G`` (:func:`_running_simpson`): the cosine
+    against the sine in both orderings, difference taken.  Equal
+    multipliers give -2 eps; distinct integer multipliers are orthogonal
+    over the period and give zero up to quadrature error.  Repeated
+    multipliers are accepted deliberately, so a resonant pair can be shown
+    to couple.  The outer integrals are dot products of single rows with
+    the composite-Simpson weights, so an entry depends only on its own two
+    multipliers, bit for bit, and each channel is integrated once.
+    ``quad_steps`` below ``MIN_QUAD_STEPS`` raises ``ValueError``.
+    """
+    s, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
     h = s[1]
     w = np.full(len(s), 2.0 * h / 3.0)
     w[1::2] = 4.0 * h / 3.0
     w[0] = w[-1] = h / 3.0
-    out = np.empty((len(cos_kappas), len(sin_kappas)))
+    out = np.empty((len(kappas), len(kappas)))
     for c, g in enumerate(sin):
         iw = w * _running_simpson(g, h)
         out[:, c] = [f @ iw for f in cos]
@@ -440,23 +438,6 @@ def _couplings(cos_kappas, sin_kappas, eps: float,
         i_r = _running_simpson(f, h)
         out[r] -= [gw @ i_r for gw in sin]
     return out
-
-
-def iterated_integral_coefficient(assignment: OscillatorAssignment,
-                                  pair_a, pair_b, quad_steps: int) -> float:
-    """Cross-coupling coefficient between two pairs of the assignment."""
-    ka = assignment.kappas[assignment.index_of(pair_a)]
-    kb = assignment.kappas[assignment.index_of(pair_b)]
-    return oscillator_coupling(ka, kb, assignment.eps, quad_steps)
-
-
-def coupling_matrix(assignment: OscillatorAssignment,
-                    quad_steps: int) -> np.ndarray:
-    """Cross-coupling coefficients of all pairs, shape (|S|, |S|): entry
-    ``[a, b]`` is ``iterated_integral_coefficient`` of pairs ``a`` and ``b``
-    (bit for bit), with each oscillator channel integrated once."""
-    return _couplings(assignment.kappas, assignment.kappas, assignment.eps,
-                      quad_steps)
 
 
 # --- artifact formats --------------------------------------------------------

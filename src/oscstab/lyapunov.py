@@ -220,8 +220,8 @@ def negdef_scan(fn: Callable[[np.ndarray], np.ndarray], region: Region,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if r_min <= 0:
-        raise ValueError("r_min must be positive")
+    if not 0.0 < r_min < np.inf:
+        raise ValueError(f"r_min must be finite and positive, got {r_min}")
     pts = sample_region(region, n_samples, r_min, seed)
     vals = np.asarray(fn(pts), dtype=float)
     if vals.shape != (n_samples,):

@@ -34,8 +34,9 @@ class Region:
 
     @staticmethod
     def ball(dim: int, radius: float) -> "Region":
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("radius must be finite and positive, "
+                             f"got {radius}")
         return Region("ball", dim, radius=float(radius))
 
     @staticmethod
@@ -44,6 +45,8 @@ class Region:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be 1-d arrays of equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(hi <= lo):
             raise ValueError("empty box")
         return Region("box", lo.shape[0], lo=lo, hi=hi)
@@ -96,8 +99,8 @@ def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    if r_min < 0:
-        raise ValueError("r_min must be >= 0")
+    if not 0.0 <= r_min < np.inf:
+        raise ValueError(f"r_min must be finite and >= 0, got {r_min}")
     d = region.dim
     if region.kind == "ball":
         if r_min >= region.radius:

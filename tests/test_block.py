@@ -15,9 +15,7 @@ from oscstab.controller import (feedback_eval, law_with_period,
                                 oscillator_amplitude, synthesized_law,
                                 user_law)
 from oscstab.integrator import (_quadrature_channels, _running_simpson,
-                                coupling_matrix, integrate_sampled,
-                                iterated_integral_coefficient,
-                                oscillator_coupling)
+                                coupling_matrix, integrate_sampled)
 from oscstab.lyapunov import (BLOCK, LyapunovSpec, correction_ratio_sup,
                               decrease_rate, gain_bound_scan)
 from oscstab.sampling import Region
@@ -265,24 +263,22 @@ def _reference_coupling(ka, kb, eps, quad_steps):
 
 def test_coupling_matrix_matches_single_couplings_bit_for_bit(law_p1):
     a = law_p1.assignment
-    got = coupling_matrix(a, 10_000)
+    got = coupling_matrix(a.kappas, a.eps, 10_000)
     assert got.shape == (6, 6)
     amps = [a.amplitude(q) for q in range(6)]
-    for qa, pa in enumerate(a.pairs):
-        for qb, pb in enumerate(a.pairs):
-            # every entry point shares one path: equal bit for bit
-            assert oscillator_coupling(a.kappas[qa], a.kappas[qb], a.eps,
-                                       10_000) == got[qa, qb]
-            assert iterated_integral_coefficient(a, pa, pb, 10_000) \
+    for qa, ka in enumerate(a.kappas):
+        for qb, kb in enumerate(a.kappas):
+            # an entry depends only on its own two multipliers: the two-
+            # oscillator matrix gives it bit for bit
+            assert coupling_matrix((ka, kb), a.eps, 10_000)[0, 1] \
                 == got[qa, qb]
             # Simpson weights against scipy's unequal-interval sums: the
             # same rule summed in another order, a few roundings apart
-            want = _reference_coupling(a.kappas[qa], a.kappas[qb], a.eps,
-                                       10_000)
+            want = _reference_coupling(ka, kb, a.eps, 10_000)
             assert abs(got[qa, qb] - want) \
                 <= 1e-15 * amps[qa] * amps[qb] * a.eps * a.eps
-    # equal multipliers keep their meaning: a resonant pair couples
-    same = oscillator_coupling(3, 3, 0.1, 10_001)
+    # repeated multipliers keep their meaning: a resonant pair couples
+    same = coupling_matrix((3, 3), 0.1, 10_001)[0, 1]
     assert abs(same - _reference_coupling(3, 3, 0.1, 10_001)) <= 1e-15
     assert abs(same + 0.2) < 1e-9
 

@@ -11,6 +11,7 @@ import oscstab
 from oscstab import _fastpath, cli, integrator
 from oscstab.cli import (ConfigError, RunConfig, compare, fit_exponential,
                          fit_powerlaw, load_config_file, run, verify)
+from oscstab.controller import oscillator_amplitude
 
 from conftest import needs_cc
 
@@ -155,9 +156,12 @@ def test_unknown_system_and_mode_errors(tmp_path):
     (["run", "--x0", "inf" + ",0" * 9],
      "x0 must hold 10 finite entries, got [inf" + ", 0.0" * 9 + "]"),
     (["verify", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["verify", "--kappas", "1,2,3,4,5,200"],
+     "the order probe resolves multipliers up to 128, "
+     "got kappas [1, 2, 3, 4, 5, 200]"),
 ], ids=["span_n", "negdef_n", "gain_n", "c1_n", "quad_steps", "cf_eps",
         "cf_eps-inf", "substeps", "T-inf", "gamma-nan", "gamma-inf", "eps-nan",
-        "p-nan", "x0-length", "x0-inf", "seed"])
+        "p-nan", "x0-length", "x0-inf", "seed", "kappas-probe"])
 def test_unusable_knob_is_a_config_error_before_any_work(tmp_path, capsys,
                                                          argv, message):
     assert cli.main([*argv, "--outdir", str(tmp_path / "o")]) == 1
@@ -388,8 +392,8 @@ def test_verify_law_modes_agree(tmp_path, monkeypatch):
 def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):
     # what two equal multipliers give: cross coupling -2 eps like a pair with
     # itself, which the orthogonality check must not let pass
-    monkeypatch.setattr(cli, "coupling_matrix", lambda a, steps: np.full(
-        (len(a.pairs), len(a.pairs)), -2.0 * a.eps))
+    monkeypatch.setattr(cli, "coupling_matrix", lambda kappas, eps, steps:
+                        np.full((len(kappas), len(kappas)), -2.0 * eps))
     payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
     assert code == 2
     osc = payload["checks"]["oscillators"]
@@ -404,27 +408,27 @@ def test_verify_oscillator_errors_match_loop_reference(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     seen = {}
 
-    def couplings(a, steps):
-        k = len(a.pairs)
-        c = rng.standard_normal((k, k)) * 1e-6 - 2.0 * a.eps * np.eye(k)
-        seen.update(a=a, c=c)
+    def couplings(kappas, eps, steps):
+        k = len(kappas)
+        c = rng.standard_normal((k, k)) * 1e-6 - 2.0 * eps * np.eye(k)
+        seen.update(kappas=kappas, eps=eps, c=c)
         return c
 
     monkeypatch.setattr(cli, "coupling_matrix", couplings)
     payload, _ = verify(_cfg(tmp_path, **VERIFY_KW))
-    a, c = seen["a"], seen["c"]
-    eps, k = a.eps, len(a.pairs)
+    kappas, eps, c = seen["kappas"], seen["eps"], seen["c"]
+    k = len(kappas)
+    amp = [oscillator_amplitude(kq, eps) for kq in kappas]
     same = max(abs(float(c[q, q]) + 2.0 * eps) / (2.0 * eps) for q in range(k))
-    cross = max(abs(float(c[qa, qb]))
-                / (a.amplitude(qa) * a.amplitude(qb) * eps * eps)
+    cross = max(abs(float(c[qa, qb])) / (amp[qa] * amp[qb] * eps * eps)
                 for qa in range(k) for qb in range(k) if qa != qb)
     osc = payload["checks"]["oscillators"]
     assert (osc["same_pair_rel_err"], osc["cross_rel_coupling"]) == (same, cross)
 
 
 def test_verify_fails_nan_couplings(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "coupling_matrix", lambda a, steps: np.full(
-        (len(a.pairs), len(a.pairs)), np.nan))
+    monkeypatch.setattr(cli, "coupling_matrix", lambda kappas, eps, steps:
+                        np.full((len(kappas), len(kappas)), np.nan))
     payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
     assert code == 2
     osc = payload["checks"]["oscillators"]

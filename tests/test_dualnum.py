@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscstab import dualnum
-from oscstab.dualnum import Dual, gradient, jacobian, seed_state
+from oscstab.dualnum import Dual, jacobian, seed_state
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = finite.filter(lambda v: abs(v) > 1e-6)
@@ -57,15 +57,6 @@ def test_elementary_functions_via_numpy_dispatch():
         + math.cos(0.3) * 0.5 / math.sqrt(0.3)
     assert math.isclose(y[0].grad[0], expect, rel_tol=1e-12)
     assert y[0].grad[1] == 0.0
-
-
-def test_gradient_of_scalar_closure():
-    def f(x):
-        return x[0] * x[1] + np.sin(x[2])
-
-    val, g = gradient(f, np.array([2.0, -3.0, 0.5]))
-    assert math.isclose(val, -6.0 + math.sin(0.5), rel_tol=1e-14)
-    assert np.allclose(g, [-3.0, 2.0, math.cos(0.5)], rtol=1e-14)
 
 
 def test_jacobian_of_vector_closure():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ import pytest
 from oscstab import brockett as bk
 from oscstab.controller import (SynthesisError, feedback_eval,
                                 synthesized_law, user_law)
-from oscstab.integrator import (chen_fliess_predict, integrate_classical,
-                                integrate_sampled,
-                                iterated_integral_coefficient,
-                                oscillator_coupling, prediction_order_probe,
-                                write_trajectory_csv, write_windows_json)
+from oscstab.integrator import (chen_fliess_predict, coupling_matrix,
+                                integrate_classical, integrate_sampled,
+                                prediction_order_probe, write_trajectory_csv,
+                                write_windows_json)
 from oscstab.lyapunov import (LyapunovSpec, correction_field,
                               correction_ratio_sup, decrease_rate)
 from oscstab.sampling import Region
@@ -395,6 +395,49 @@ def test_synthesis_error_in_a_window_certificate_names_its_window():
     _assert_located(info.value, 100, 0.2, 2)
 
 
+def _heis3_law_finite_above(level: float):
+    """heis3 from fields under a law whose profile is inf once x3 < level."""
+    hsys = system_from_fields(3, 2, heis3_system().fields, ((1, 2),),
+                              name="heis3")
+
+    def profiles(x):
+        return np.array([-x[2] if x[2] >= level else np.inf])
+
+    grad = np.array([[0.0, 0.0, -1.0]])
+    return hsys, user_law(hsys, 1.0, 0.1,
+                          v0=lambda x: -np.asarray(x[:2], dtype=float),
+                          profiles=profiles,
+                          profiles_jac=lambda x: (profiles(x), grad))
+
+
+@pytest.mark.parametrize("integrate", [integrate_classical, integrate_sampled])
+def test_non_finite_profile_in_a_step_names_step_time_and_window(integrate):
+    hsys, law = _heis3_law_finite_above(0.95)
+    x0 = [0.1, 0.1, 1.0]
+    with pytest.raises(ArithmeticError) as info:
+        integrate(hsys, law, x0, T=1.0, substeps=100)
+    err = info.value
+    assert type(err) is ArithmeticError
+    assert type(err.__cause__) is ArithmeticError
+    m = re.fullmatch(r"profile for pair \(1, 2\) is not finite at x=(\[.*\]) "
+                     r"\(at step (\d+), t=(\S+), window (\d+)\)", str(err))
+    assert m, str(err)
+    x, step, t, window = json.loads(m[1]), int(m[2]), float(m[3]), int(m[4])
+    assert x[2] < 0.95 and step > 0
+    assert (t, window) == (step * (0.1 / 100), step // 100)
+    # until the failure the run is the one of a law finite everywhere
+    ref = integrate(*_heis3_law_finite_above(-math.inf), x0, T=1.0,
+                    substeps=100).states
+    if integrate is integrate_sampled:
+        # components once per window, at its start: the first window whose
+        # start state is below the level, located at its first step
+        assert step % 100 == 0 and x == ref[step].tolist()
+        assert np.all(ref[:step:100, 2] >= 0.95)
+    else:
+        # every step before the located one, and its own start, is finite
+        assert np.all(ref[:step + 1, 2] >= 0.95)
+
+
 # --- one system per call --------------------------------------------------------
 
 def test_law_for_another_system_is_refused(bsys, law_p1):
@@ -429,15 +472,14 @@ def test_law_for_another_system_is_refused(bsys, law_p1):
 
 def test_same_pair_coupling_is_minus_two_periods():
     for eps in (0.1, 0.05):
-        for kappa in (1, 2, 6):
-            val = oscillator_coupling(kappa, kappa, eps, 20_000)
-            assert abs(val + 2.0 * eps) <= 1e-6 * 2.0 * eps
+        same = np.diag(coupling_matrix((1, 2, 6), eps, 20_000))
+        assert np.all(np.abs(same + 2.0 * eps) <= 1e-6 * 2.0 * eps)
 
 
 def test_distinct_multipliers_decouple():
     eps = 0.1
     for ka, kb in ((1, 2), (2, 5), (3, 4), (1, 6)):
-        val = oscillator_coupling(ka, kb, eps, 20_000)
+        val = coupling_matrix((ka, kb), eps, 20_000)[0, 1]
         scale = (2 * math.sqrt(ka * math.pi / eps)) \
             * (2 * math.sqrt(kb * math.pi / eps)) * eps * eps
         assert abs(val) <= 1e-8 * scale
@@ -447,18 +489,19 @@ def test_resonant_multipliers_couple():
     # equal multipliers on different pairs: the witness the assignment
     # invariant exists to prevent
     eps = 0.1
-    val = oscillator_coupling(3, 3, eps, 20_000)
+    val = coupling_matrix((3, 3), eps, 20_000)[0, 1]
     assert abs(val) > 0.5 * eps
 
 
 def test_assignment_level_coupling_and_step_floor(bsys, law_p1):
     a = law_p1.assignment
-    v = iterated_integral_coefficient(a, (1, 2), (1, 2), 20_000)
-    assert abs(v + 2.0 * a.eps) <= 1e-6 * 2.0 * a.eps
-    v2 = iterated_integral_coefficient(a, (1, 2), (3, 4), 20_000)
-    assert abs(v2) <= 1e-6
+    c = coupling_matrix(a.kappas, a.eps, 20_000)
+    # pairs (1, 2) and (3, 4) of the assignment
+    q12, q34 = a.pairs.index((1, 2)), a.pairs.index((3, 4))
+    assert abs(c[q12, q12] + 2.0 * a.eps) <= 1e-6 * 2.0 * a.eps
+    assert abs(c[q12, q34]) <= 1e-6
     with pytest.raises(ValueError, match="10000"):
-        oscillator_coupling(1, 2, 0.1, 5_000)
+        coupling_matrix((1, 2), 0.1, 5_000)
 
 
 # --- artifact writers -------------------------------------------------------------

@@ -1,9 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from oscstab.lyapunov import CHECK_RADIUS, LyapunovSpec
+from oscstab.lyapunov import CHECK_RADIUS, LyapunovSpec, negdef_scan
 from oscstab.sampling import Region, iid_ball, sample_region
 
 
@@ -61,3 +62,24 @@ def test_candidate_is_checked_on_the_seeded_sample():
     assert np.array_equal(seen[0], iid_ball(64, 65, CHECK_RADIUS,
                                             1e-3 * CHECK_RADIUS, seed=7))
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Region.ball(3, math.nan),
+    lambda: Region.ball(3, math.inf),
+    lambda: Region.ball(3, 0.0),
+    lambda: Region.box([-1.0, -math.inf], [1.0, 1.0]),
+    lambda: Region.box([-1.0, -1.0], [1.0, math.nan]),
+    lambda: sample_region(Region.ball(3, 1.0), 4, math.nan, 0),
+    lambda: sample_region(Region.ball(3, 1.0), 4, math.inf, 0),
+    lambda: sample_region(Region.box([-1, -1], [1, 1]), 4, math.nan, 0),
+    lambda: negdef_scan(lambda x: -np.ones(len(x)), Region.ball(3, 1.0), 4,
+                        r_min=math.nan),
+    lambda: negdef_scan(lambda x: -np.ones(len(x)), Region.ball(3, 1.0), 4,
+                        r_min=math.inf),
+], ids=["ball-nan", "ball-inf", "ball-zero", "box-inf", "box-nan",
+        "r_min-nan", "r_min-inf", "box-r_min-nan", "negdef-r_min-nan",
+        "negdef-r_min-inf"])
+def test_non_finite_region_or_inner_radius_is_refused(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
