@@ -1,8 +1,9 @@
 """Compiled trajectory kernel and CSV formatter.
 
 The trajectory kernel integrates the ten-state case-study closed loop; it
-exists only to make the long reproduction runs cheap.  It keeps the scheme,
-the step plan and the blow-up guard of the generic stepper in
+exists only to make the long reproduction runs cheap.  It hard-codes that
+one model and law, which :func:`closed_form_exponent` recognises.  It keeps
+the scheme, the step plan and the blow-up guard of the generic stepper in
 :mod:`oscstab.integrator` exactly, and raises ``|x_c|`` to the profile
 exponent ``2p - 1`` on numpy's fast paths of ``**`` (``|x_c|`` for 1,
 ``x_c * x_c`` for 2; ``pow`` otherwise).  Its oscillators agree with the
@@ -32,6 +33,7 @@ generic stepper and the Python CSV formatter, which give the same results.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -42,10 +44,9 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from . import brockett
+
 BLOWUP_SQ = 1e12
-# pair order of the case study; the kernel's bracket rows and input channels
-# assume it
-PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 COMPILERS = ("cc", "gcc")
 # no FMA contraction: keeps the arithmetic rounding like the numpy generic path
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -413,22 +414,34 @@ def kernel() -> ctypes.CDLL:
     return _kernel
 
 
-def brockett_trajectory(sys, law, x0, J, substeps, h,
+def closed_form_exponent(law) -> Optional[float]:
+    """Exponent ``p`` of the case-study closed-form law, the one law the
+    kernel runs, recognised by identity: the case study's fields in its pair
+    order (the kernel's ``I_IDX``/``J_IDX``) and ``components`` a partial of
+    the closed form at ``p``.  ``None`` for any other law.  The kernel reads
+    gain and oscillators from the law and never calls ``components_jac``."""
+    c, sys = law.components, law.system
+    if (isinstance(c, functools.partial) and c.func is brockett._components
+            and len(c.args) == 1 and not c.keywords
+            and sys.fields == brockett._FIELDS
+            and sys.pairs == brockett._PAIRS):
+        return float(c.args[0])
+    return None
+
+
+def brockett_trajectory(law, p, x0, J, substeps, h,
                         sampled) -> Tuple[np.ndarray, int]:
     """RK4 states of the case-study closed loop, ``(states, n_valid)``, as
     the generic stepper of :mod:`oscstab.integrator` gives them up to the
     rounding of the oscillators (see the module docstring).
 
-    ``states`` has ``J * substeps + 1`` rows; only the first ``n_valid`` are
-    meaningful (fewer than all when the norm squared passed ``BLOWUP_SQ``
-    or an entry went non-finite).  ``law.kernel_p`` is the candidate
-    exponent of the closed-form profiles.  Raises
-    :class:`KernelUnavailable` naming why the kernel declines: a system
-    that is not the case study's, no compiler or a failed build.
+    ``p`` is the exponent :func:`closed_form_exponent` recognised in
+    ``law``; the law supplies the gain and the oscillators.  ``states`` has
+    ``J * substeps + 1`` rows; only the first ``n_valid`` are meaningful
+    (fewer than all when the norm squared passed ``BLOWUP_SQ`` or an entry
+    went non-finite).  Raises :class:`KernelUnavailable` naming why the
+    kernel cannot be had: no compiler or a failed build.
     """
-    if sys.n != 10 or sys.m != 4 or sys.pairs != PAIRS:
-        raise KernelUnavailable(
-            "the law's system is not the ten-state case study")
     lib = kernel()
     J, substeps = int(J), int(substeps)
     if J < 1 or substeps < 1:
@@ -441,8 +454,7 @@ def brockett_trajectory(sys, law, x0, J, substeps, h,
     gamma_amp = law.gamma * np.array([a.amplitude(q)
                                       for q in range(len(a.pairs))])
     xs = np.empty((J * substeps + 1, 10))
-    n_valid = lib.brockett_trajectory(x0, J, substeps, float(h),
-                                      float(law.kernel_p),
+    n_valid = lib.brockett_trajectory(x0, J, substeps, float(h), float(p),
                                       np.array(a.kappas, dtype=np.int64),
                                       a.omega, gamma_amp, int(bool(sampled)),
                                       xs)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _fastpath, dualnum
+from . import dualnum
 from .controller import FeedbackLaw, OscillatorAssignment, synthesized_law
 from .lyapunov import LyapunovSpec
 from .vecfield import VectorFieldSystem
@@ -38,10 +38,10 @@ __all__ = [
     "stable_gain_interval",
 ]
 
-# (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4): the order the compiled
-# kernel's bracket rows are written in; bracket coordinate (0-based) of
-# pair q is 4 + q
-_PAIRS: Tuple[Tuple[int, int], ...] = _fastpath.PAIRS
+# bracket coordinate (0-based) of pair q is 4 + q; the compiled kernel of
+# oscstab._fastpath writes its bracket rows in this order
+_PAIRS: Tuple[Tuple[int, int], ...] = (
+    (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
 def _coords(x):
@@ -73,6 +73,9 @@ def _f4(x):
     return np.array([_0, _0, _0, _1, _0, _0, c[0], _0, c[1], c[2]]).T
 
 
+_FIELDS = (_f1, _f2, _f3, _f4)
+
+
 def _const_jacobian(rows):
     j = np.zeros((10, 10))
     for r, c, val in rows:
@@ -90,7 +93,7 @@ _J4 = _const_jacobian([(6, 0, 1.0), (8, 1, 1.0), (9, 2, 1.0)])
 def brockett_system() -> VectorFieldSystem:
     """The ten-state four-input system with its six bracket pairs."""
     return VectorFieldSystem(
-        n=10, m=4, fields=(_f1, _f2, _f3, _f4),
+        n=10, m=4, fields=_FIELDS,
         jacobians=(_J1, _J2, _J3, _J4), pairs=_PAIRS, name="brockett10")
 
 
@@ -141,19 +144,23 @@ def _profiles_jac(p: float, x) -> Tuple[np.ndarray, np.ndarray]:
     return brockett_vtilde(p, x), jac
 
 
+def _components(p: float, x):
+    """Closed-form ``(v0, vtilde)``: ``v0 = -x_1..4`` and the pair profiles."""
+    return -np.asarray(x, dtype=float)[..., :4], brockett_vtilde(p, x)
+
+
+def _components_jac(p: float, x):
+    """Closed-form ``(v0, vtilde, jac)``."""
+    return (-np.asarray(x, dtype=float)[..., :4], *_profiles_jac(p, x))
+
+
 @functools.lru_cache(maxsize=None)
 def _closed_form(p: float):
     """``(components, components_jac)`` at exponent ``p``, built once, so that
-    its laws share them and their block-probe verdicts."""
-    def v0(x):
-        return -np.asarray(x, dtype=float)[..., :4]
-
-    def components(x):
-        return v0(x), brockett_vtilde(p, x)
-
-    def components_jac(x):
-        return (v0(x), *_profiles_jac(p, x))
-    return components, components_jac
+    its laws share them and their block-probe verdicts; partials, by which
+    the compiled kernel recognises the law."""
+    return (functools.partial(_components, p),
+            functools.partial(_components_jac, p))
 
 
 def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
@@ -161,8 +168,8 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
                  mode: str = "closed-form") -> FeedbackLaw:
     """Feedback law for the case study.
 
-    ``closed-form`` uses the explicit profiles and sets ``kernel_p``, so it
-    runs on the compiled integration kernel; ``synthesized`` solves the
+    ``closed-form`` uses the explicit profiles, which the compiled
+    integration kernel recognises and runs; ``synthesized`` solves the
     bracket matrix pointwise and must agree with the closed forms, which the
     test-suite checks.
     """
@@ -176,8 +183,7 @@ def brockett_law(p: float = 1.0, gamma: float = 0.5, eps: float = 0.1,
     components, components_jac = _closed_form(float(p))
     return FeedbackLaw(system=sys, gamma=float(gamma),
                        assignment=OscillatorAssignment(sys.pairs, kappas, eps),
-                       components=components, components_jac=components_jac,
-                       kernel_p=float(p))
+                       components=components, components_jac=components_jac)
 
 
 def brockett_decrease_parts(p: float, gamma: float, x):

@@ -203,13 +203,11 @@ class FeedbackLaw:
     ``components_jac(x)`` returns ``(v0, vtilde, jac)`` with the profile
     Jacobian ``jac`` of shape (|S|, n), for the certificate and prediction
     code.  A synthesized law gets both halves from one solve per call.
-    ``kernel_p`` is set only on the case-study closed-form law of
-    :func:`oscstab.brockett.brockett_law`, whose candidate exponent it
-    holds; it lets the integrator run the compiled trajectory kernel and
-    never changes semantics.  Either callable may also take a (k, n) float
-    block and return its results stacked per row; construction probes which
-    does (:func:`oscstab._block.probe`).  Evaluation is pure and reentrant,
-    so laws are safe to share across sweep workers.
+    Either callable may also take a (k, n) float block and return its
+    results stacked per row; construction probes which does
+    (:func:`oscstab._block.probe`).  Evaluation is pure and reentrant, so
+    laws are safe to share across sweep workers.  No field picks the
+    integration path: the compiled kernel recognises the one law it runs.
     """
 
     system: VectorFieldSystem
@@ -218,7 +216,6 @@ class FeedbackLaw:
     components: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     components_jac: Callable[[np.ndarray],
                              Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    kernel_p: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:

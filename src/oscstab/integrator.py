@@ -24,12 +24,12 @@ The oscillator identities the design rests on, one-period iterated
 integrals of ``-2 eps`` for a pair against itself and zero for distinct
 multipliers, have one entry point, :func:`coupling_matrix`.
 
-The case-study closed-form law (the one law with ``kernel_p`` set) runs on
-the compiled trajectory kernel of :mod:`oscstab._fastpath`; its states agree
-with the generic path's up to rounding, and the generic path always remains
-available.  Every trajectory records in ``solver_path`` which path produced
-it, and a law with ``kernel_p`` set that falls back to the generic path
-raises one ``RuntimeWarning`` per process naming the reason.  The CSV
+The case-study closed-form law, which :mod:`oscstab._fastpath` recognises
+by its callables, runs on that module's compiled trajectory kernel; its
+states agree with the generic path's up to rounding, and the generic path
+always remains available.  Every trajectory records in ``solver_path``
+which path produced it, and a recognised law that falls back to the generic
+path raises one ``RuntimeWarning`` per process naming the reason.  The CSV
 artifacts are written by one loop, in blocks of rows formatted by the same
 compiled library or, with the same bytes, by Python's ``%`` operator.
 """
@@ -96,8 +96,8 @@ class Trajectory:
     substep count divides the period).  ``windows`` covers every completed
     window when a Lyapunov candidate was supplied to the integrator.
     ``solver_path`` is ``"compiled"`` or ``"generic (<reason>)"``, the reason
-    being why no compiled kernel ran (``use_fast=False``, no ``kernel_p``,
-    no compiler, build failed, ...).
+    being why no compiled kernel ran (``use_fast=False``, ``not the
+    case-study closed-form law``, no compiler, build failed, ...).
     """
 
     t: np.ndarray
@@ -191,13 +191,14 @@ def _warn_fallback(reason: str) -> None:
 
 def _steps(sys, law, x0, J, substeps, h, sampled,
            use_fast) -> Tuple[np.ndarray, int, str]:
+    p = _fastpath.closed_form_exponent(law)
     if not use_fast:
         reason = "use_fast=False"
-    elif law.kernel_p is None:
-        reason = "no kernel_p"
+    elif p is None:
+        reason = "not the case-study closed-form law"
     else:
         try:
-            xs, n_valid = _fastpath.brockett_trajectory(sys, law, x0, J,
+            xs, n_valid = _fastpath.brockett_trajectory(law, p, x0, J,
                                                         substeps, h, sampled)
             return xs, n_valid, "compiled"
         except _fastpath.KernelUnavailable as exc:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscstab import brockett as bk
+from oscstab import _fastpath, brockett as bk
 from oscstab.lyapunov import decrease_rate, negdef_scan
 from oscstab.sampling import Region
 from oscstab.vecfield import assemble_bracket_matrix, lie_bracket
@@ -142,10 +142,12 @@ def test_presets():
 
 
 def test_law_modes_and_bad_mode():
-    law = bk.brockett_law(1.0, 0.5, 0.1, mode="closed-form")
-    assert law.kernel_p == 1.0
-    slaw = bk.brockett_law(1.0, 0.5, 0.1, mode="synthesized")
-    assert slaw.kernel_p is None
+    # the compiled kernel recognises the closed-form law, with its exponent,
+    # and declines the synthesized one
+    law = bk.brockett_law(1.5, 0.5, 0.1, mode="closed-form")
+    assert _fastpath.closed_form_exponent(law) == 1.5
+    slaw = bk.brockett_law(1.5, 0.5, 0.1, mode="synthesized")
+    assert _fastpath.closed_form_exponent(slaw) is None
     with pytest.raises(ValueError, match="mode"):
         bk.brockett_law(1.0, 0.5, 0.1, mode="magic")
 

@@ -247,7 +247,8 @@ def test_run_synthesized_law_mode(tmp_path):
     payload, code = run(_cfg(tmp_path, law_mode="synthesized", T=0.2,
                              substeps=400))
     assert payload["runs"]["classical"]["window_count"] == 2
-    assert payload["runs"]["classical"]["solver_path"] == "generic (no kernel_p)"
+    assert payload["runs"]["classical"]["solver_path"] == (
+        "generic (not the case-study closed-form law)")
 
 
 def test_reports_record_which_callables_run_blockwise(tmp_path):
@@ -375,18 +376,19 @@ def test_verify_case_study_passes(tmp_path):
 
 def test_verify_law_modes_agree(tmp_path, monkeypatch):
     # the synthesized law solves for the closed-form one's components, so
-    # its span, gain and margin checks read the same values; the order
-    # probe, which would integrate the synthesized law for seconds, is stubbed
-    monkeypatch.setattr(cli, "prediction_order_probe", lambda *args: (
-        integrator.OrderProbeResult(1.5, (0.1,), (1e-3,), ())))
+    # every check reads the same values, the order probe's too: it runs the
+    # closed-form law on the compiled kernel (where there is one) and the
+    # synthesized law on the generic stepper, here at a coarser reference
+    # that keeps the synthesized probe to a second or two
+    monkeypatch.setattr(integrator, "PROBE_SUBSTEPS", 400)
     kw = dict(VERIFY_KW, gain_n=128, c1_n=64)
     closed, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "c"), **kw))
     synth, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "s"),
                            law_mode="synthesized", **kw))
     assert synth["config"]["law_mode"] == "synthesized"
-    for name in ("span", "gain_bound", "synthesis_margin"):
+    for name in ("span", "gain_bound", "synthesis_margin", "prediction_order"):
         assert closed["checks"][name]["pass"], name
-        assert synth["checks"][name] == closed["checks"][name], name
+    assert synth["checks"] == closed["checks"]
 
 
 def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
 import dataclasses
+import functools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from oscstab import brockett as bk
-from oscstab.controller import (SynthesisError, feedback_eval,
+from oscstab import brockett as bk, integrator
+from oscstab.controller import (OscillatorAssignment, SynthesisError,
+                                feedback_eval, law_with_period,
                                 synthesized_law, user_law)
 from oscstab.integrator import (chen_fliess_predict, coupling_matrix,
                                 integrate_classical, integrate_sampled,
@@ -436,6 +439,130 @@ def test_non_finite_profile_in_a_step_names_step_time_and_window(integrate):
     else:
         # every step before the located one, and its own start, is finite
         assert np.all(ref[:step + 1, 2] >= 0.95)
+
+
+# --- which laws the compiled kernel runs -----------------------------------------
+
+def _scaled_system(sys_, c):
+    """``sys_`` with every field and Jacobian scaled by ``c``: the same pair
+    order, another model."""
+    return dataclasses.replace(
+        sys_, fields=tuple(lambda x, f=f: c * f(x) for f in sys_.fields),
+        jacobians=tuple(lambda x, j=j: c * j(x) for j in sys_.jacobians),
+        name="brockett10-scaled")
+
+
+def _halved_profiles(x):
+    """The p = 1 closed-form components with every pair profile halved."""
+    v0, vt = bk._closed_form(1.0)[0](x)
+    return v0, 0.5 * vt
+
+
+def _declined_case(case, law):
+    """``(system, law)``: ``law`` with its system or its components replaced
+    by ``dataclasses.replace``, which copies every other field."""
+    if case == "system":
+        sys_ = _scaled_system(law.system, 2.0)
+        return sys_, dataclasses.replace(law, system=sys_)
+    return law.system, dataclasses.replace(law, components=_halved_profiles)
+
+
+@pytest.mark.parametrize("mode", ["classical", "sampled"])
+@pytest.mark.parametrize("case", ["system", "components"])
+def test_kernel_declines_a_law_with_replaced_system_or_components(
+        bsys, law_p1, monkeypatch, case, mode):
+    # the kernel hard-codes the case-study model: a law that is another
+    # model must run on the generic stepper, exactly as use_fast=False, and
+    # without the warning reserved for a kernel that cannot be had
+    sys_, law = _declined_case(case, law_p1)
+    integrate = integrate_classical if mode == "classical" else integrate_sampled
+    monkeypatch.setattr(integrator, "_fallback_warned", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(sys_, law, X0_LEFT, T=0.1, substeps=400)
+    ref = integrate(sys_, law, X0_LEFT, T=0.1, substeps=400, use_fast=False)
+    assert traj.solver_path == "generic (not the case-study closed-form law)"
+    assert ref.solver_path == "generic (use_fast=False)"
+    assert np.array_equal(traj.states, ref.states)
+    # and it is another model: its states leave the case study's
+    base = integrate(bsys, law_p1, X0_LEFT, T=0.1, substeps=400,
+                     use_fast=False)
+    assert np.max(np.abs(traj.states - base.states)) > 1e-2
+
+
+# laws the kernel still runs: replacing what it reads from the law (gain,
+# period, multipliers) or never calls (components_jac), or components that
+# are the closed form at another exponent
+KEPT_CASES = {
+    "gamma": lambda law: dataclasses.replace(law, gamma=0.3),
+    "period": lambda law: law_with_period(law, 0.05),
+    "kappas": lambda law: dataclasses.replace(law, assignment=(
+        OscillatorAssignment(law.system.pairs, (1, 2, 3, 5, 8, 13), law.eps))),
+    "components_jac": lambda law: dataclasses.replace(
+        law, components_jac=lambda x: law.components_jac(x)),
+    "components-p1.5": lambda law: dataclasses.replace(
+        law, components=bk._closed_form(1.5)[0]),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("mode", ["classical", "sampled"])
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kernel_keeps_the_closed_form_law_under_replace(
+        bsys, law_p1, case, mode):
+    law = KEPT_CASES[case](law_p1)
+    integrate = integrate_classical if mode == "classical" else integrate_sampled
+    fast = integrate(bsys, law, X0_LEFT, T=law.eps, substeps=800)
+    slow = integrate(bsys, law, X0_LEFT, T=law.eps, substeps=800,
+                     use_fast=False)
+    assert fast.solver_path == "compiled"
+    assert slow.solver_path == "generic (use_fast=False)"
+    assert np.max(np.abs(fast.states - slow.states)) <= 1e-12
+
+
+# --- both law modes, end to end --------------------------------------------------
+
+E2E_T = 0.2
+E2E_CASES = [(preset, mode) for preset in ("fig1-left", "fig1-right")
+             for mode in ("classical", "sampled")]
+
+
+def _preset_run(preset, mode, law_mode, use_fast=True):
+    p, x0 = bk.PRESETS[preset]["p"], np.array(bk.PRESETS[preset]["x0"])
+    law = bk.brockett_law(p, 0.5, 0.1, mode=law_mode)
+    integrate = integrate_classical if mode == "classical" else integrate_sampled
+    return integrate(law.system, law, x0, T=E2E_T, substeps=400,
+                     use_fast=use_fast)
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized_run(preset, mode):
+    """The synthesized law, which solves the bracket matrix against
+    ``-grad V`` at every evaluation, integrated on the generic stepper."""
+    traj = _preset_run(preset, mode, "synthesized")
+    assert traj.solver_path == "generic (not the case-study closed-form law)"
+    assert traj.states.shape == (2 * 400 + 1, 10)
+    assert np.max(np.abs(traj.states[-1] - traj.states[0])) > 0.1
+    return traj
+
+
+@pytest.mark.parametrize("preset, mode", E2E_CASES)
+def test_synthesized_law_drives_the_closed_form_loop(preset, mode):
+    # two independent routes to the paper's law, the pointwise synthesis and
+    # the hand-derived closed forms, give the same closed loop
+    ref = _preset_run(preset, mode, "closed-form", use_fast=False)
+    assert ref.solver_path == "generic (use_fast=False)"
+    synth = _synthesized_run(preset, mode)
+    assert np.max(np.abs(synth.states - ref.states)) <= 1e-13
+
+
+@needs_cc
+@pytest.mark.parametrize("preset, mode", E2E_CASES)
+def test_synthesized_law_matches_the_compiled_kernel(preset, mode):
+    ref = _preset_run(preset, mode, "closed-form")
+    assert ref.solver_path == "compiled"
+    synth = _synthesized_run(preset, mode)
+    assert np.max(np.abs(synth.states - ref.states)) <= 1e-13
 
 
 # --- one system per call --------------------------------------------------------
