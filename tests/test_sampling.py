@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscstab.lyapunov import CHECK_RADIUS, LyapunovSpec, negdef_scan
-from oscstab.sampling import Region, iid_ball, sample_region
+from oscstab.sampling import MAX_POINTS, Region, _sobol, iid_ball, sample_region
 
 
 def _digest(pts):
@@ -33,6 +33,40 @@ def test_scan_points_are_pinned(kind):
     assert pts.shape == (64, region.dim)
     assert pts[0].tolist() == first and pts[-1].tolist() == last
     assert _digest(pts) == digest
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 10, 11, 40, 65])
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024, 2**63])
+def test_sobol_equals_scipy_bit_for_bit(dim, seed):
+    from scipy.stats import qmc
+    for m in (0, 1, 5, 10):
+        for n in sorted({1, 2, 3, 2**m, 2**m + 1}):
+            ref = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(
+                math.ceil(math.log2(n)))[:n]
+            got = _sobol(dim, n, seed)
+            assert got.dtype == np.float64 and got.shape == (n, dim)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    ref = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(14)[:10000]
+    assert np.array_equal(_sobol(dim, 10000, seed).view(np.uint64),
+                          ref.view(np.uint64))
+
+
+def test_dimension_beyond_the_direction_table_is_refused():
+    from scipy.stats import qmc
+    with pytest.raises(ValueError, match="dim must be at most"):
+        sample_region(Region.ball(qmc.Sobol.MAXDIM, 1.0), 1, 1e-6, 0)
+
+
+def test_sobol_memo_does_not_leak_into_the_points():
+    first = _sobol(11, 300, 4)
+    expected = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(_sobol(11, 300, 4), expected)
+    pts = sample_region(Region.ball(10, 1.0), 300, 1e-6, 4)
+    expected = pts.copy()
+    pts[:] = 7.0
+    assert np.array_equal(sample_region(Region.ball(10, 1.0), 300, 1e-6, 4),
+                          expected)
 
 
 def test_positivity_sample_is_deterministic_and_in_the_annulus():
@@ -83,3 +117,33 @@ def test_candidate_is_checked_on_the_seeded_sample():
 def test_non_finite_region_or_inner_radius_is_refused(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Region.ball(0, 1.0),
+    lambda: Region.ball(-2, 1.0),
+    lambda: Region.ball(2.5, 1.0),
+    lambda: Region.ball(3.0, 1.0),
+    lambda: Region.ball(True, 1.0),
+    lambda: Region.box([], []),
+], ids=["ball-zero", "ball-negative", "ball-fractional", "ball-float",
+        "ball-bool", "box-empty"])
+def test_region_without_a_coordinate_is_refused(make):
+    with pytest.raises(ValueError, match="dim"):
+        make()
+
+
+@pytest.mark.parametrize("region", [Region.ball(3, 1.0),
+                                    Region.box([-1, -1], [1, 1])],
+                         ids=["ball", "box"])
+@pytest.mark.parametrize("n", [0, 4.5, 4.0, MAX_POINTS + 1, 2**31],
+                         ids=["zero", "fractional", "float", "over", "2**31"])
+def test_unusable_point_count_is_refused_before_any_allocation(
+        region, n, monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the count was checked")
+
+    monkeypatch.setattr(np, "empty", no_alloc)
+    monkeypatch.setattr(np, "arange", no_alloc)
+    with pytest.raises(ValueError, match="sample count"):
+        sample_region(region, n, 1e-6, 0)
