@@ -32,12 +32,24 @@ which path produced it, and a recognised law that falls back to the generic
 path raises one ``RuntimeWarning`` per process naming the reason.  The CSV
 artifacts are written by one loop, in blocks of rows formatted by the same
 compiled library or, with the same bytes, by Python's ``%`` operator.
+
+Every artifact, CSV or JSON, is rewritten in place: written from offset 0
+without truncating first, then trimmed to the bytes written
+(:func:`_overwrite`).  On ext4, truncating a non-empty file to zero frees
+its blocks and marks it for the replace-via-truncate heuristic
+(``auto_da_alloc``), which starts writeback when the file is closed; a
+rerun into an existing output directory paid that on every file.  Targets
+that are not regular files, such as ``/dev/null`` or a pipe, are written
+but never trimmed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -443,13 +455,39 @@ def coupling_matrix(kappas: Sequence[int], eps: float,
 
 # --- artifact formats --------------------------------------------------------
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """Binary file object that rewrites ``path`` in place from offset 0.
+
+    The file is opened without ``O_TRUNC``, with the mode ``open()`` creates
+    files with, so it keeps its inode, permissions and hard links.  On exit,
+    also when the body raises, a regular file longer than what was written
+    is trimmed at the current position, so it holds only the new bytes.
+    Other targets (``/dev/null``, a pipe, a FIFO) are never trimmed: they
+    cannot be truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            st = os.fstat(fd)
+            # the size on disk counts flushed bytes only, so it exceeds the
+            # position exactly when the old file was longer than the new one
+            if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+                fh.truncate()
+
+
 def _write_csv(path, header: str, table) -> str:
     """CSV of the 2-D ``table`` under ``header``: 17 significant digits, LF.
 
     One loop writes ``CSV_CHUNK_ROWS`` rows at a time, formatted by the
     compiled library of :mod:`oscstab._fastpath` or, without it, by the
     Python ``%`` join below with the same bytes.  Returns which formatter
-    ran: ``"compiled"`` or ``"python (<reason>)"``.
+    ran: ``"compiled"`` or ``"python (<reason>)"``.  The file is rewritten
+    in place (:func:`_overwrite`): a formatter that fails part way leaves
+    the rows written so far and nothing of the old file.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     rows, cols = table.shape
@@ -463,7 +501,7 @@ def _write_csv(path, header: str, table) -> str:
             return "".join(line % tuple(r) for r in block.tolist()).encode()
 
         writer = f"python ({exc})"
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, rows, CSV_CHUNK_ROWS):
             fh.write(format_block(table[start:start + CSV_CHUNK_ROWS]))
@@ -471,10 +509,13 @@ def _write_csv(path, header: str, table) -> str:
 
 
 def _write_json(path, payload) -> None:
-    """JSON with indent 1, sorted keys, LF and a final newline."""
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """JSON with indent 1, sorted keys, LF and a final newline.
+
+    Encoded whole (ASCII: non-ASCII text is escaped) and written in one
+    call, in place (:func:`_overwrite`)."""
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    with _overwrite(path) as fh:
+        fh.write(text.encode("ascii"))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> str:

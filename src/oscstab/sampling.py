@@ -43,6 +43,7 @@ __all__ = ["Region", "sample_region", "iid_ball"]
 
 BITS = 30                 # bits per coordinate, as scipy's default engine
 MAX_POINTS = 2 ** BITS    # length of the sequence
+BOX_DRAWS = 64            # box points drawn at most, per point of max(n, 64)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,10 @@ def iid_ball(dim: int, n: int, radius: float, r_min: float,
 def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray:
     """``n`` quasi-random points with ``r_min <= ||x||`` inside the region.
 
-    Deterministic for a fixed ``(region, n, r_min, seed)``.
+    Deterministic for a fixed ``(region, n, r_min, seed)``.  A box draws
+    at most ``BOX_DRAWS * max(n, 64)`` points and raises ``ValueError`` when
+    too few of them lie outside ``r_min``; an ``r_min`` at or beyond the
+    box's farthest corner is refused before any draw.
     """
     _check_count(n)
     if not 0.0 <= r_min < np.inf:
@@ -210,12 +214,24 @@ def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray
         u = _sobol(d + 1, n, seed)
         z = ndtri(np.clip(u[:, :d], 1e-15, 1.0 - 1e-15))
         return _onto_ball(z, u[:, d], region.radius, r_min)
-    # box: affine map, then walk the sequence skipping the excluded shell
+    far = float(np.linalg.norm(np.maximum(np.abs(region.lo),
+                                          np.abs(region.hi))))
+    if r_min >= far:
+        raise ValueError(f"r_min must be below the norm {far} of the box's "
+                         f"farthest corner, got {r_min}")
+    # box: affine map, then walk the sequence skipping the excluded shell;
+    # each retry draws a block twice as long from the next seed, until
+    # BOX_DRAWS * max(n, 64) points are spent
     pts = np.empty((n, d))
     have = 0
     block = max(n, 64)
+    budget = BOX_DRAWS * block
     offset_seed = seed
     while have < n:
+        if budget == 0:
+            raise ValueError("region excludes almost all samples; enlarge it")
+        block = min(block, budget)
+        budget -= block
         u = _sobol(d, block, offset_seed)
         cand = region.lo + u * (region.hi - region.lo)
         keep = cand[np.linalg.norm(cand, axis=1) >= r_min]
@@ -224,6 +240,4 @@ def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray
         have += take
         offset_seed += 1
         block *= 2
-        if offset_seed > seed + 64:
-            raise ValueError("region excludes almost all samples; enlarge it")
     return pts

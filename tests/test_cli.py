@@ -455,3 +455,23 @@ def test_main_verify_prints_verdicts(tmp_path, capsys):
     assert code == 0
     assert "PASS span" in out
     assert "verification: PASS" in out
+
+
+@pytest.mark.parametrize("first_T", [1.0, 0.5, 0.2],
+                         ids=["longer", "same", "shorter"])
+def test_compare_rerun_into_one_outdir_matches_a_fresh_outdir(tmp_path,
+                                                              first_T):
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    compare(_cfg(tmp_path, outdir=str(fresh), T=0.5))
+    compare(_cfg(tmp_path, outdir=str(again), T=first_T))
+    compare(_cfg(tmp_path, outdir=str(again), T=0.5))
+    names = sorted(os.listdir(fresh))
+    assert sorted(os.listdir(again)) == names and len(names) == 6
+    for name in names:
+        a, b = (fresh / name).read_bytes(), (again / name).read_bytes()
+        if name == "summary.json":
+            a, b = json.loads(a), json.loads(b)
+            for s, d in ((a, fresh), (b, again)):
+                assert s.pop("wall_clock_s") >= 0.0
+                assert s["config"].pop("outdir") == str(d)
+        assert a == b, name

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -657,3 +659,107 @@ def test_csv_and_json_writers(tmp_path, bsys, lyap_p1, law_p1):
     bare = integrate_classical(bsys, law_p1, X0_LEFT, T=0.5, substeps=400)
     with pytest.raises(ValueError, match="V channel"):
         write_trajectory_csv(bare, tmp_path / "nope.csv")
+
+
+def _write_csv_table(path):
+    table = np.arange(60.0).reshape(20, 3) / 7.0
+    integrator._write_csv(path, "a,b,c", table)
+
+
+JSON_PAYLOAD = {"b": [1.5, -0.0, 1e300], "a": "é", "c": {"z": None, "y": True}}
+
+
+def _write_json_payload(path):
+    integrator._write_json(path, JSON_PAYLOAD)
+
+
+WRITERS = pytest.mark.parametrize("write", [_write_csv_table,
+                                            _write_json_payload],
+                                  ids=["csv", "json"])
+
+
+@WRITERS
+@pytest.mark.parametrize("old", [None, b"", b"x" * 7, b"x\n" * 5000],
+                         ids=["absent", "empty", "shorter", "longer"])
+def test_rewrite_in_place_gives_the_bytes_of_a_fresh_write(tmp_path, write,
+                                                           old):
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    write(fresh)
+    if old is not None:
+        target.write_bytes(old)
+    write(target)
+    assert target.read_bytes() == fresh.read_bytes()
+    assert fresh.read_bytes().endswith(b"\n")
+
+
+@WRITERS
+def test_rewrite_keeps_the_inode_and_mode(tmp_path, write):
+    target = tmp_path / "target"
+    target.write_bytes(b"old\n" * 5000)
+    target.chmod(0o640)
+    before = target.stat()
+    write(target)
+    after = target.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert after.st_size < before.st_size
+
+
+@WRITERS
+def test_writing_to_the_null_device_does_not_raise(write):
+    write(os.devnull)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@WRITERS
+def test_writing_to_a_fifo_passes_the_bytes_through(tmp_path, write):
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    write(fresh)
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        write(fifo)
+    finally:
+        reader.join(timeout=10)
+    assert got == [fresh.read_bytes()]
+
+
+def test_json_bytes_equal_json_dump_with_non_ascii_escaped(tmp_path):
+    target = tmp_path / "w.json"
+    _write_json_payload(target)
+    with open(tmp_path / "ref.json", "w", newline="\n") as fh:
+        json.dump(JSON_PAYLOAD, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert target.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert b"\\u00e9" in target.read_bytes()
+
+
+def test_unencodable_json_payload_leaves_the_old_file(tmp_path):
+    target = tmp_path / "w.json"
+    target.write_bytes(b"old run\n")
+    with pytest.raises(TypeError):
+        integrator._write_json(target, {"a": object()})
+    assert target.read_bytes() == b"old run\n"
+
+
+def test_failing_formatter_leaves_only_the_rows_written(tmp_path, monkeypatch):
+    monkeypatch.setattr(integrator, "CSV_CHUNK_ROWS", 2)
+    calls = []
+
+    def formatter(rows, cols):
+        def format_block(block):
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed on the second block")
+            return b"row\n" * len(block)
+        return format_block
+
+    monkeypatch.setattr(integrator._fastpath, "csv_formatter", formatter)
+    target = tmp_path / "t.csv"
+    target.write_bytes(b"old row\n" * 100)
+    with pytest.raises(RuntimeError, match="second block"):
+        integrator._write_csv(target, "a,b", np.zeros((5, 2)))
+    assert calls == [2, 2]
+    assert target.read_bytes() == b"a,b\nrow\nrow\n"

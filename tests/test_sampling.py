@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,3 +148,39 @@ def test_unusable_point_count_is_refused_before_any_allocation(
     monkeypatch.setattr(np, "arange", no_alloc)
     with pytest.raises(ValueError, match="sample count"):
         sample_region(region, n, 1e-6, 0)
+
+
+def test_box_that_excludes_almost_everything_fails_in_bounded_memory():
+    # only the corners' tips lie outside r_min: a retry loop that kept
+    # doubling its block exhausted memory before it gave up
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="excludes almost all"):
+            sample_region(Region.box([-1, -1], [1, 1]), 4,
+                          math.sqrt(2) - 1e-12, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("r_min", [math.sqrt(8), 3.0],
+                         ids=["farthest-corner", "beyond"])
+def test_box_inner_radius_at_or_beyond_the_farthest_corner_is_refused(
+        r_min, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew points before refusing r_min")
+
+    monkeypatch.setattr("oscstab.sampling._sobol", no_draw)
+    with pytest.raises(ValueError, match="farthest corner"):
+        sample_region(Region.box([-1, -2], [2, 1]), 4, r_min, 0)
+
+
+def test_box_draws_retry_blocks_within_the_cap():
+    # about a fifth of the box lies outside r_min = 1, so the first block
+    # of 100 draws falls short and the retries fill the rest
+    box = Region.box([-1, -1], [1, 1])
+    pts = sample_region(box, 100, 1.0, 3)
+    assert pts.shape == (100, 2)
+    assert (np.linalg.norm(pts, axis=1) >= 1.0).all()
+    assert np.array_equal(pts, sample_region(box, 100, 1.0, 3))
