@@ -110,6 +110,32 @@ def test_decade_round_ups_and_layout_switches(tmp_path, monkeypatch):
         b"1e-14,0.0001,1.0000000000000001e-05,10000000000000000,1e+17"
 
 
+def test_decimal_exponent_thresholds(tmp_path, monkeypatch):
+    # every binade of the exact range: its ends and the mantissas just below
+    # and at the one from which "%.17g" prints the next decimal exponent;
+    # then the first binade beyond the range on each side
+    table = _fastpath.DECIMAL_EXPONENTS
+    exps = [e for e, _, _ in table]
+    assert exps == list(range(exps[0], exps[-1] + 1))
+    assert table[0][1] < -16 <= table[1][1] and table[-1][1] == 16
+    pats, steps = [], 0
+    for e, x, t in table:
+        if t < 2 ** 53:
+            steps += 1
+            below, at = (np.ldexp(float(m), e - 52) for m in (t - 1, t))
+            assert ("%.16e" % below).endswith(f"e{x:+03d}")
+            assert ("%.16e" % at).endswith(f"e{x + 1:+03d}")
+        mants = [2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1] + (
+            [t - 1, t] if t < 2 ** 53 else [])
+        pats += [(e + 1023 << 52) | (m - 2 ** 52) for m in mants]
+    # one per power of ten from 1e-16 to 1e17 but 1, which starts a binade
+    assert steps == 33
+    for e in (exps[0] - 1, exps[-1] + 1):
+        pats += [(e + 1023 << 52) | m for m in (0, 1, 2 ** 51, 2 ** 52 - 1)]
+    vals = _bits(pats)
+    _assert_same(tmp_path, monkeypatch, np.concatenate([vals, -vals]))
+
+
 @pytest.mark.parametrize("rows, cols", [(0, 13), (0, 1), (5, 1), (1201, 13),
                                         (2 * CHUNK + 3, 13), (CHUNK, 2),
                                         (3, 0)])

@@ -4,7 +4,9 @@ trajectory kernel and the CSV formatter.
 Each case runs in a fresh interpreter with its own ``XDG_CACHE_HOME`` and
 ``PATH``, so the kernel state of this process and the user's cache stay out
 of it.  Compilers are observed through a wrapper script named ``cc`` that
-logs each call before handing over to the real compiler (or failing).
+logs each call before handing over to the real compiler (or failing).  The
+last case builds the library's source into a program under AddressSanitizer
+and UndefinedBehaviorSanitizer instead.
 """
 
 import json
@@ -14,10 +16,12 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import oscstab
 from oscstab import _fastpath, integrator
+from oscstab import brockett as bk
 from oscstab.cli import RunConfig, compare
 
 from conftest import needs_cc
@@ -166,3 +170,119 @@ def test_unwritable_cache_builds_per_process(tmp_path, monkeypatch):
     assert out["paths"] == ["compiled", "compiled"]
     assert out["warnings"] == []
     assert os.listdir(tmpdir) == []                 # temporary build removed
+
+
+# the widest "%.17g" text of all, on the C library's path
+WIDEST = -2.2250738585072014e-308
+# every layout of the formatter: e-notation from either path, 0.000ddd,
+# ddd.ddd, 17-digit integers, subnormals, nan, signed zeros and infinities
+LAYOUTS = (-1.2345678901234567e-05, 1e-05, 1.0000000000000001e-05,
+           -9.9999999999999998e-17, -0.00012345678901234567, 0.1,
+           -0.99999999999999989, 1.5, -123456.78901234567,
+           -12345678901234568.0, -1e16, -99999999999999984.0, 1e17,
+           -1.7976931348623157e308, -5e-324, -2.2250738585072009e-308,
+           float("nan"), -0.0, 0.0, float("-inf"))
+SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+# formats each block from a table and into a buffer of exactly the sizes
+# csv_formatter gives them (heap memory, so reads and writes past either
+# end are caught), then prints one short trajectory of each mode
+DRIVER = r"""
+#include <stdlib.h>
+
+static const uint64_t VALUES[] = {%(values)s};
+static const int64_t BLOCKS[][3] = {%(blocks)s};   /* first, rows, cols */
+
+int main(void)
+{
+    for (size_t b = 0; b < sizeof BLOCKS / sizeof BLOCKS[0]; ++b) {
+        const int64_t rows = BLOCKS[b][1], cols = BLOCKS[b][2];
+        double *table = malloc(rows * cols * sizeof *table);
+        memcpy(table, VALUES + BLOCKS[b][0], rows * cols * sizeof *table);
+        char *buf = malloc(rows * (cols * %(field)d + 1) + %(slack)d);
+        fwrite(buf, 1, format_csv(table, rows, cols, buf), stdout);
+        free(buf);
+        free(table);
+    }
+    const double x0[10] = {%(x0)s}, gamma_amp[6] = {%(gamma_amp)s};
+    const int64_t kappas[6] = {%(kappas)s}, K = %(J)d * %(substeps)d + 1;
+    for (int sampled = 0; sampled < 2; ++sampled) {
+        double *xs = malloc(K * 10 * sizeof *xs);
+        const int64_t n = brockett_trajectory(x0, %(J)d, %(substeps)d, %(h)s,
+                                              1.0, kappas, %(omega)s,
+                                              gamma_amp, sampled, xs);
+        printf("trajectory %%lld\n", (long long)n);
+        for (int64_t i = 0; i < n * 10; ++i) printf("%%a\n", xs[i]);
+        free(xs);
+    }
+    return 0;
+}
+"""
+
+
+def _sanitized(cc: str, source: str, exe, tmp_path):
+    flags = [f for f in _fastpath.CFLAGS if f != "-shared"]
+    return subprocess.run(
+        [cc, *flags, *SANITIZE, "-x", "c", "-", "-o", str(exe),
+         *_fastpath.LDLIBS],
+        input=source, capture_output=True, text=True, cwd=tmp_path,
+        timeout=300)
+
+
+@needs_cc
+def test_library_under_address_and_undefined_sanitizers(tmp_path):
+    cc = _fastpath.find_compiler()
+    probe = _sanitized(cc, "int main(void) { return 0; }\n",
+                       tmp_path / "probe", tmp_path)
+    if probe.returncode != 0 or subprocess.run(
+            [str(tmp_path / "probe")], capture_output=True).returncode != 0:
+        lines = probe.stderr.strip().splitlines()
+        pytest.skip("sanitizer runtime cannot be linked"
+                    + (f": {lines[-1]}" if lines else ""))
+
+    # per column count, blocks of one row with each layout last after the
+    # widest texts, so its fixed-length copies run furthest towards the
+    # buffer's end, and blocks of two rows of each layout alone
+    groups = [[[WIDEST] * (cols - 1) + [v]] for cols in range(1, 14)
+              for v in LAYOUTS]
+    groups += [[[v] * cols] * 2 for cols in range(1, 14) for v in LAYOUTS]
+    blocks, values = [], []
+    for g in groups:
+        blocks.append((len(values), len(g), len(g[0])))
+        values += [v for row in g for v in row]
+
+    law = bk.brockett_law(1.0, 0.5, 0.1)
+    a = law.assignment
+    gamma_amp = [law.gamma * a.amplitude(q) for q in range(len(a.pairs))]
+    x0 = bk.PRESETS["fig1-left"]["x0"]
+    J, substeps, h = 2, 5, 0.1 / 5
+    source = _fastpath.SOURCE + DRIVER % {
+        "values": ", ".join(
+            f"{b}ULL" for b in np.array(values).view(np.uint64)),
+        "blocks": ", ".join("{%d, %d, %d}" % b for b in blocks),
+        "field": _fastpath.CSV_FIELD_BYTES, "slack": _fastpath.CSV_SLACK_BYTES,
+        "x0": ", ".join(float(v).hex() for v in x0),
+        "gamma_amp": ", ".join(float(v).hex() for v in gamma_amp),
+        "kappas": ", ".join(str(k) for k in a.kappas),
+        "J": J, "substeps": substeps, "h": float(h).hex(),
+        "omega": float(a.omega).hex()}
+    build = _sanitized(cc, source, tmp_path / "driver", tmp_path)
+    assert build.returncode == 0, build.stderr
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
+               UBSAN_OPTIONS="print_stacktrace=1")
+    run = subprocess.run([str(tmp_path / "driver")], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr[-4000:]
+
+    csv, *trajectories = run.stdout.split("trajectory ")
+    assert len(trajectories) == 2
+    assert csv == "".join(",".join("%.17g" % v for v in row) + "\n"
+                          for g in groups for row in g)
+    for sampled, text in enumerate(trajectories):
+        n, *xs = text.split()
+        ref, n_ref = _fastpath.brockett_trajectory(law, 1.0, x0, J, substeps,
+                                                   h, sampled)
+        assert int(n) == n_ref == J * substeps + 1
+        np.testing.assert_allclose(
+            np.array([float.fromhex(v) for v in xs]).reshape(-1, 10), ref,
+            rtol=1e-14, atol=1e-14)

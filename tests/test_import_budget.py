@@ -1,7 +1,8 @@
 """scipy stays off the build path: only verify's scans load it, and only
-``scipy.special``.
+``scipy.special``.  ``subprocess`` loads only to compile the kernel: not on
+import, and not in a run that finds the library in its cache.
 
-Checked in a fresh interpreter, since the test process has scipy loaded
+Checked in a fresh interpreter, since the test process has both loaded
 already.
 """
 
@@ -12,9 +13,11 @@ import sys
 import textwrap
 
 import oscstab
+from oscstab import _fastpath
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(oscstab.__file__)))
 SCIPY_SUBMODULES = ("scipy.stats", "scipy.special", "scipy.integrate")
+WATCHED = SCIPY_SUBMODULES + ("subprocess",)
 
 SCRIPT = textwrap.dedent("""
     import json, sys
@@ -32,8 +35,10 @@ SCRIPT = textwrap.dedent("""
     bsys, blaw, blyap = (bk.brockett_system(), bk.brockett_law(1.0),
                          bk.brockett_lyapunov(1.0))
     out["build"] = loaded()
-    cli.compare(cli.RunConfig(T=1.0, outdir=sys.argv[1] + "/cmp"))
+    payload, _ = cli.compare(cli.RunConfig(T=1.0, outdir=sys.argv[1] + "/cmp"))
     out["compare"] = loaded()
+    out["compare_paths"] = [payload["runs"][m]["solver_path"]
+                            for m in ("classical", "sampled")]
 
     def f1(x):
         return np.array([1.0, 0.0, -x[1]], dtype=getattr(x, "dtype", float))
@@ -56,21 +61,32 @@ SCRIPT = textwrap.dedent("""
     out["verify_pass"] = payload["all_pass"]
     out["verify_code"] = code
     print(json.dumps(out))
-""").format(mods=SCIPY_SUBMODULES)
+""").format(mods=WATCHED)
 
 
 def test_scipy_loads_only_for_verify(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    # a cache that holds the library already, so compare only loads it
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    cc = _fastpath.find_compiler()
+    if cc is not None:
+        lib_dir = tmp_path / "cache" / "oscstab"
+        lib_dir.mkdir(parents=True)
+        _fastpath._compile(cc, str(lib_dir),
+                           str(lib_dir / _fastpath.library_name()))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     for stage in ("import", "build", "compare", "feedback_eval"):
         assert out[stage] == [], f"{stage} loaded {out[stage]}"
+    if cc is not None:
+        assert out["compare_paths"] == ["compiled", "compiled"]
     assert out["u_finite"]
     # the ball scans load scipy.special for their normal quantiles, nothing
-    # more (the Sobol points are numpy's), and verify passes
-    assert out["verify"] == ["scipy.special"]
+    # more (the Sobol points are numpy's), and verify passes; scipy.special
+    # loads subprocess itself
+    assert [m for m in out["verify"] if m != "subprocess"] == ["scipy.special"]
     assert out["verify_pass"] and out["verify_code"] == 0
