@@ -101,8 +101,10 @@ def stacked(fns, X: np.ndarray) -> np.ndarray:
 
     On a block with a callable that passed its probe, the output is
     allocated once and each callable's rows are assigned into its slot, so
-    a result that is a view (a broadcast constant Jacobian, say) is copied
-    once and never shared.
+    a result that is a view (a read-only broadcast, say) is copied once and
+    never shared.  The contracted bracket algebra of the scans does not
+    stack Jacobians: it takes each one's :func:`rows` and contracts a
+    broadcast constant as one matrix (``vecfield._contracted_jacobians``).
     """
     if len(X) > 1 and any(blockwise(fn, X.shape[1]) for fn in fns):
         out = None

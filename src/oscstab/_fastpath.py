@@ -135,7 +135,9 @@ static void rhs(const double *x, const double *xf, int held, double e,
 
 /* RK4 over J windows of `substeps` steps; xs holds J*substeps+1 rows of 10.
    Stages 2 and 3 share their time, so the oscillators are evaluated at three
-   times per step.  Returns the number of valid rows (fewer on blow-up). */
+   times per step, and at two when the step starts bit for bit where the
+   previous one ended: its first stage takes that step's last oscillators.
+   Returns the number of valid rows (fewer on blow-up). */
 int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
                             double h, double p, const int64_t *kappas,
                             double omega, const double *gamma_amp,
@@ -144,7 +146,7 @@ int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
     const int64_t K = J * substeps + 1;
     const double e = 2.0 * p - 1.0;
     double x[10], xf[10], xt[10], k1[10], k2[10], k3[10], k4[10];
-    double vs[12], cs[3][12];
+    double vs[12], cs[3][12], t_end = 0.0;
     for (int d = 0; d < 10; ++d) {
         x[d] = xf[d] = xs[d] = x0[d];
     }
@@ -153,8 +155,13 @@ int64_t brockett_trajectory(const double *x0, int64_t J, int64_t substeps,
         if (sampled && start)
             for (int d = 0; d < 10; ++d) xf[d] = x[d];
         double t = step * h, ts[3] = {t, t + 0.5 * h, t + h};
-        for (int k = 0; k < 3; ++k)
+        if (step > 0 && t == t_end)   /* t > 0 here: == is bitwise */
+            for (int c = 0; c < 12; ++c) cs[0][c] = cs[2][c];
+        else
+            oscillators(ts[0], omega, kappas, cs[0]);
+        for (int k = 1; k < 3; ++k)
             oscillators(ts[k], omega, kappas, cs[k]);
+        t_end = ts[2];
         rhs(x, sampled ? xf : x, sampled && !start, e, vs, cs[0], gamma_amp, k1);
         for (int d = 0; d < 10; ++d) xt[d] = x[d] + 0.5 * h * k1[d];
         rhs(xt, sampled ? xf : xt, sampled, e, vs, cs[1], gamma_amp, k2);

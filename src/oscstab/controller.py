@@ -356,19 +356,24 @@ def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None, g=None):
     f, b, jac_ok = _pair_brackets(sys, X, f, g)
     _, _, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
     live = vals != 0.0
-    bad = live & ~(np.isfinite(vals) & np.isfinite(jac).all(axis=2))
     fail = None
-    if bad.any() or not jac_ok.all():
+    if not (jac_ok.all() and np.isfinite(vals).all()
+            and np.isfinite(jac).all()):
+        bad = live & ~(np.isfinite(vals) & np.isfinite(jac).all(axis=2))
         r = int(np.argmax(~jac_ok | bad.any(axis=1)))
-        fail = (r, ValueError(JACOBIAN_ERROR) if not jac_ok[r] else
-                ArithmeticError(
-                    f"profile or gradient for pair "
-                    f"{sys.pairs[int(np.argmax(bad[r]))]} "
-                    f"not finite at x={X[r].tolist()}"))
-        live &= ~bad
-        vals = np.where(live, vals, 0.0)
-    # gradient rows at switch points may be anything; their rows are zeroed
-    jac = np.where(live[..., None], jac, 0.0)
+        if not jac_ok[r] or bad[r].any():
+            fail = (r, ValueError(JACOBIAN_ERROR) if not jac_ok[r] else
+                    ArithmeticError(
+                        f"profile or gradient for pair "
+                        f"{sys.pairs[int(np.argmax(bad[r]))]} "
+                        f"not finite at x={X[r].tolist()}"))
+            live &= ~bad
+            vals = np.where(live, vals, 0.0)
+    all_live = live.all()
+    if not all_live:
+        # gradient rows at switch points may be anything; their rows are
+        # zeroed
+        jac = np.where(live[..., None], jac, 0.0)
     gf = jac @ f.swapaxes(1, 2)  # grad vtilde_q . f_b, (k, |S|, U)
     q = np.arange(len(i))
     gi, gj = gf[:, q, i], gf[:, q, j]
@@ -377,7 +382,8 @@ def _pair_bracket_terms(sys: VectorFieldSystem, X, vals, jac, f=None, g=None):
     else:
         f = (f @ g[..., None])[..., 0]  # g . f_b, (k, U)
     p = vals * b + 0.5 * (gi * f[:, j] - gj * f[:, i])
-    p[~live] = 0.0
+    if not all_live:
+        p[~live] = 0.0
     return b, p, fail
 
 

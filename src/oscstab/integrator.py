@@ -257,8 +257,6 @@ def _window_rates(sys, law, lyap, xb, t, substeps) -> np.ndarray:
     are then walked one point at a time: the error raised is the one of the
     first failing window, a ``SynthesisError`` carrying that window's step,
     time and index."""
-    if len(xb) == 0:
-        return np.empty(0)
     try:
         return decrease_rate(sys, law, lyap, xb).w
     except SynthesisError:

@@ -55,7 +55,7 @@ TOL_ALPHA = 1e-6
 # margin scan: points with ||grad V|| below this are skipped
 GRAD_FLOOR = 1e-12
 # most points whose callable values are stacked at once; bounds peak memory
-# (a 4096-point brockett10 gain scan traces about 1.6 MiB at 256)
+# (a 4096-point brockett10 gain scan traces about 1.4 MiB at 256)
 BLOCK = 256
 
 
@@ -149,7 +149,10 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     from one evaluation of ``components_jac`` at each point (one call per
     block of up to ``BLOCK`` points if it passed the block probe).  ``x`` of
     shape (n,) gives floats; a block of shape (k, n) gives arrays with one
-    entry per row, the same terms a single-point call gives for that row.
+    entry per row, the same terms a single-point call gives for that row,
+    up to the rounding of a constant Jacobian's product with ``grad V``
+    (see ``vecfield._contracted_jacobians``), and empty arrays for a block
+    of no rows; other shapes raise ``ValueError``.
     ``gamma`` defaults to the law's gain; passing a value rescales only the
     oscillatory term, which is exactly how the gain enters.  ``law`` must be
     built for ``sys``.  A non-finite Jacobian raises ``ValueError``, a
@@ -162,12 +165,16 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     if gamma is None:
         gamma = law.gamma
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (sys.n,) or x.ndim > 2:
+        raise ValueError(f"state must have shape ({sys.n},) or (k, {sys.n}), "
+                         f"got {x.shape}")
     if x.ndim == 1:
         alpha, beta = (float(t[0]) for t in _alpha_beta(sys, law, lyap,
                                                          x[None]))
     else:
         alpha, beta = map(np.concatenate, zip(
-            *[_alpha_beta(sys, law, lyap, X) for X in _blocks(x)]))
+            *[_alpha_beta(sys, law, lyap, X) for X in _blocks(x)]
+            or [(np.empty(0), np.empty(0))]))
     return DecreaseRate(alpha + gamma * gamma * beta, alpha, beta)
 
 

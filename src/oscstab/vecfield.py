@@ -220,7 +220,8 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None, g=None):
     ``g . [f_i, f_j]``, of shape (k, |S|): the Jacobians are contracted
     first, ``W_a = g^T Df_a`` and ``DF[r, a, b] = W_a . f_b``, so neither
     the brackets nor the (k, U, U, n) products ``Df_a f_b`` are formed (the
-    vector-Jacobian product of reverse mode).
+    vector-Jacobian product of reverse mode); nor is the (k, U, n, n) stack
+    of Jacobians, see :func:`_contracted_jacobians`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != sys.n:
@@ -230,19 +231,57 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None, g=None):
     used, cols, i, j = _pair_rows(tuple(map(tuple, sys.pairs)))
     if f is None:
         f = _block.stacked([sys.fields[u - 1] for u in used], X)
-    else:
+    elif len(cols) < f.shape[1]:
         f = f[:, cols]
-    d = _block.stacked([sys.jacobians[u - 1] for u in used], X)
-    jac_ok = np.isfinite(d).all(axis=(1, 2, 3))
-    if not jac_ok.all():
-        # keep the bad points out of the algebra, as the check does per point
-        d[~jac_ok] = 0.0
     if g is None:
+        d = _block.stacked([sys.jacobians[u - 1] for u in used], X)
+        jac_ok = np.ones(len(X), dtype=bool)
+        if not np.isfinite(d).all():
+            jac_ok = np.isfinite(d).all(axis=(1, 2, 3))
+            # keep the bad points out of the algebra, as the check does per
+            # point
+            d[~jac_ok] = 0.0
         df = (d @ f[:, None].swapaxes(2, 3)).swapaxes(2, 3)  # (k, U, U, n)
     else:
-        w = (g[:, None, None] @ d)[:, :, 0]  # W_a = g^T Df_a, (k, U, n)
+        w, jac_ok = _contracted_jacobians(
+            [sys.jacobians[u - 1] for u in used], X, g)
         df = w @ f.swapaxes(1, 2)  # W_a . f_b, (k, U, U)
     return f, df[:, j, i] - df[:, i, j], jac_ok
+
+
+def _contracted_jacobians(jacs, X, g):
+    """``(W, jac_ok)``: ``W[r, a] = g[r]^T Df_a(X[r])`` of shape (k, U, n)
+    for the U Jacobians ``jacs``, zero at the rows where one is not finite,
+    and the mask ``jac_ok`` of the other rows.
+
+    Each Jacobian's block result is taken once and never stacked with the
+    others.  One broadcast over the block (leading stride 0, as a constant
+    Jacobian returns it) is one matrix: its ``W_a`` is one (k, n) @ (n, n)
+    product, and the finiteness check looks at that matrix alone, so a
+    non-finite one fails every row.  That product may round differently
+    from one point's (measured: up to 3.6e-15 on a dense 10 x 10 matrix);
+    it is exact when every column has at most one nonzero entry, as in
+    brockett10.  Any other result is contracted point by point.
+    """
+    w = np.empty((len(X), len(jacs), X.shape[1]))
+    jac_ok = np.ones(len(X), dtype=bool)
+    for a, jac in enumerate(jacs):
+        d = _block.rows(jac, X)
+        if d.strides[0] == 0:
+            d = d[:1]
+        if not np.isfinite(d).all():
+            ok = np.isfinite(d).all(axis=(1, 2))
+            jac_ok &= ok
+            d = np.where(ok[:, None, None], d, 0.0)
+        if len(d) == 1:
+            w[:, a] = g @ d[0]
+        else:
+            # contiguous, as one point's result is, so rows round alike
+            w[:, a] = (g[:, None] @ np.ascontiguousarray(d))[:, 0]
+    if not jac_ok.all():
+        # keep the bad points out of the algebra, as the check does per point
+        w[~jac_ok] = 0.0
+    return w, jac_ok
 
 
 def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:

@@ -10,14 +10,15 @@ import pytest
 
 from oscstab import _block
 from oscstab import brockett as bk
-from oscstab.controller import (drift_field, pair_bracket_field,
-                                synthesized_law, user_law)
+from oscstab.controller import (_pair_bracket_terms, drift_field,
+                                pair_bracket_field, synthesized_law,
+                                user_law)
 from oscstab.lyapunov import (BLOCK, GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
                               LyapunovSpec, _correction, _report,
                               correction_field, correction_ratio_sup,
                               decrease_rate, gain_bound_scan, negdef_scan)
 from oscstab.sampling import Region, sample_region
-from oscstab.vecfield import system_from_fields
+from oscstab.vecfield import JACOBIAN_ERROR, system_from_fields
 
 from conftest import _dt, heis3_system, per_point
 
@@ -771,14 +772,119 @@ def test_scans_call_block_capable_callables_once_per_block(bsys, law_p1,
     assert counts == {**per_block, "grad": 1}
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gain_scan_memory_stays_flat(bsys, law_p1, lyap_p1):
     # callable values are stacked a block at a time, not for the whole sample
     region = Region.ball(10, 2.0)
     gain_bound_scan(bsys, law_p1, lyap_p1, region, BLOCK, seed=1)
-    tracemalloc.start()
-    try:
-        gain_bound_scan(bsys, law_p1, lyap_p1, region, 4096, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(
+        lambda: gain_bound_scan(bsys, law_p1, lyap_p1, region, 4096, seed=1))
     assert peak < 2 * 2 ** 20
+    # brockett10's constant Jacobians are contracted with grad V as one
+    # matrix each: the margin scan traces 0.72 MiB, and stacking them per
+    # point, a (BLOCK, m, n, n) array of 800 KB a block, takes it to 1.48 MiB
+    region = Region.ball(10, 1.0)
+    correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5, region, BLOCK, seed=1)
+    peak = _traced_peak(lambda: correction_ratio_sup(
+        bsys, law_p1, lyap_p1, 0.5, region, 2048, seed=1))
+    assert peak < 0.9 * 2 ** 20
+
+
+# --- constant Jacobians -----------------------------------------------------------
+
+def _copied(jac):
+    """``jac`` with a fresh array for every call: a block gets one matrix
+    per point where ``jac`` broadcasts one matrix over the block."""
+    return lambda x: np.array(jac(x))
+
+
+def _constant(mat):
+    """Jacobian that returns ``mat``, broadcast over the points of a block."""
+    return lambda x: mat if np.ndim(x) == 1 else np.broadcast_to(
+        mat, np.shape(x)[:-1] + mat.shape)
+
+
+def _with_jacobians(sys_, law, jacobians):
+    sys_ = dataclasses.replace(sys_, jacobians=tuple(jacobians))
+    return sys_, dataclasses.replace(law, system=sys_)
+
+
+@pytest.mark.parametrize("broadcast", ["all", "first", "none"])
+def test_constant_jacobians_match_copied_per_point_jacobians(
+        bsys, law_p1, lyap_p1, broadcast):
+    # brockett10's Jacobians broadcast one matrix over a block; the same
+    # matrices copied per point are the oracle, bit for bit, for the block
+    # terms and both scans, with all, one or none of them broadcast
+    copied = [_copied(j) for j in bsys.jacobians]
+    keep = {"all": 4, "first": 1, "none": 0}[broadcast]
+    sys_, law = _with_jacobians(
+        bsys, law_p1, [*bsys.jacobians[:keep], *copied[keep:]])
+    ref_sys, ref_law = _with_jacobians(bsys, law_p1, copied)
+    X = np.random.default_rng(3).uniform(-1.5, 1.5, (BLOCK, 10))
+    assert all(_block.blockwise(jac, 10) for jac in copied)
+    assert [jac(X).strides[0] == 0 for jac in sys_.jacobians] == (
+        [True] * keep + [False] * (4 - keep))
+    xs = np.random.default_rng(8).uniform(-1.5, 1.5, (2 * BLOCK + 9, 10))
+    xs[::5, 6] = 0.0    # profiles on a sign switch
+    for got, ref in zip(decrease_rate(sys_, law, lyap_p1, xs),
+                        decrease_rate(ref_sys, ref_law, lyap_p1, xs)):
+        assert np.array_equal(got, ref)
+    n = 2 * BLOCK + 9
+    got = gain_bound_scan(sys_, law, lyap_p1, Region.ball(10, 2.0), n, seed=2)
+    ref = gain_bound_scan(ref_sys, ref_law, lyap_p1, Region.ball(10, 2.0), n,
+                          seed=2)
+    assert (got.ratio_sup, got.gamma_max) == (ref.ratio_sup, ref.gamma_max)
+    assert got.report.to_json() == ref.report.to_json()
+    got = correction_ratio_sup(sys_, law, lyap_p1, 0.5, Region.ball(10, 1.0),
+                               n, seed=2)
+    assert got == correction_ratio_sup(ref_sys, ref_law, lyap_p1, 0.5,
+                                       Region.ball(10, 1.0), n, seed=2)
+
+
+def test_nonfinite_constant_jacobian_fails_from_the_first_row(bsys, law_p1,
+                                                             lyap_p1):
+    # a constant Jacobian that is not finite is so at every point: its one
+    # matrix is checked, and the first row fails, as per point; the Jacobian
+    # error comes before a bad profile at a later row
+    mat = np.array(bsys.jacobians[1](np.zeros(10)))
+    const = _constant(mat)
+    cases = [_with_jacobians(bsys, law_p1, jacs) for jacs in (
+        [bsys.jacobians[0], const, *bsys.jacobians[2:]],
+        [bsys.jacobians[0], _copied(const), *bsys.jacobians[2:]])]
+    assert [_block.blockwise(s.jacobians[1], 10) for s, _ in cases] == [
+        True, True]
+    mat[4, 0] = np.nan    # after the block probe, which remembers its verdict
+    xs = np.random.default_rng(4).uniform(0.2, 1.2, (BLOCK + 3, 10))
+    _, vals, jac = _block.rows(law_p1.components_jac, xs)
+    vals[5:, 2] = np.nan
+    g = _block.rows(lyap_p1.grad, xs)
+    for sys_, law in cases:
+        _, _, fail = _pair_bracket_terms(sys_, xs, vals, jac, g=g)
+        assert fail[0] == 0 and type(fail[1]) is ValueError
+        assert str(fail[1]) == JACOBIAN_ERROR
+        for fn in (lambda: decrease_rate(sys_, law, lyap_p1, xs),
+                   lambda: correction_ratio_sup(sys_, law, lyap_p1, 0.5,
+                                                Region.ball(10, 1.0), BLOCK,
+                                                seed=1)):
+            with pytest.raises(ValueError, match=re.escape(JACOBIAN_ERROR)):
+                fn()
+
+
+def test_decrease_rate_of_an_empty_or_misshapen_block(bsys, law_p1, lyap_p1):
+    empty = np.zeros((0, 10))
+    rate = decrease_rate(bsys, law_p1, lyap_p1, empty)
+    assert all(t.shape == (0,) and t.dtype == float for t in rate)
+    closed = bk.brockett_decrease_rate(1.0, 0.5, empty)
+    assert closed.shape == (0,) and closed.dtype == float
+    for shape in ((0, 3), (5, 3), (3,), (2, 2, 10)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"state must have shape (10,) or (k, 10), got {shape}")):
+            decrease_rate(bsys, law_p1, lyap_p1, np.zeros(shape))
