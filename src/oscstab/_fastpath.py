@@ -1,4 +1,4 @@
-"""Compiled trajectory kernel and CSV formatter.
+"""Compiled trajectory kernel, CSV formatter and normal quantiles.
 
 The trajectory kernel integrates the ten-state case-study closed loop; it
 exists only to make the long reproduction runs cheap.  It hard-codes that
@@ -27,7 +27,18 @@ takes 33-34 ns a value on a 1201 x 13 table where the previous
 digit-by-digit loop took 71-77 ns (Intel Xeon, 2 vCPUs, gcc 12.2 ``-O2``).
 All other values go through the C library's ``snprintf``.
 
-Both live in one C source in this module, compiled with the system C
+The normal quantiles (:func:`normal_quantiles`) are Cephes' ``ndtri``
+(Moshier, *Methods and Programs for Mathematical Functions*, 1989), which
+scipy ships as ``scipy.special.ndtri``: the same three rational
+approximations, split at ``y = exp(-2)`` and at ``x = 8``, and the C
+library's ``log``, so they give scipy's bits (x86-64, glibc, scipy 1.17.1:
+10^7 uniforms, both tails down to ``exp(-34.5)`` and the split points'
+neighbours).  The ball scans of :mod:`oscstab.sampling` take them from
+here, so a process whose library loads never imports ``scipy.special``.  A
+numpy port is not bit-exact: numpy's SIMD ``log`` rounds some values
+differently from glibc's.
+
+All three live in one C source in this module, compiled with the system C
 compiler (``cc`` or ``gcc``) on first use, never at import, then loaded with
 :mod:`ctypes`.  The shared library is cached per user in
 ``$XDG_CACHE_HOME/oscstab`` (else ``~/.cache/oscstab``) under a name keyed
@@ -36,7 +47,8 @@ loads a stale build.  When that directory cannot be written the process
 builds into a temporary directory, removed once the library is loaded.
 Without a compiler, or when the build fails, :func:`kernel` raises
 :class:`KernelUnavailable` naming the reason; the integrator then keeps the
-generic stepper and the Python CSV formatter, which give the same results.
+generic stepper and the Python CSV formatter, and the ball scans import
+``scipy.special.ndtri``, which give the same results.
 """
 
 from __future__ import annotations
@@ -360,7 +372,94 @@ int64_t format_csv(const double *table, int64_t rows, int64_t cols, char *buf)
         f"    {t}ULL" for _, _, t in DECIMAL_EXPONENTS)).replace(
     "DIGIT_PAIRS_TEXT", "".join(f"{k:02d}" for k in range(100)))
 
-SOURCE = _KERNEL_SOURCE + _WRITER_SOURCE
+_NDTRI_SOURCE = r"""
+/* Cephes ndtri (Moshier 1989) as scipy.special ships it: x with
+   Phi(x) = y, from a rational function of y - 1/2 on the middle, and of
+   z = 1/sqrt(-2 log y) in the tails, split at x = 8 (y = exp(-32)) */
+static const double NDTRI_P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1,
+    -1.23916583867381258016E0};
+static const double NDTRI_Q0[8] = {
+    1.95448858338141759834E0, 4.67627912898881538453E0,
+    8.63602421390890590575E1, -2.25462687854119370527E2,
+    2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0};
+static const double NDTRI_P1[9] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1,
+    5.71628192246421288162E1, 4.40805073893200834700E1,
+    1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4};
+static const double NDTRI_Q1[8] = {
+    1.57799883256466749731E1, 4.53907635128879210584E1,
+    4.13172038254672030440E1, 1.50425385692907503408E1,
+    2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4};
+static const double NDTRI_P2[9] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0,
+    3.93881025292474443415E0, 1.33303460815807542389E0,
+    2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6,
+    6.23974539184983293730E-9};
+static const double NDTRI_Q2[8] = {
+    6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.37702099489081330271E0, 2.16236993594496635890E-1,
+    1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9};
+
+/* c[0] x^n + ... + c[n], and Cephes' p1evl: x^n + c[0] x^(n-1) + ... + c[n-1];
+   unrolled, they keep pace with scipy's (-O2 leaves the loops rolled) */
+static double polevl(double x, const double *c, int n)
+{
+    double a = c[0];
+#pragma GCC unroll 8
+    for (int i = 1; i <= n; ++i) a = a * x + c[i];
+    return a;
+}
+
+static double p1evl(double x, const double *c, int n)
+{
+    double a = x + c[0];
+#pragma GCC unroll 8
+    for (int i = 1; i < n; ++i) a = a * x + c[i];
+    return a;
+}
+
+/* a NaN takes the tail branch, as in Cephes, so its sign bit comes out
+   flipped, as scipy's does */
+static double ndtri1(double y0)
+{
+    const double EXPM2 = 0.13533528323661269189;      /* exp(-2) */
+    if (y0 == 0.0) return -INFINITY;
+    if (y0 == 1.0) return INFINITY;
+    if (y0 < 0.0 || y0 > 1.0) return NAN;
+    double y = y0;
+    const int upper = y > 1.0 - EXPM2;
+    if (upper) y = 1.0 - y;
+    if (y > EXPM2) {
+        y -= 0.5;
+        const double y2 = y * y;
+        const double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4)
+                                  / p1evl(y2, NDTRI_Q0, 8));
+        return x * 2.50662827463100050242E0;           /* sqrt(2 pi) */
+    }
+    const double x = sqrt(-2.0 * log(y)), z = 1.0 / x;
+    const double x1 = x < 8.0
+        ? z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8)
+        : z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+    const double r = x - log(x) / x - x1;
+    return upper ? r : -r;
+}
+
+/* out[i] = ndtri(p[i]) for n values; out may be p */
+void ndtri(const double *p, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; ++i) out[i] = ndtri1(p[i]);
+}
+"""
+
+SOURCE = _KERNEL_SOURCE + _WRITER_SOURCE + _NDTRI_SOURCE
 
 
 class KernelUnavailable(RuntimeError):
@@ -458,12 +557,15 @@ def _load(path: str) -> ctypes.CDLL:
     fn = lib.format_csv
     fn.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, _U8]
     fn.restype = ctypes.c_int64
+    fn = lib.ndtri
+    fn.argtypes = [_F64, ctypes.c_int64, _F64]
+    fn.restype = None
     return lib
 
 
 def kernel() -> ctypes.CDLL:
-    """The loaded library (trajectory kernel and CSV formatter), built on
-    the first call of the process.
+    """The loaded library (trajectory kernel, CSV formatter and normal
+    quantiles), built on the first call of the process.
 
     Raises :class:`KernelUnavailable` when no compiler is found or the build
     fails; the outcome is kept, so later calls raise again without retrying.
@@ -546,3 +648,21 @@ def csv_formatter(max_rows: int, cols: int) -> Callable[[np.ndarray], np.ndarray
         return buf[:fmt(block, block.shape[0], cols, buf)]
 
     return format_block
+
+
+def normal_quantiles() -> Callable[[np.ndarray], np.ndarray]:
+    """The standard normal quantile function over float64 arrays, bit for
+    bit ``scipy.special.ndtri``: it returns a new array of the same shape.
+
+    Raises :class:`KernelUnavailable` here, before any array, when the
+    library cannot be had.
+    """
+    fn = kernel().ndtri
+
+    def ndtri(p: np.ndarray) -> np.ndarray:
+        p = np.ascontiguousarray(p, dtype=np.float64)
+        out = np.empty_like(p)
+        fn(p, p.size, out)
+        return out
+
+    return ndtri

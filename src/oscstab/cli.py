@@ -27,7 +27,7 @@ from .integrator import (MIN_QUAD_STEPS, MIN_SUBSTEPS_PER_KAPPA,
                          integrate_sampled, prediction_order_probe,
                          write_trajectory_csv, write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
-from .sampling import Region, sample_region
+from .sampling import Region, normal_quantiles, sample_region
 from .vecfield import bracket_generating_check
 
 __all__ = ["RunConfig", "load_config_file", "run", "compare", "verify",
@@ -443,6 +443,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
         "config": config.public_dict(),
         "checks": checks,
         "blockwise": _blockwise(sys_, law, lyap),
+        "normal_quantiles": normal_quantiles()[1],
         "all_pass": all_pass,
         "wall_clock_s": time.perf_counter() - t_start,
     }

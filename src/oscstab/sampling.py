@@ -12,7 +12,7 @@ bit for bit (:func:`_sobol`):
 - direction numbers by the Joe--Kuo recurrence, 30 bits, from the primitive
   polynomials and initial numbers of the installed scipy's
   ``stats/_sobol_direction_numbers.npz`` (Joe & Kuo, SIAM J. Sci. Comput. 30
-  (2008) 2635--2654), read without importing ``scipy.stats``;
+  (2008) 2635--2654), read without importing scipy;
 - a digital shift and a linear matrix scramble (LMS) of the direction
   numbers, both drawn from ``np.random.default_rng(seed)`` (Matousek,
   J. Complexity 14 (1998) 527--556);
@@ -25,8 +25,11 @@ scans of one ``verify``, which share both, scramble once.
 The positivity sample a :class:`~oscstab.lyapunov.LyapunovSpec` is checked
 on at construction is a plain i.i.d. one, from numpy's
 ``default_rng(seed)`` (:func:`iid_ball`).  It maps its draws onto the ball
-by the same radius law as the ball scans.  Only the ball scans' normal
-quantiles (``scipy.special.ndtri``) import scipy, when they first run.
+by the same radius law as the ball scans.  The ball scans' normal
+quantiles come from the compiled library
+(:func:`oscstab._fastpath.normal_quantiles`); only when it cannot be had do
+they import ``scipy.special.ndtri``, which gives the same bits.
+:func:`normal_quantiles` says which one runs.
 """
 
 from __future__ import annotations
@@ -101,8 +104,11 @@ def _direction_numbers(dim: int) -> np.ndarray:
     """Read-only (dim, BITS) Sobol direction numbers, scipy's unscrambled
     ``_sv``: coordinate ``d``'s ``j``-th number has its leading bit at
     ``2**(BITS - 1 - j)``."""
-    loc = importlib.util.find_spec("scipy.stats").submodule_search_locations[0]
-    with np.load(os.path.join(loc, "_sobol_direction_numbers.npz")) as table:
+    # the top-level spec: finding a submodule's imports scipy, whose
+    # __init__ loads subprocess among others
+    loc = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(os.path.join(loc, "stats",
+                              "_sobol_direction_numbers.npz")) as table:
         poly, vinit = table["poly"], table["vinit"]
     if dim > poly.shape[0]:
         raise ValueError(f"dim must be at most {poly.shape[0]} for Sobol "
@@ -195,6 +201,19 @@ def iid_ball(dim: int, n: int, radius: float, r_min: float,
     return _onto_ball(z, rng.random(n), radius, r_min)
 
 
+def normal_quantiles():
+    """``(ndtri, source)``: the standard normal quantile function the ball
+    scans use, and what provides it, ``"compiled"`` or ``"scipy (<why the
+    compiled library is unavailable>)"``.  Both give the same bits."""
+    # imported here: _fastpath imports brockett, and through it this module
+    from . import _fastpath
+    try:
+        return _fastpath.normal_quantiles(), "compiled"
+    except _fastpath.KernelUnavailable as exc:
+        from scipy.special import ndtri
+        return ndtri, f"scipy ({exc})"
+
+
 def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray:
     """``n`` quasi-random points with ``r_min <= ||x||`` inside the region.
 
@@ -210,7 +229,7 @@ def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray
     if region.kind == "ball":
         if r_min >= region.radius:
             raise ValueError("r_min must be below the ball radius")
-        from scipy.special import ndtri
+        ndtri, _ = normal_quantiles()
         u = _sobol(d + 1, n, seed)
         z = ndtri(np.clip(u[:, :d], 1e-15, 1.0 - 1e-15))
         return _onto_ball(z, u[:, d], region.radius, r_min)

@@ -326,6 +326,14 @@ def test_compare_gamma_zero_matches_hold_vs_exponential_formula(tmp_path):
                             for j in range(21)), rel_tol=1e-6)
 
 
+def test_compare_terminal_diff_is_the_last_row(tmp_path):
+    payload, _ = compare(_cfg(tmp_path, T=1.0))
+    with open(tmp_path / "out" / "compare.csv") as fh:
+        before, last = (float(line.split(",")[-1])
+                        for line in fh.read().splitlines()[-2:])
+    assert payload["compare"]["terminal_diff"] == last != before
+
+
 def test_compare_outputs_are_deterministic(tmp_path):
     cfg1 = _cfg(tmp_path, outdir=str(tmp_path / "a"), T=1.0)
     cfg2 = _cfg(tmp_path, outdir=str(tmp_path / "b"), T=1.0)
@@ -444,7 +452,47 @@ def test_verify_fails_nan_couplings(tmp_path, monkeypatch):
 def test_verify_detects_bad_gain(tmp_path):
     payload, code = verify(_cfg(tmp_path, gamma=1.35, **VERIFY_KW))
     assert code == 2
-    assert not payload["checks"]["certificate_negdef"]["pass"]
+    checks = payload["checks"]
+    assert not checks["certificate_negdef"]["pass"]
+    # past the design interval on their own numbers: gamma_max is about 1.21
+    # with no beta violation, and the margin's sup about 1.15
+    gain, margin = checks["gain_bound"], checks["synthesis_margin"]
+    assert gain["beta_violations"] == 0 and gain["gamma_max"] < 1.35
+    assert not gain["pass"]
+    assert margin["sup"] > 1.0 and not margin["pass"]
+
+
+def _failed(payload):
+    return {k for k, c in payload["checks"].items() if not c["pass"]}
+
+
+@pytest.mark.parametrize("exponent, ok", [(1.29, False), (1.31, True),
+                                          (1.79, True), (1.81, False)])
+def test_verify_order_band_edges(tmp_path, monkeypatch, exponent, ok):
+    # brockett10's probe lands inside [1.3, 1.8]; the band's edges are
+    # driven by the probe's result
+    probe = integrator.OrderProbeResult(exponent, (0.1, 0.05, 0.025),
+                                        (1e-3, 4e-4, 1.6e-4), ())
+    monkeypatch.setattr(cli, "prediction_order_probe", lambda *a: probe)
+    payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
+    assert payload["checks"]["prediction_order"]["exponent"] == exponent
+    assert _failed(payload) == (set() if ok else {"prediction_order"})
+    assert code == (0 if ok else 2)
+
+
+def test_verify_span_fails_on_one_point(tmp_path, monkeypatch):
+    # brockett10's brackets span everywhere; one refused point of the
+    # sampled ball must fail the check
+    real = cli.bracket_generating_check
+
+    def one_refused(sys_, x):
+        good, sv = real(sys_, x)
+        return np.arange(good.size) != 5, sv
+
+    monkeypatch.setattr(cli, "bracket_generating_check", one_refused)
+    payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
+    assert code == 2
+    assert _failed(payload) == {"span"}
 
 
 def test_main_verify_prints_verdicts(tmp_path, capsys):
