@@ -109,7 +109,7 @@ class Dual:
         s = 1.0 if self.val > 0 else (-1.0 if self.val < 0 else 0.0)
         return Dual(abs(self.val), s * self.grad)
 
-    # comparisons act on the value (used for pivoting and np.sign) ----------
+    # comparisons act on the value (used by np.sign) -----------------------
     def __lt__(self, other):
         return self.val < (other.val if isinstance(other, Dual) else other)
 

@@ -24,12 +24,12 @@ The oscillator identities the design rests on, one-period iterated
 integrals of ``-2 eps`` for a pair against itself and zero for distinct
 multipliers, have one entry point, :func:`coupling_matrix`.
 
-The case-study closed-form law, which :mod:`oscstab._fastpath` recognises
-by its callables, runs on that module's compiled trajectory kernel; its
-states agree with the generic path's up to rounding, and the generic path
-always remains available.  Every trajectory records in ``solver_path``
-which path produced it, and a recognised law that falls back to the generic
-path raises one ``RuntimeWarning`` per process naming the reason.  The CSV
+The case-study closed-form law, which :mod:`oscstab._fastpath` recognises by
+its callables, runs on that module's compiled trajectory kernel; its states
+agree with the generic path's up to rounding, and only that recognition and
+whether the library loads pick the path.  Every trajectory records in
+``solver_path`` which path produced it, and a recognised law that falls back
+raises one ``RuntimeWarning`` per process naming the reason.  The CSV
 artifacts are written by one loop, in blocks of rows formatted by the same
 compiled library or, with the same bytes, by Python's ``%`` operator.
 
@@ -51,7 +51,7 @@ import math
 import os
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,8 +108,8 @@ class Trajectory:
     substep count divides the period).  ``windows`` covers every completed
     window when a Lyapunov candidate was supplied to the integrator.
     ``solver_path`` is ``"compiled"`` or ``"generic (<reason>)"``, the reason
-    being why no compiled kernel ran (``use_fast=False``, ``not the
-    case-study closed-form law``, no compiler, build failed, ...).
+    being why no compiled kernel ran (``not the case-study closed-form
+    law``, no compiler, build failed, ...).
     """
 
     t: np.ndarray
@@ -201,12 +201,9 @@ def _warn_fallback(reason: str) -> None:
                       stacklevel=5)
 
 
-def _steps(sys, law, x0, J, substeps, h, sampled,
-           use_fast) -> Tuple[np.ndarray, int, str]:
+def _steps(sys, law, x0, J, substeps, h, sampled) -> Tuple[np.ndarray, int, str]:
     p = _fastpath.closed_form_exponent(law)
-    if not use_fast:
-        reason = "use_fast=False"
-    elif p is None:
+    if p is None:
         reason = "not the case-study closed-form law"
     else:
         try:
@@ -220,14 +217,15 @@ def _steps(sys, law, x0, J, substeps, h, sampled,
     return xs, n_valid, f"generic ({reason})"
 
 
-def _integrate(sys, law, x0, T, substeps, lyap, sampled, use_fast) -> Trajectory:
+def _integrate(sys, law, x0, T, substeps, lyap, sampled) -> Trajectory:
     _check_law_system(sys, law)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"x0 must have shape ({sys.n},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 has non-finite entries: {x0.tolist()}")
     J, h = _plan(law, T, substeps)
-    xs, n_valid, solver_path = _steps(sys, law, x0, J, substeps, h, sampled,
-                                      use_fast)
+    xs, n_valid, solver_path = _steps(sys, law, x0, J, substeps, h, sampled)
     diverged = n_valid < xs.shape[0]
     xs = xs[:n_valid]
     t = np.arange(n_valid) * h
@@ -279,6 +277,13 @@ def _remainder(traj: Trajectory, w: np.ndarray) -> np.ndarray:
     return ((vb[1:nw + 1] - vb[:nw]) / traj.eps - w) / math.sqrt(traj.eps)
 
 
+def _unrecognised(law: FeedbackLaw, use_fast: bool) -> FeedbackLaw:
+    # use_fast=False, kept because bench/make_reference.py passes it, adds no
+    # path: it wraps the components in a callable the kernel does not know
+    c = law.components
+    return law if use_fast else replace(law, components=lambda x: c(x))
+
+
 def integrate_classical(sys: VectorFieldSystem, law: FeedbackLaw, x0,
                         T: float, substeps: int = 400,
                         lyap: Optional[LyapunovSpec] = None,
@@ -287,10 +292,11 @@ def integrate_classical(sys: VectorFieldSystem, law: FeedbackLaw, x0,
 
     ``T`` is rounded to a whole number of periods; one sample is recorded per
     substep.  On blow-up (norm above 1e6 or non-finite state) the trajectory
-    is truncated and flagged instead of raising.
+    is truncated and flagged instead of raising; a non-finite ``x0`` raises
+    ``ValueError`` before any step, on either path.
     """
-    return _integrate(sys, law, x0, T, substeps, lyap, sampled=False,
-                      use_fast=use_fast)
+    return _integrate(sys, _unrecognised(law, use_fast), x0, T, substeps,
+                      lyap, sampled=False)
 
 
 def integrate_sampled(sys: VectorFieldSystem, law: FeedbackLaw, x0,
@@ -302,8 +308,8 @@ def integrate_sampled(sys: VectorFieldSystem, law: FeedbackLaw, x0,
     The frozen argument is the state at the latest window boundary; the time
     argument of the oscillators stays continuous.
     """
-    return _integrate(sys, law, x0, T, substeps, lyap, sampled=True,
-                      use_fast=use_fast)
+    return _integrate(sys, _unrecognised(law, use_fast), x0, T, substeps,
+                      lyap, sampled=True)
 
 
 class OneStepPrediction(NamedTuple):

@@ -8,6 +8,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import dataclasses  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest
 
@@ -149,6 +151,19 @@ def fd_bracket(fa, fb, x, h: float = 1e-5) -> np.ndarray:
     """Central-difference Lie bracket of two field closures."""
     return fd_jacobian(fb, x, h) @ np.asarray(fa(x), dtype=float) \
         - fd_jacobian(fa, x, h) @ np.asarray(fb(x), dtype=float)
+
+
+# solver_path of a law the compiled kernel does not run
+GENERIC_PATH = "generic (not the case-study closed-form law)"
+
+
+def generic(law):
+    """``law`` with its components wrapped in a lambda: another callable, so
+    :func:`oscstab._fastpath.closed_form_exponent` does not recognise it and
+    the law runs on the generic stepper (``GENERIC_PATH``) with the same
+    controls."""
+    c = law.components
+    return dataclasses.replace(law, components=lambda x: c(x))
 
 
 # compiled-path tests need a compiler; a failed build with one present fails

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -60,3 +61,25 @@ def test_workload_job_passes_its_checks(name, tmp_path):
     zero = [m for m in NONZERO[name]
             if tracing.METRIC_LAYER[m] in tracer.present and counts[m] == 0]
     assert not zero, zero
+
+
+def test_make_reference_reproduces_the_stored_reference(tmp_path, monkeypatch):
+    # the script that made the fig1-compare oracle still runs, on the generic
+    # stepper, and its states match the committed ones to the benchmark's
+    # tolerance (the first four initial-state variants, to keep it short)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    mod = _load("make_reference")
+    monkeypatch.setattr(mod, "HERE", str(tmp_path))
+    monkeypatch.setattr(mod, "FIG1_VARIANTS", 4)
+    mod.main()
+    with open(os.path.join(tmp_path, "reference_fig1.json")) as fh:
+        made = json.load(fh)
+    with open(os.path.join(BENCH, "reference_fig1.json")) as fh:
+        stored = json.load(fh)
+    assert sorted(made["variants"]) == ["0", "1", "2", "3"]
+    for k, entry in made["variants"].items():
+        want = stored["variants"][k]
+        assert entry["x0"] == want["x0"]
+        for mode in ("classical", "sampled"):
+            assert np.allclose(entry[mode], want[mode], rtol=0.0,
+                               atol=workloads.FIG1_ATOL)

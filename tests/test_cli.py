@@ -296,6 +296,24 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "sub" / "summary.json").exists()
 
 
+def _boundary_trajectory(norms, v):
+    """One sample per window: boundary norms ``norms`` and V values ``v``."""
+    norms = np.asarray(norms, dtype=float)
+    return integrator.Trajectory(
+        t=0.1 * np.arange(len(norms)), states=norms[:, None], norms=norms,
+        eps=0.1, substeps=1, mode="classical", v=np.asarray(v, dtype=float))
+
+
+@pytest.mark.parametrize("scale, monotone", [(1e-5, False), (1e-9, True)])
+def test_monotone_decrease_ignores_only_windows_below_the_floor(scale,
+                                                                monotone):
+    # V rises across the first window; that counts above the 1e-8 activity
+    # floor on the norm and is ignored below it
+    traj = _boundary_trajectory(scale * np.array([1.0, 0.5, 0.2, 0.1]),
+                                scale ** 2 * np.array([1.0, 2.0, 0.1, 0.01]))
+    assert cli._run_summary(traj)["monotone_decrease"] is monotone
+
+
 # --- compare ---------------------------------------------------------------------------
 
 def test_compare_zero_initial_state_zero_gap(tmp_path):

@@ -29,7 +29,8 @@ from oscstab.controller import synthesized_law
 from oscstab.integrator import integrate_sampled
 from oscstab.lyapunov import LyapunovSpec
 
-from conftest import X0_LEFT, X0_RIGHT, heis3_system, needs_cc
+from conftest import (GENERIC_PATH, X0_LEFT, X0_RIGHT, generic, heis3_system,
+                      needs_cc)
 
 
 def _control_terms(law, x0):
@@ -123,17 +124,17 @@ PATHS = [("brockett10-p1", True), ("brockett10-p1", False),
 
 
 @pytest.mark.parametrize(
-    "case,use_fast",
+    "case,compiled",
     [pytest.param(c, f, marks=[needs_cc] if f else [],
                   id=f"{c}-{'compiled' if f else 'generic'}") for c, f in PATHS])
-def test_sampled_window_matches_exact_map(case, use_fast):
+def test_sampled_window_matches_exact_map(case, compiled):
     sys_, lyap, law, x0 = CASES[case]()
     exact = exact_window(sys_, law, x0)
     dev = {}
     for substeps in (400, 800):
-        traj = integrate_sampled(sys_, law, x0, T=law.eps, substeps=substeps,
-                                 lyap=lyap, use_fast=use_fast)
-        assert traj.solver_path.startswith("compiled" if use_fast else "generic")
+        traj = integrate_sampled(sys_, law if compiled else generic(law), x0,
+                                 T=law.eps, substeps=substeps, lyap=lyap)
+        assert traj.solver_path == ("compiled" if compiled else GENERIC_PATH)
         assert traj.n_windows == 1 and traj.t[-1] == law.eps
         err = np.linalg.norm(traj.states[-1] - exact)
         dev[substeps] = err / np.linalg.norm(exact)

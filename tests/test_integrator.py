@@ -23,8 +23,9 @@ from oscstab.lyapunov import (LyapunovSpec, correction_field,
 from oscstab.sampling import Region
 from oscstab.vecfield import input_matrix, system_from_fields
 
-from conftest import (X0_LEFT, X0_RIGHT, const_fields_system, heis3_system,
-                      needs_cc, per_point, random_polynomial_system)
+from conftest import (GENERIC_PATH, X0_LEFT, X0_RIGHT, const_fields_system,
+                      generic, heis3_system, needs_cc, per_point,
+                      random_polynomial_system)
 
 
 def _linear_law(gamma=0.0, scale=1.0, eps=0.1):
@@ -44,6 +45,28 @@ def test_substep_resolution_enforced(bsys, lyap_p1, law_p1):
         integrate_classical(bsys, law_p1, np.zeros(10), T=0.01, substeps=400)
     with pytest.raises(ValueError, match="shape"):
         integrate_classical(bsys, law_p1, np.zeros(9), T=1.0, substeps=400)
+
+
+NONFINITE_X0_CASES = {
+    "closed-form-compiled": lambda law: law,
+    "closed-form-generic": generic,
+    "synthesized": lambda law: bk.brockett_law(1.0, 0.5, 0.1,
+                                               mode="synthesized"),
+}
+
+
+@pytest.mark.parametrize("mode", ["classical", "sampled"])
+@pytest.mark.parametrize("case", sorted(NONFINITE_X0_CASES))
+def test_nonfinite_x0_is_refused_alike_on_every_path(bsys, law_p1, case, mode):
+    # one refusal naming x0, before the kernel, the generic stepper or a
+    # synthesis solve sees the state
+    law = NONFINITE_X0_CASES[case](law_p1)
+    integrate = integrate_classical if mode == "classical" else integrate_sampled
+    for bad in (math.nan, math.inf):
+        x0 = X0_LEFT.copy()
+        x0[3] = bad
+        with pytest.raises(ValueError, match=r"^x0 has non-finite entries: "):
+            integrate(bsys, law, x0, T=0.2, substeps=400)
 
 
 def test_equilibrium_stays_fixed(bsys, lyap_p1, law_p1):
@@ -72,10 +95,10 @@ def test_generic_and_fast_paths_agree(bsys, lyap_p1, lyap_p15):
         x0 = X0_LEFT
         for integrate in (integrate_classical, integrate_sampled):
             fast = integrate(bsys, law, x0, T=1.0, substeps=400, lyap=lyap)
-            slow = integrate(bsys, law, x0, T=1.0, substeps=400, lyap=lyap,
-                             use_fast=False)
+            slow = integrate(bsys, generic(law), x0, T=1.0, substeps=400,
+                             lyap=lyap)
             assert fast.solver_path == "compiled"
-            assert slow.solver_path == "generic (use_fast=False)"
+            assert slow.solver_path == GENERIC_PATH
             assert np.max(np.abs(fast.states - slow.states)) <= 1e-9
 
 
@@ -99,9 +122,9 @@ def test_compiled_kernel_agrees_with_generic_to_rounding(bsys, case, mode):
     assert law.assignment.kappas == (kappas or (1, 2, 3, 4, 5, 6))
     integrate = integrate_classical if mode == "classical" else integrate_sampled
     fast = integrate(bsys, law, x0, T=5.0, substeps=substeps)
-    slow = integrate(bsys, law, x0, T=5.0, substeps=substeps, use_fast=False)
+    slow = integrate(bsys, generic(law), x0, T=5.0, substeps=substeps)
     assert fast.solver_path == "compiled"
-    assert slow.solver_path == "generic (use_fast=False)"
+    assert slow.solver_path == GENERIC_PATH
     assert fast.states.shape == slow.states.shape == (50 * substeps + 1, 10)
     assert np.max(np.abs(fast.states - slow.states)) <= 1e-12
 
@@ -148,9 +171,8 @@ HELD_CASES = {
 @pytest.mark.parametrize("case", sorted(HELD_CASES))
 def test_held_window_controls_match_per_stage_evaluation(case):
     sys_, law, x0, substeps = HELD_CASES[case]()
-    held = integrate_sampled(sys_, law, x0, T=0.2, substeps=substeps,
-                             use_fast=False)
-    assert held.solver_path.startswith("generic")
+    held = integrate_sampled(sys_, generic(law), x0, T=0.2, substeps=substeps)
+    assert held.solver_path == GENERIC_PATH
     ref = _per_stage_sampled(sys_, law, x0, 0.2, substeps)
     assert held.states.shape == ref.shape and not held.diverged
     assert np.max(np.abs(held.states - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -170,12 +192,12 @@ def test_sampled_integration_calls_components_once_per_window(law_p1):
         substeps = 50 * max(law.assignment.kappas)
         counted, calls = _counting_components(law)
         traj = integrate_sampled(sys_, counted, np.ones(sys_.n), T=0.3,
-                                 substeps=substeps, use_fast=False)
+                                 substeps=substeps)
         assert traj.t.shape[0] == 3 * substeps + 1
         assert len(calls) == 3
         calls.clear()
         integrate_classical(sys_, counted, np.ones(sys_.n), T=0.3,
-                            substeps=substeps, use_fast=False)
+                            substeps=substeps)
         assert len(calls) == 4 * 3 * substeps
 
 
@@ -249,6 +271,30 @@ def test_order_probe_excludes_noise_level_residuals(bsys, law_p1):
     # at the equilibrium both solution and prediction vanish identically
     with pytest.raises(ArithmeticError, match="too few usable"):
         prediction_order_probe(bsys, law_p1, np.zeros(10), [0.1, 0.05, 0.025])
+
+
+def test_order_probe_uses_residuals_above_the_noise_floor(bsys, law_p1,
+                                                          monkeypatch):
+    # residuals 1e-10 (eps / 0.1)^1.5, between the 1e-13 noise floor and
+    # 1e-9, are fitted; only the last, set to 1e-14, is excluded
+    x0 = np.eye(10)[4]
+    eps_list = (0.1, 0.05, 0.025, 0.0125)
+
+    def one_window(sys_, law, x, T, substeps):
+        rho = 1e-14 if T == eps_list[-1] else 1e-10 * (T / 0.1) ** 1.5
+        end = chen_fliess_predict(sys_, law, x).predicted + rho * np.eye(10)[0]
+        return integrator.Trajectory(
+            t=np.array([0.0, T]), states=np.array([x, end]),
+            norms=np.linalg.norm([x, end], axis=1), eps=T,
+            substeps=substeps, mode="classical")
+
+    monkeypatch.setattr(integrator, "integrate_classical", one_window)
+    probe = prediction_order_probe(bsys, law_p1, x0, eps_list)
+    assert probe.eps_values == eps_list[:-1]
+    assert probe.excluded == eps_list[-1:]
+    assert np.allclose(probe.residuals, [1e-10, 1e-10 * 0.5 ** 1.5,
+                                         1e-10 * 0.25 ** 1.5], rtol=1e-3)
+    assert math.isclose(probe.exponent, 1.5, rel_tol=1e-3)
 
 
 def test_order_probe_unforced_flow_matches_closed_form(bsys, law_p1):
@@ -474,22 +520,28 @@ def _declined_case(case, law):
 def test_kernel_declines_a_law_with_replaced_system_or_components(
         bsys, law_p1, monkeypatch, case, mode):
     # the kernel hard-codes the case-study model: a law that is another
-    # model must run on the generic stepper, exactly as use_fast=False, and
-    # without the warning reserved for a kernel that cannot be had
+    # model must run on the generic stepper, without the warning reserved
+    # for a kernel that cannot be had
     sys_, law = _declined_case(case, law_p1)
     integrate = integrate_classical if mode == "classical" else integrate_sampled
     monkeypatch.setattr(integrator, "_fallback_warned", False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(sys_, law, X0_LEFT, T=0.1, substeps=400)
-    ref = integrate(sys_, law, X0_LEFT, T=0.1, substeps=400, use_fast=False)
-    assert traj.solver_path == "generic (not the case-study closed-form law)"
-    assert ref.solver_path == "generic (use_fast=False)"
-    assert np.array_equal(traj.states, ref.states)
+    assert traj.solver_path == GENERIC_PATH
     # and it is another model: its states leave the case study's
-    base = integrate(bsys, law_p1, X0_LEFT, T=0.1, substeps=400,
-                     use_fast=False)
+    base = integrate(bsys, generic(law_p1), X0_LEFT, T=0.1, substeps=400)
     assert np.max(np.abs(traj.states - base.states)) > 1e-2
+
+
+@pytest.mark.parametrize("integrate", [integrate_classical, integrate_sampled])
+def test_use_fast_false_runs_the_generic_law(bsys, law_p1, integrate):
+    # the keyword is kept for bench/make_reference.py and adds no path: it
+    # runs exactly what generic(law) runs
+    kept = integrate(bsys, law_p1, X0_LEFT, T=0.1, substeps=400, use_fast=False)
+    ref = integrate(bsys, generic(law_p1), X0_LEFT, T=0.1, substeps=400)
+    assert kept.solver_path == ref.solver_path == GENERIC_PATH
+    assert np.array_equal(kept.states, ref.states)
 
 
 # laws the kernel still runs: replacing what it reads from the law (gain,
@@ -515,10 +567,9 @@ def test_kernel_keeps_the_closed_form_law_under_replace(
     law = KEPT_CASES[case](law_p1)
     integrate = integrate_classical if mode == "classical" else integrate_sampled
     fast = integrate(bsys, law, X0_LEFT, T=law.eps, substeps=800)
-    slow = integrate(bsys, law, X0_LEFT, T=law.eps, substeps=800,
-                     use_fast=False)
+    slow = integrate(bsys, generic(law), X0_LEFT, T=law.eps, substeps=800)
     assert fast.solver_path == "compiled"
-    assert slow.solver_path == "generic (use_fast=False)"
+    assert slow.solver_path == GENERIC_PATH
     assert np.max(np.abs(fast.states - slow.states)) <= 1e-12
 
 
@@ -529,12 +580,11 @@ E2E_CASES = [(preset, mode) for preset in ("fig1-left", "fig1-right")
              for mode in ("classical", "sampled")]
 
 
-def _preset_run(preset, mode, law_mode, use_fast=True):
+def _preset_run(preset, mode, law_mode, via=lambda law: law):
     p, x0 = bk.PRESETS[preset]["p"], np.array(bk.PRESETS[preset]["x0"])
-    law = bk.brockett_law(p, 0.5, 0.1, mode=law_mode)
+    law = via(bk.brockett_law(p, 0.5, 0.1, mode=law_mode))
     integrate = integrate_classical if mode == "classical" else integrate_sampled
-    return integrate(law.system, law, x0, T=E2E_T, substeps=400,
-                     use_fast=use_fast)
+    return integrate(law.system, law, x0, T=E2E_T, substeps=400)
 
 
 @functools.lru_cache(maxsize=None)
@@ -542,7 +592,7 @@ def _synthesized_run(preset, mode):
     """The synthesized law, which solves the bracket matrix against
     ``-grad V`` at every evaluation, integrated on the generic stepper."""
     traj = _preset_run(preset, mode, "synthesized")
-    assert traj.solver_path == "generic (not the case-study closed-form law)"
+    assert traj.solver_path == GENERIC_PATH
     assert traj.states.shape == (2 * 400 + 1, 10)
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) > 0.1
     return traj
@@ -552,8 +602,8 @@ def _synthesized_run(preset, mode):
 def test_synthesized_law_drives_the_closed_form_loop(preset, mode):
     # two independent routes to the paper's law, the pointwise synthesis and
     # the hand-derived closed forms, give the same closed loop
-    ref = _preset_run(preset, mode, "closed-form", use_fast=False)
-    assert ref.solver_path == "generic (use_fast=False)"
+    ref = _preset_run(preset, mode, "closed-form", via=generic)
+    assert ref.solver_path == GENERIC_PATH
     synth = _synthesized_run(preset, mode)
     assert np.max(np.abs(synth.states - ref.states)) <= 1e-13
 

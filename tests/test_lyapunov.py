@@ -256,6 +256,19 @@ def test_margin_case_study_below_one(bsys, lyap_p1, law_p1):
     assert cs.skipped == 0
 
 
+def test_margin_keeps_small_gradients_above_the_floor(bsys, lyap_p1, law_p1):
+    # on a ball of radius 1e-7 every ||grad V|| lies in (1e-9, 1e-7), above
+    # the 1e-12 floor: no point is skipped, and at p = 1 the ratio is of
+    # degree 0 in the state, so the supremum is the unit ball's
+    tiny = correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5,
+                                Region.ball(10, 1e-7), 256, r_min=1e-9)
+    unit = correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5,
+                                Region.ball(10, 1.0), 256, r_min=1e-2)
+    assert tiny.skipped == unit.skipped == 0
+    assert math.isclose(tiny.sup, unit.sup, rel_tol=1e-12)
+    assert 0.5 < tiny.sup < 1.0
+
+
 def test_margin_unit_gain_equals_gradient_terms_only(bsys, lyap_p1, law_p1):
     pts = sample_region(Region.ball(10, 1.0), 256, 1e-6, 11)
     sup_direct = -np.inf
