@@ -79,11 +79,6 @@ _KERNEL_SOURCE = r"""
 
 #define BLOWUP_SQ %(blowup)r
 
-/* 0-based input channels i - 1 and j - 1 of each pair, in brockett._PAIRS
-   order */
-static const int I_IDX[6] = {0, 0, 0, 1, 1, 2};
-static const int J_IDX[6] = {1, 2, 3, 2, 3, 3};
-
 static double sgn(double v) { return v > 0.0 ? 1.0 : (v < 0.0 ? -1.0 : 0.0); }
 
 /* a^e for a >= 0 on numpy's fast paths of `array ** e` for e = 1 and e = 2
@@ -124,25 +119,31 @@ static void oscillators(double t, double omega, const int64_t *kappas,
    stage time (cos at [q], sin at [6 + q]), fields from x.  The split factors
    of the profiles at xf go to vs (vi at [q], vj at [6 + q]) unless `held`:
    the later stages of a sampled window reuse those of its first.  e is the
-   profile exponent 2p - 1. */
+   profile exponent 2p - 1.  Pair q = (i, j) adds its terms to u_i and u_j,
+   written out in brockett._PAIRS order (1, 2), (1, 3), ..., (3, 4). */
 static void rhs(const double *x, const double *xf, int held, double e,
                 double *vs, const double *cs, const double *gamma_amp,
                 double *out)
 {
-    double u[4] = {-xf[0], -xf[1], -xf[2], -xf[3]};
-    for (int q = 0; q < 6; ++q) {
-        if (!held) {
+    if (!held)
+        for (int q = 0; q < 6; ++q) {
             double xc = xf[4 + q];
             double vt = -0.5 * sgn(xc) * power(fabs(xc), e);
             vs[q] = sqrt(fabs(vt));
             vs[6 + q] = vs[q] * sgn(vt);
         }
-        u[I_IDX[q]] += gamma_amp[q] * vs[q] * cs[q];
-        u[J_IDX[q]] += gamma_amp[q] * vs[6 + q] * cs[6 + q];
-    }
-    for (int d = 0; d < 4; ++d) out[d] = u[d];
-    for (int q = 0; q < 6; ++q)
-        out[4 + q] = x[I_IDX[q]] * u[J_IDX[q]] - x[J_IDX[q]] * u[I_IDX[q]];
+    const double *g = gamma_amp, *vi = vs, *vj = vs + 6, *c = cs, *s = cs + 6;
+    double u0 = -xf[0], u1 = -xf[1], u2 = -xf[2], u3 = -xf[3];
+    u0 += g[0] * vi[0] * c[0]; u1 += g[0] * vj[0] * s[0];
+    u0 += g[1] * vi[1] * c[1]; u2 += g[1] * vj[1] * s[1];
+    u0 += g[2] * vi[2] * c[2]; u3 += g[2] * vj[2] * s[2];
+    u1 += g[3] * vi[3] * c[3]; u2 += g[3] * vj[3] * s[3];
+    u1 += g[4] * vi[4] * c[4]; u3 += g[4] * vj[4] * s[4];
+    u2 += g[5] * vi[5] * c[5]; u3 += g[5] * vj[5] * s[5];
+    out[0] = u0; out[1] = u1; out[2] = u2; out[3] = u3;
+    out[4] = x[0] * u1 - x[1] * u0; out[5] = x[0] * u2 - x[2] * u0;
+    out[6] = x[0] * u3 - x[3] * u0; out[7] = x[1] * u2 - x[2] * u1;
+    out[8] = x[1] * u3 - x[3] * u1; out[9] = x[2] * u3 - x[3] * u2;
 }
 
 /* RK4 over J windows of `substeps` steps; xs holds J*substeps+1 rows of 10.
@@ -584,7 +585,7 @@ def kernel() -> ctypes.CDLL:
 def closed_form_exponent(law) -> Optional[float]:
     """Exponent ``p`` of the case-study closed-form law, the one law the
     kernel runs, recognised by identity: the case study's fields in its pair
-    order (the kernel's ``I_IDX``/``J_IDX``) and ``components`` a partial of
+    order (written out in the kernel's stage) and ``components`` a partial of
     the closed form at ``p``.  ``None`` for any other law.  The kernel reads
     gain and oscillators from the law and never calls ``components_jac``."""
     c, sys = law.components, law.system

@@ -14,7 +14,7 @@ point is the honest artifact.
 
 The unit of evaluation is a block of points: :func:`decrease_rate` takes one
 state, shape (n,), or a block, shape (k, n), and the scans hand their whole
-sample over in blocks of at most ``BLOCK`` (256) points.  The user callables
+sample over in blocks of at most ``BLOCK`` (2048) points.  User callables
 (fields, Jacobians, ``law.components_jac``, ``lyap.v`` and ``lyap.grad``)
 share one contract: each takes one state and may also take a (k, n) block,
 returning the stacked per-point results.  Each is probed for that once, when
@@ -55,8 +55,8 @@ TOL_ALPHA = 1e-6
 # margin scan: points with ||grad V|| below this are skipped
 GRAD_FLOOR = 1e-12
 # most points whose callable values are stacked at once; bounds peak memory
-# (a 4096-point brockett10 gain scan traces about 1.4 MiB at 256)
-BLOCK = 256
+# (a 4096-point brockett10 gain scan traces about 3.4 MiB in two blocks)
+BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,12 @@ def decrease_rate(sys: VectorFieldSystem, law: FeedbackLaw, lyap: LyapunovSpec,
     ``alpha`` is the derivative of V along the averaged drift, ``beta`` the
     summed derivative along the pair-bracket fields of all pairs; both come
     from one evaluation of ``components_jac`` at each point (one call per
-    block of up to ``BLOCK`` points if it passed the block probe).  ``x`` of
-    shape (n,) gives floats; a block of shape (k, n) gives arrays with one
-    entry per row, the same terms a single-point call gives for that row,
-    up to the rounding of a constant Jacobian's product with ``grad V``
-    (see ``vecfield._contracted_jacobians``), and empty arrays for a block
-    of no rows; other shapes raise ``ValueError``.
+    block of up to ``BLOCK`` (2048) points if it passed the block probe).
+    ``x`` of shape (n,) gives floats; a block of shape (k, n) gives arrays
+    with one entry per row, the terms a single-point call gives for that
+    row up to the rounding of a constant Jacobian's product with ``grad V``
+    (``vecfield._contracted_jacobians``; exact on brockett10), and empty
+    arrays for a block of no rows; other shapes raise ``ValueError``.
     ``gamma`` defaults to the law's gain; passing a value rescales only the
     oscillatory term, which is exactly how the gain enters.  ``law`` must be
     built for ``sys``.  A non-finite Jacobian raises ``ValueError``, a

@@ -261,8 +261,15 @@ def _contracted_jacobians(jacs, X, g):
     non-finite one fails every row.  That product may round differently
     from one point's (measured: up to 3.6e-15 on a dense 10 x 10 matrix);
     it is exact when every column has at most one nonzero entry, as in
-    brockett10.  Any other result is contracted point by point.
+    brockett10.  Any other result is contracted point by point; at one
+    point the U Jacobians are stacked into one product, which rounds as U
+    separate ones do.
     """
+    if len(X) == 1:
+        d = np.array([[jac(X[0]) for jac in jacs]], dtype=float)
+        ok = np.isfinite(d).all(axis=(1, 2, 3))
+        return ((g[:, None, None] @ d)[:, :, 0] if ok[0]
+                else np.zeros(d.shape[:3])), ok
     w = np.empty((len(X), len(jacs), X.shape[1]))
     jac_ok = np.ones(len(X), dtype=bool)
     for a, jac in enumerate(jacs):

@@ -13,7 +13,7 @@ import dataclasses  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest
 
-from oscstab import _fastpath
+from oscstab import _fastpath, lyapunov
 from oscstab import brockett as bk
 from oscstab.integrator import integrate_classical, integrate_sampled
 from oscstab.vecfield import VectorFieldSystem
@@ -169,6 +169,20 @@ def generic(law):
 # compiled-path tests need a compiler; a failed build with one present fails
 needs_cc = pytest.mark.skipif(_fastpath.find_compiler() is None,
                               reason="no C compiler (cc, gcc) on PATH")
+
+
+# block size of the tests that cross block boundaries: small enough that
+# their samples of a few blocks, and the per-point references they are
+# checked against, stay cheap
+SMALL_BLOCK = 256
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Scans and block certificates in blocks of ``SMALL_BLOCK`` points
+    for one test."""
+    monkeypatch.setattr(lyapunov, "BLOCK", SMALL_BLOCK)
+    return SMALL_BLOCK
 
 
 # --- case-study fixtures -------------------------------------------------------

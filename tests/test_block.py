@@ -16,12 +16,13 @@ from oscstab.controller import (feedback_eval, law_with_period,
                                 user_law)
 from oscstab.integrator import (_quadrature_channels, _running_simpson,
                                 coupling_matrix, integrate_sampled)
-from oscstab.lyapunov import (BLOCK, LyapunovSpec, correction_ratio_sup,
+from oscstab.lyapunov import (LyapunovSpec, correction_ratio_sup,
                               decrease_rate, gain_bound_scan)
 from oscstab.sampling import Region
 from oscstab.vecfield import VectorFieldSystem
 
-from conftest import _dt, heis3_system, per_point, random_polynomial_system
+from conftest import (SMALL_BLOCK, _dt, heis3_system, per_point,
+                      random_polynomial_system)
 
 
 def _rel_close(a, b, rtol=1e-12):
@@ -157,9 +158,10 @@ def _callables(sys_, law, lyap):
 
 def _outcomes(sys_, law, lyap):
     region = Region.ball(3, 1.0)
-    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (BLOCK + 5, 3))
-    gb = gain_bound_scan(sys_, law, lyap, region, BLOCK + 5, seed=2)
-    cs = correction_ratio_sup(sys_, law, lyap, 0.5, region, BLOCK + 5, seed=2)
+    n = SMALL_BLOCK + 5
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (n, 3))
+    gb = gain_bound_scan(sys_, law, lyap, region, n, seed=2)
+    cs = correction_ratio_sup(sys_, law, lyap, 0.5, region, n, seed=2)
     traj = integrate_sampled(sys_, law, np.array([0.3, -0.2, 0.4]), T=0.2,
                              substeps=50, lyap=lyap)
     return (tuple(decrease_rate(sys_, law, lyap, pts)),
@@ -169,6 +171,7 @@ def _outcomes(sys_, law, lyap):
 
 @pytest.mark.parametrize("wrap", [_raising, _shifted, _warning],
                          ids=["raises", "wrong-values", "warns"])
+@pytest.mark.usefixtures("small_blocks")
 def test_probe_failures_fall_back_to_per_point_with_unchanged_results(wrap):
     ref_case = _heis3_blocks()
     assert all(_block.blockwise(fn, 3) for fn in _callables(*ref_case))
@@ -201,6 +204,7 @@ def test_a_warning_on_a_block_leaves_the_warning_filters_alone():
 # --- oracle: block path against the per-point path ---------------------------
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.usefixtures("small_blocks")
 def test_block_scans_match_per_point_scans(p):
     sys_, lyap, law = bk.brockett_system(), bk.brockett_lyapunov(p), \
         bk.brockett_law(p, 0.5, 0.1)
@@ -215,7 +219,7 @@ def test_block_scans_match_per_point_scans(p):
     assert all(_block.blockwise(fn, 10) for fn in _callables(sys_, law, lyap))
     assert not any(_block.blockwise(fn, 10)
                    for fn in _callables(psys, plaw, plyap))
-    n = 3 * BLOCK + 17
+    n = 3 * SMALL_BLOCK + 17
     for region in (Region.ball(10, 2.0), Region.ball(10, 1.0)):
         blk = gain_bound_scan(sys_, law, lyap, region, n, seed=11)
         ref = gain_bound_scan(psys, plaw, plyap, region, n, seed=11)
@@ -235,11 +239,11 @@ def test_stacked_copies_broadcast_jacobians_once(bsys):
     # brockett10's constant Jacobians return read-only broadcast views of
     # one matrix; the stack holds its own writable copy, which
     # vecfield._pair_brackets zeroes in place at rows with a bad Jacobian
-    X = np.random.default_rng(21).uniform(-1.0, 1.0, (BLOCK, bsys.n))
+    X = np.random.default_rng(21).uniform(-1.0, 1.0, (SMALL_BLOCK, bsys.n))
     views = [jac(X) for jac in bsys.jacobians]
     assert all(v.strides[0] == 0 and not v.flags.writeable for v in views)
     got = _block.stacked(bsys.jacobians, X)
-    assert got.shape == (BLOCK, bsys.m, bsys.n, bsys.n)
+    assert got.shape == (SMALL_BLOCK, bsys.m, bsys.n, bsys.n)
     assert got.flags.c_contiguous and got.flags.writeable
     assert not any(np.shares_memory(got, v) for v in views)
     assert np.array_equal(got, [[jac(x) for jac in bsys.jacobians]

@@ -183,6 +183,19 @@ LAYOUTS = (-1.2345678901234567e-05, 1e-05, 1.0000000000000001e-05,
            -1.7976931348623157e308, -5e-324, -2.2250738585072009e-308,
            float("nan"), -0.0, 0.0, float("-inf"))
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+WARNINGS = ("-Wall", "-Wextra", "-Werror")
+
+
+@needs_cc
+def test_library_builds_without_warnings(tmp_path):
+    # the library's own build with the common warnings as errors: an unused
+    # table or variable left behind by an edit of the source fails here
+    build = subprocess.run(
+        [_fastpath.find_compiler(), *_fastpath.CFLAGS, *WARNINGS, "-x", "c",
+         "-", "-o", str(tmp_path / "library.so"), *_fastpath.LDLIBS],
+        input=_fastpath.SOURCE, capture_output=True, text=True, timeout=300)
+    assert build.returncode == 0, build.stderr
+
 
 # formats each block from a table and into a buffer of exactly the sizes
 # csv_formatter gives them (heap memory, so reads and writes past either

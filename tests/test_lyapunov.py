@@ -8,19 +8,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscstab import _block
+from oscstab import _block, lyapunov
 from oscstab import brockett as bk
 from oscstab.controller import (_pair_bracket_terms, drift_field,
                                 pair_bracket_field, synthesized_law,
                                 user_law)
-from oscstab.lyapunov import (BLOCK, GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
+from oscstab.lyapunov import (GRAD_FLOOR, TOL_ALPHA, DefinitenessReport,
                               LyapunovSpec, _correction, _report,
                               correction_field, correction_ratio_sup,
                               decrease_rate, gain_bound_scan, negdef_scan)
 from oscstab.sampling import Region, sample_region
 from oscstab.vecfield import JACOBIAN_ERROR, system_from_fields
 
-from conftest import _dt, heis3_system, per_point
+from conftest import SMALL_BLOCK, _dt, heis3_system, per_point
 
 # dense i.i.d. oracle values, frozen from 1e5..2e5-point reference sweeps
 ORACLE_RATIO_SUP_P1_BALL2 = 0.735475
@@ -532,10 +532,11 @@ BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.usefixtures("small_blocks")
 def test_block_decrease_rate_rows_match_single_points(case):
     sys_, law, lyap = BLOCK_CASES[case]()
     rng = np.random.default_rng(41)
-    k = BLOCK + 6 if "synthesized" in case else 2 * BLOCK + 6
+    k = SMALL_BLOCK + 6 if "synthesized" in case else 2 * SMALL_BLOCK + 6
     xs = rng.uniform(-1.5, 1.5, (k, sys_.n))
     if sys_.n == 10:
         # exact-zero bracket coordinates: profiles on their sign switch
@@ -557,13 +558,14 @@ def test_block_decrease_rate_rows_match_single_points(case):
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.usefixtures("small_blocks")
 def test_scan_terms_match_the_vector_path(case):
     # the scans project the bracket algebra on grad V before any vector is
     # formed; per point, alpha, beta and the margin ratio must equal the
     # projections of the vector fields
     sys_, law, lyap = BLOCK_CASES[case]()
     rng = np.random.default_rng(44)
-    k = 40 if "synthesized" in case else BLOCK + 6
+    k = 40 if "synthesized" in case else SMALL_BLOCK + 6
     xs = rng.uniform(-1.5, 1.5, (k, sys_.n))
     if sys_.n == 10:
         xs[::3, 4 + rng.integers(0, 6)] = 0.0    # profiles on a sign switch
@@ -614,6 +616,7 @@ def _close(a, b, rel=1e-12):
 
 @pytest.mark.parametrize("case", ["brockett10-p1", "brockett10-p1.5",
                                   "heis3-vanishing-drift"])
+@pytest.mark.usefixtures("small_blocks")
 def test_scans_match_per_point_reference(case):
     if case == "heis3-vanishing-drift":
         sys_, law = _heis_law(lambda x: -0.5 * x[2] * (1.0 + x[0]),
@@ -625,7 +628,7 @@ def test_scans_match_per_point_reference(case):
     else:
         sys_, law, lyap = BLOCK_CASES[case]()
         region = Region.ball(10, 2.0)
-    n = 3 * BLOCK + 17
+    n = 3 * SMALL_BLOCK + 17
     gb = gain_bound_scan(sys_, law, lyap, region, n, seed=9)
     ratio_sup, (n_checked, violations, worst, worst_point) = \
         _reference_gain_scan(sys_, law, lyap, region, n, 9)
@@ -677,10 +680,11 @@ def _brockett_case(profile_at=(), jacobian_at=(), q_bad=4):
     return sys_, law, bk.brockett_lyapunov(1.0)
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_block_error_names_first_failing_point_and_pair():
-    xs = np.random.default_rng(43).uniform(0.2, 1.2, (2 * BLOCK, 10))
+    xs = np.random.default_rng(43).uniform(0.2, 1.2, (2 * SMALL_BLOCK, 10))
     pair = bk.brockett_system().pairs[4]
-    for k in (0, 5, BLOCK + 3):
+    for k in (0, 5, SMALL_BLOCK + 3):
         sys_, law, lyap = _brockett_case(profile_at=(xs[k], xs[k + 2]))
         message = (rf"pair {re.escape(str(pair))} not finite at "
                    rf"x={re.escape(str(xs[k].tolist()))}")
@@ -700,9 +704,10 @@ def test_block_error_names_first_failing_point_and_pair():
             decrease_rate(sys_, law, lyap, xs)
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_margin_scan_raises_for_first_failing_point():
     region = Region.ball(10, 1.0)
-    pts = sample_region(region, 2 * BLOCK, 1e-6, 5)
+    pts = sample_region(region, 2 * SMALL_BLOCK, 1e-6, 5)
     grad = bk.brockett_lyapunov(1.0).grad
     inf_grad = _flagged(grad, (pts[7],), lambda g: np.full_like(g, np.inf))
     for profile_k, message in ((3, r"pair \(2, 4\) not finite at x="),
@@ -713,7 +718,7 @@ def test_margin_scan_raises_for_first_failing_point():
         x_bad = pts[min(profile_k, 7)]
         with pytest.raises(ArithmeticError, match=message
                            + re.escape(str(x_bad.tolist()))):
-            correction_ratio_sup(sys_, law, lyap, 0.5, region, 2 * BLOCK,
+            correction_ratio_sup(sys_, law, lyap, 0.5, region, 2 * SMALL_BLOCK,
                                  seed=5)
 
 
@@ -746,11 +751,12 @@ def _counted_case(bsys, law_p1, lyap_p1, counts, wrap):
     return csys, law, lyap
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_scans_call_each_callable_once_per_point(bsys, law_p1, lyap_p1):
     # the stacked path: callables that take one state at a time
     counts = collections.Counter()
     csys, law, lyap = _counted_case(bsys, law_p1, lyap_p1, counts, per_point)
-    n = 2 * BLOCK + 9
+    n = 2 * SMALL_BLOCK + 9
     expected = {"components_jac": n, "grad": n,
                 **{(kind, k): n for kind in ("field", "jacobian")
                    for k in range(4)}}
@@ -764,6 +770,7 @@ def test_scans_call_each_callable_once_per_point(bsys, law_p1, lyap_p1):
     assert counts == expected
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_scans_call_block_capable_callables_once_per_block(bsys, law_p1,
                                                            lyap_p1):
     # the block path: the brockett10 callables pass the probe, so does a
@@ -771,7 +778,7 @@ def test_scans_call_block_capable_callables_once_per_block(bsys, law_p1,
     counts = collections.Counter()
     csys, law, lyap = _counted_case(bsys, law_p1, lyap_p1, counts,
                                     lambda fn: fn)
-    n = 2 * BLOCK + 9
+    n = 2 * SMALL_BLOCK + 9
     blocks = 3
     per_block = {"components_jac": blocks,
                  **{(kind, k): blocks for kind in ("field", "jacobian")
@@ -794,21 +801,70 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_gain_scan_memory_stays_flat(bsys, law_p1, lyap_p1):
     # callable values are stacked a block at a time, not for the whole sample
     region = Region.ball(10, 2.0)
-    gain_bound_scan(bsys, law_p1, lyap_p1, region, BLOCK, seed=1)
+    gain_bound_scan(bsys, law_p1, lyap_p1, region, SMALL_BLOCK, seed=1)
     peak = _traced_peak(
         lambda: gain_bound_scan(bsys, law_p1, lyap_p1, region, 4096, seed=1))
     assert peak < 2 * 2 ** 20
     # brockett10's constant Jacobians are contracted with grad V as one
     # matrix each: the margin scan traces 0.72 MiB, and stacking them per
-    # point, a (BLOCK, m, n, n) array of 800 KB a block, takes it to 1.48 MiB
+    # point, a (SMALL_BLOCK, m, n, n) array of 800 KB a block, takes it to
+    # 1.48 MiB
     region = Region.ball(10, 1.0)
-    correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5, region, BLOCK, seed=1)
+    correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5, region, SMALL_BLOCK,
+                         seed=1)
     peak = _traced_peak(lambda: correction_ratio_sup(
         bsys, law_p1, lyap_p1, 0.5, region, 2048, seed=1))
     assert peak < 0.9 * 2 ** 20
+
+
+def test_default_blocks_stay_below_the_sobol_table(bsys, law_p1, lyap_p1):
+    # at the default BLOCK (2048) the 4096-point gain scan takes two blocks
+    # and traces 3.38 MiB, the 2048-point margin scan one and 3.21 MiB, both
+    # below the 4.44 MiB that loading the Sobol table traces in a process's
+    # first scan; in one block of 4096 the gain scan traces 6.38 MiB, and
+    # with one copy of each constant Jacobian per point the two scans trace
+    # 6.13 and 5.96 MiB
+    assert lyapunov.BLOCK == 2048
+    region = Region.ball(10, 2.0)
+    gain_bound_scan(bsys, law_p1, lyap_p1, region, 16, seed=1)
+    peak = _traced_peak(
+        lambda: gain_bound_scan(bsys, law_p1, lyap_p1, region, 4096, seed=1))
+    assert peak < 4 * 2 ** 20
+    region = Region.ball(10, 1.0)
+    correction_ratio_sup(bsys, law_p1, lyap_p1, 0.5, region, 16, seed=1)
+    peak = _traced_peak(lambda: correction_ratio_sup(
+        bsys, law_p1, lyap_p1, 0.5, region, 2048, seed=1))
+    assert peak < 3.6 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_results_do_not_depend_on_the_block_size(p, monkeypatch):
+    # brockett10's Jacobians have at most one nonzero per column, so their
+    # contraction with grad V is exact whatever the block: the scans and the
+    # block terms come out bit for bit alike in blocks of 1 (each point on
+    # its own), 7 and 256 points and at the default size (one block here)
+    sys_, law, lyap = BLOCK_CASES[f"brockett10-p{p:g}"]()
+    n = 600
+    xs = np.random.default_rng(45).uniform(-1.5, 1.5, (n, 10))
+    xs[::5, 4 + np.arange(0, n, 5) % 6] = 0.0    # profiles on a sign switch
+
+    def results():
+        gb = gain_bound_scan(sys_, law, lyap, Region.ball(10, 2.0), n, seed=4)
+        return (np.array(decrease_rate(sys_, law, lyap, xs)),
+                (gb.ratio_sup, gb.gamma_max, gb.report.to_json()),
+                correction_ratio_sup(sys_, law, lyap, 0.5,
+                                     Region.ball(10, 1.0), n, seed=4))
+
+    want = results()
+    for size in (1, 7, 256):
+        monkeypatch.setattr(lyapunov, "BLOCK", size)
+        got = results()
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
 
 
 # --- constant Jacobians -----------------------------------------------------------
@@ -831,6 +887,7 @@ def _with_jacobians(sys_, law, jacobians):
 
 
 @pytest.mark.parametrize("broadcast", ["all", "first", "none"])
+@pytest.mark.usefixtures("small_blocks")
 def test_constant_jacobians_match_copied_per_point_jacobians(
         bsys, law_p1, lyap_p1, broadcast):
     # brockett10's Jacobians broadcast one matrix over a block; the same
@@ -841,16 +898,16 @@ def test_constant_jacobians_match_copied_per_point_jacobians(
     sys_, law = _with_jacobians(
         bsys, law_p1, [*bsys.jacobians[:keep], *copied[keep:]])
     ref_sys, ref_law = _with_jacobians(bsys, law_p1, copied)
-    X = np.random.default_rng(3).uniform(-1.5, 1.5, (BLOCK, 10))
+    X = np.random.default_rng(3).uniform(-1.5, 1.5, (SMALL_BLOCK, 10))
     assert all(_block.blockwise(jac, 10) for jac in copied)
     assert [jac(X).strides[0] == 0 for jac in sys_.jacobians] == (
         [True] * keep + [False] * (4 - keep))
-    xs = np.random.default_rng(8).uniform(-1.5, 1.5, (2 * BLOCK + 9, 10))
+    xs = np.random.default_rng(8).uniform(-1.5, 1.5, (2 * SMALL_BLOCK + 9, 10))
     xs[::5, 6] = 0.0    # profiles on a sign switch
     for got, ref in zip(decrease_rate(sys_, law, lyap_p1, xs),
                         decrease_rate(ref_sys, ref_law, lyap_p1, xs)):
         assert np.array_equal(got, ref)
-    n = 2 * BLOCK + 9
+    n = 2 * SMALL_BLOCK + 9
     got = gain_bound_scan(sys_, law, lyap_p1, Region.ball(10, 2.0), n, seed=2)
     ref = gain_bound_scan(ref_sys, ref_law, lyap_p1, Region.ball(10, 2.0), n,
                           seed=2)
@@ -862,6 +919,7 @@ def test_constant_jacobians_match_copied_per_point_jacobians(
                                        Region.ball(10, 1.0), n, seed=2)
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_nonfinite_constant_jacobian_fails_from_the_first_row(bsys, law_p1,
                                                              lyap_p1):
     # a constant Jacobian that is not finite is so at every point: its one
@@ -875,7 +933,7 @@ def test_nonfinite_constant_jacobian_fails_from_the_first_row(bsys, law_p1,
     assert [_block.blockwise(s.jacobians[1], 10) for s, _ in cases] == [
         True, True]
     mat[4, 0] = np.nan    # after the block probe, which remembers its verdict
-    xs = np.random.default_rng(4).uniform(0.2, 1.2, (BLOCK + 3, 10))
+    xs = np.random.default_rng(4).uniform(0.2, 1.2, (SMALL_BLOCK + 3, 10))
     _, vals, jac = _block.rows(law_p1.components_jac, xs)
     vals[5:, 2] = np.nan
     g = _block.rows(lyap_p1.grad, xs)
@@ -885,7 +943,7 @@ def test_nonfinite_constant_jacobian_fails_from_the_first_row(bsys, law_p1,
         assert str(fail[1]) == JACOBIAN_ERROR
         for fn in (lambda: decrease_rate(sys_, law, lyap_p1, xs),
                    lambda: correction_ratio_sup(sys_, law, lyap_p1, 0.5,
-                                                Region.ball(10, 1.0), BLOCK,
+                                                Region.ball(10, 1.0), SMALL_BLOCK,
                                                 seed=1)):
             with pytest.raises(ValueError, match=re.escape(JACOBIAN_ERROR)):
                 fn()

@@ -7,7 +7,8 @@ from oscstab import _block
 from oscstab.cli import SPAN_RADIUS, RunConfig
 from oscstab.sampling import Region, sample_region
 from oscstab.vecfield import (JACOBIAN_ERROR, VectorFieldSystem,
-                              _condition_1norm, assemble_bracket_matrix,
+                              _condition_1norm, _contracted_jacobians,
+                              assemble_bracket_matrix,
                               bracket_generating_check, input_matrix,
                               lie_bracket, system_from_fields)
 
@@ -21,6 +22,26 @@ def test_brockett_pair_bracket_is_constant_2e5(bsys):
         x = rng.uniform(-3, 3, 10)
         br = lie_bracket(bsys, 1, 2, x)
         assert np.allclose(br, 2.0 * np.eye(10)[4], atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["brockett10", "heis3", "poly3"])
+def test_one_point_contraction_rounds_as_separate_products(name, bsys):
+    # at one point the Jacobians are stacked and contracted in one product;
+    # each row must be its own vector-matrix product bit for bit, and a
+    # non-finite Jacobian fails the point with zero rows
+    sys_ = {"brockett10": bsys, "heis3": heis3_system(),
+            "poly3": random_polynomial_system()}[name]
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        x, g = rng.uniform(-1.5, 1.5, (2, 1, sys_.n))
+        w, ok = _contracted_jacobians(sys_.jacobians, x, g)
+        assert ok.tolist() == [True]
+        assert np.array_equal(w[0], np.concatenate(
+            [g @ np.asarray(jac(x[0]), dtype=float) for jac in sys_.jacobians]))
+    nan = np.full((sys_.n, sys_.n), np.nan)
+    w, ok = _contracted_jacobians([*sys_.jacobians, lambda x: nan], x, g)
+    assert ok.tolist() == [False]
+    assert w.shape == (1, sys_.m + 1, sys_.n) and not w.any()
 
 
 def test_bracket_antisymmetry_and_diagonal(bsys):
