@@ -200,34 +200,31 @@ def brockett_decrease_parts(p: float, gamma: float, x):
     (10,), arrays with one entry per row for a block of shape (k, 10).
     """
     x = np.asarray(x, dtype=float)
-    alpha = -np.sum(x[..., :4] ** 2, axis=-1)
-    gv = x.copy()
-    gv[..., 4:] = np.sign(x[..., 4:]) * np.abs(x[..., 4:]) ** (2.0 * p - 1.0)
+    # one contiguous row per coordinate; a state is a block of one
+    c = np.moveaxis(np.atleast_2d(x), -1, 0).copy()
+    x0, x1, x2, x3 = c[:4]
+    alpha = -(x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2)
+    g = np.sign(c[4:]) * np.abs(c[4:]) ** (2.0 * p - 1.0)  # grad V, x_5..10
     # L_fk V for the four fields
-    lf = (x[..., 0] - gv[..., 4] * x[..., 1] - gv[..., 5] * x[..., 2]
-          - gv[..., 6] * x[..., 3],
-          x[..., 1] + gv[..., 4] * x[..., 0] - gv[..., 7] * x[..., 2]
-          - gv[..., 8] * x[..., 3],
-          x[..., 2] + gv[..., 5] * x[..., 0] + gv[..., 7] * x[..., 1]
-          - gv[..., 9] * x[..., 3],
-          x[..., 3] + gv[..., 6] * x[..., 0] + gv[..., 8] * x[..., 1]
-          + gv[..., 9] * x[..., 2])
+    lf = (x0 - g[0] * x1 - g[1] * x2 - g[2] * x3,
+          x1 + g[0] * x0 - g[3] * x2 - g[4] * x3,
+          x2 + g[1] * x0 + g[3] * x1 - g[5] * x3,
+          x3 + g[2] * x0 + g[4] * x1 + g[5] * x2)
     # (f_i)_c and (f_j)_c entries at the bracket coordinate of each pair
-    fic = (-x[..., 1], -x[..., 2], -x[..., 3], -x[..., 2], -x[..., 3],
-           -x[..., 3])
-    fjc = (x[..., 0], x[..., 0], x[..., 0], x[..., 1], x[..., 1], x[..., 2])
+    fic = (-x1, -x2, -x3, -x2, -x3, -x3)
+    fjc = (x0, x0, x0, x1, x1, x2)
     beta = 0.0
     for q, (i, j) in enumerate(_PAIRS):
-        xc = np.abs(x[..., 4 + q])
+        xc = np.abs(c[4 + q])
         live = xc != 0.0
         cross = fic[q] * lf[j - 1] - fjc[q] * lf[i - 1]
         beta = beta - np.where(live, xc ** (4.0 * p - 2.0), 0.0)
         beta = beta - np.where(
             live, 0.25 * (2.0 * p - 1.0) * xc ** (2.0 * p - 2.0) * cross, 0.0)
     w = alpha + gamma * gamma * beta
-    kink = np.any(x[..., 4:] == 0.0, axis=-1)
+    kink = np.any(c[4:] == 0.0, axis=0)
     if x.ndim == 1:
-        return float(w), float(alpha), float(beta), bool(kink)
+        return float(w[0]), float(alpha[0]), float(beta[0]), bool(kink[0])
     return w, alpha, beta, kink
 
 

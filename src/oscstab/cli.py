@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _block, brockett
+from . import _block, brockett, sampling
 from .integrator import (MIN_QUAD_STEPS, MIN_SUBSTEPS_PER_KAPPA,
                          PROBE_SUBSTEPS, Trajectory, _plan, _write_csv,
                          _write_json, coupling_matrix, integrate_classical,
@@ -363,6 +363,7 @@ def compare(config: RunConfig) -> Tuple[dict, int]:
     return payload, _exit_code(list(sections.values()))
 
 
+@sampling.shared_ball_draws()
 def verify(config: RunConfig) -> Tuple[dict, int]:
     """Run every numerical hypothesis check and aggregate the verdicts."""
     t_start = time.perf_counter()

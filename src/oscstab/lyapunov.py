@@ -209,7 +209,7 @@ def _report(vals, pts: np.ndarray, region: dict, seed: int,
     k = int(np.argmax(vals))
     return DefinitenessReport(
         n_samples=n_samples, violations=int(np.count_nonzero(~(vals < 0.0))),
-        worst_value=float(vals[k]), worst_point=pts[k], region=region,
+        worst_value=float(vals[k]), worst_point=pts[k].copy(), region=region,
         seed=seed)
 
 

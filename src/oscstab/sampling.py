@@ -19,8 +19,8 @@ bit for bit (:func:`_sobol`):
 - points in Gray-code order, each the previous one XOR one scrambled
   direction number.
 
-The scrambled numbers and the shift are memoised per ``(dim, seed)``, so the
-scans of one ``verify``, which share both, scramble once.
+The scrambled numbers and the shift are memoised per ``(dim, seed)``, and
+the ball scans of one ``verify`` share one draw (:func:`shared_ball_draws`).
 
 The positivity sample a :class:`~oscstab.lyapunov.LyapunovSpec` is checked
 on at construction is a plain i.i.d. one, from numpy's
@@ -34,6 +34,8 @@ they import ``scipy.special.ndtri``, which gives the same bits.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import importlib.util
 import os
@@ -47,6 +49,7 @@ __all__ = ["Region", "sample_region", "iid_ball"]
 BITS = 30                 # bits per coordinate, as scipy's default engine
 MAX_POINTS = 2 ** BITS    # length of the sequence
 BOX_DRAWS = 64            # box points drawn at most, per point of max(n, 64)
+_BALL_DRAWS = contextvars.ContextVar("ball_draws")  # see shared_ball_draws
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,11 @@ class Region:
         if not 0.0 < radius < np.inf:
             raise ValueError("radius must be finite and positive, "
                              f"got {radius}")
+        # the radius law (_onto_ball) takes radius ** dim
+        with np.errstate(over="ignore", under="ignore"):
+            if not 0.0 < np.float64(radius) ** dim < np.inf:
+                raise ValueError(f"radius {radius} in dimension {dim}: its "
+                                 f"{dim}-th power is out of the float range")
         return Region("ball", int(dim), radius=float(radius))
 
     @staticmethod
@@ -177,15 +185,14 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
     return q * 2.0 ** -BITS
 
 
-def _onto_ball(z: np.ndarray, u: np.ndarray, radius: float,
+def _onto_ball(dirs: np.ndarray, u: np.ndarray, radius: float,
                r_min: float) -> np.ndarray:
-    """Points ``r_min <= ||x|| <= radius`` from the Gaussian rows ``z`` (their
+    """Points ``r_min <= ||x|| <= radius`` from the unit rows ``dirs`` (their
     directions) and the uniforms ``u`` in [0, 1) (their radii)."""
-    d = z.shape[1]
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    d = dirs.shape[1]
     # radius law that is uniform in volume over the annulus
     rad = (u * (radius ** d - r_min ** d) + r_min ** d) ** (1.0 / d)
-    return z * rad[:, None]
+    return dirs * rad[:, None]
 
 
 def iid_ball(dim: int, n: int, radius: float, r_min: float,
@@ -196,8 +203,10 @@ def iid_ball(dim: int, n: int, radius: float, r_min: float,
     ``np.random.default_rng(seed)``; numpy alone, deterministic for fixed
     arguments.
     """
+    Region.ball(dim, radius)        # refuses a radius before any draw
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dim))
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
     return _onto_ball(z, rng.random(n), radius, r_min)
 
 
@@ -212,6 +221,17 @@ def normal_quantiles():
     except _fastpath.KernelUnavailable as exc:
         from scipy.special import ndtri
         return ndtri, f"scipy ({exc})"
+
+
+@contextlib.contextmanager
+def shared_ball_draws():
+    """Within the block (per thread), ball samples of one ``(dim, seed)`` are
+    prefixes of the longest drawn: the Sobol prefix is the shorter draw."""
+    token = _BALL_DRAWS.set({})
+    try:
+        yield
+    finally:
+        _BALL_DRAWS.reset(token)
 
 
 def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray:
@@ -229,10 +249,16 @@ def sample_region(region: Region, n: int, r_min: float, seed: int) -> np.ndarray
     if region.kind == "ball":
         if r_min >= region.radius:
             raise ValueError("r_min must be below the ball radius")
-        ndtri, _ = normal_quantiles()
-        u = _sobol(d + 1, n, seed)
-        z = ndtri(np.clip(u[:, :d], 1e-15, 1.0 - 1e-15))
-        return _onto_ball(z, u[:, d], region.radius, r_min)
+        # unit directions and radius uniforms, held in shared_ball_draws()
+        held = _BALL_DRAWS.get({})
+        dirs, u = held.get((d, seed), (None, np.empty(0)))
+        if u.shape[0] < n:
+            q = _sobol(d + 1, n, seed)
+            z = normal_quantiles()[0](np.clip(q[:, :d], 1e-15, 1.0 - 1e-15))
+            dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+            u = q[:, d].copy()          # the (n, d + 1) draw is not held
+            held[d, seed] = dirs, u
+        return _onto_ball(dirs[:n], u[:n], region.radius, r_min)
     far = float(np.linalg.norm(np.maximum(np.abs(region.lo),
                                           np.abs(region.hi))))
     if r_min >= far:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from oscstab import _fastpath, brockett as bk
 from oscstab.lyapunov import decrease_rate, negdef_scan
-from oscstab.sampling import Region
+from oscstab.sampling import Region, sample_region
 from oscstab.vecfield import assemble_bracket_matrix, lie_bracket
 
 
@@ -214,7 +215,72 @@ def test_block_decrease_parts_match_per_row_reference(p):
         ref = _reference_decrease_parts(p, 0.5, x)
         single = bk.brockett_decrease_parts(p, 0.5, x)
         assert single[3] is ref[3] and bool(kink[r]) is ref[3]
-        for got in ((w[r], alpha[r], beta[r]), single[:3]):
-            assert np.all(np.abs(np.subtract(got, ref[:3]))
-                          <= 1e-14 * np.maximum(1.0, np.abs(ref[:3])))
+        # a state is a block of one: its terms are its block row's bits
+        assert _bits(single[:3]) == _bits((w[r], alpha[r], beta[r]))
+        assert np.all(np.abs(np.subtract(single[:3], ref[:3]))
+                      <= 1e-14 * np.maximum(1.0, np.abs(ref[:3])))
     assert np.array_equal(bk.brockett_decrease_rate(p, 0.5, xs), w)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                          ).hexdigest()
+
+
+# sha256 of (w, alpha, beta) on verify's certificate sample (ball of radius
+# 2, 10000 points, r_min 1e-6, seed 2024) at gamma 0.5, as computed column
+# by column before the terms read one contiguous row per coordinate
+VERIFY_SAMPLE_PARTS = {
+    1.0: ("c8175e9d4eddc853145eef31f4c742418c8bb444ce6a042fbb95ab00600fefc7",
+          "4d4c519a58d67cab26fa35e9bb0326f25c53447ae633f208d4b16e3d7b153aa5",
+          "81640dd1b5504effa0a70d3172af083e8b71c785f808c588c31c27cb4a59b52d"),
+    1.5: ("2c36c0876728e53f03e226367818b206c50744f01de51d50dd4349467f61bbd2",
+          "4d4c519a58d67cab26fa35e9bb0326f25c53447ae633f208d4b16e3d7b153aa5",
+          "f38ae2fe5edcade3aa7409e4f49c3211ddad9ed214fcd655dbd8f478e927bcaf"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(VERIFY_SAMPLE_PARTS))
+def test_certificate_terms_on_the_verify_sample_are_pinned(p):
+    xs = sample_region(Region.ball(10, 2.0), 10_000, 1e-6, 2024)
+    w, alpha, beta, _ = bk.brockett_decrease_parts(p, 0.5, xs)
+    assert tuple(map(_digest, (w, alpha, beta))) == VERIFY_SAMPLE_PARTS[p]
+
+
+def _special_block():
+    # uniform rows with about 30% of the entries replaced by zeros of both
+    # signs, NaN, infinities, subnormals and values whose powers underflow
+    # or overflow
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                         1e-310, -2.5e-309, 1e-160, -3e-170, 1e200])
+    rng = np.random.default_rng(37)
+    xs = rng.uniform(-2.0, 2.0, (600, 10))
+    pick = rng.random((600, 10)) < 0.3
+    xs[pick] = rng.choice(specials, size=int(pick.sum()))
+    return xs
+
+
+# sha256 of the stacked (w, alpha, beta, kink) on _special_block() at gamma
+# 0.5, as computed column by column
+SPECIAL_PARTS = {
+    1.0: "2bfdb58f44ef6272b7d1a93c2e5aada7e318986db3caec77836c20a59715cd86",
+    1.5: "1161b7220a91d44a19340e09103cf82a6914a6e22586ff6d2b19467378e87d69",
+    2.0: "68e1de46e11b4d5c65f1c8542307ac4fa1c0ff717506d14d7c5474df454c0f57",
+    3.0: "dd9f9df0545258aca7014bd9dddc0ca780978298ac2c805c24290c187c0e25a1",
+}
+
+
+@pytest.mark.parametrize("p", sorted(SPECIAL_PARTS))
+def test_certificate_terms_on_special_values_are_pinned(p):
+    xs = _special_block()
+    with np.errstate(all="ignore"):
+        parts = bk.brockett_decrease_parts(p, 0.5, xs)
+        assert _digest(np.stack(parts)) == SPECIAL_PARTS[p]
+        for r in range(0, len(xs), 7):
+            single = bk.brockett_decrease_parts(p, 0.5, xs[r])
+            assert _bits(single[:3]) == _bits([a[r] for a in parts[:3]])
+            assert single[3] is bool(parts[3][r])

@@ -122,6 +122,9 @@ def test_negdef_scan_positive_quadratic_all_violations():
     assert np.linalg.norm(rep.worst_point) <= 2.0
     assert math.isclose(rep.worst_value, float(rep.worst_point @ rep.worst_point),
                         rel_tol=1e-12)
+    # the worst point is a copy: a view would keep the whole sample alive
+    # for as long as the report
+    assert rep.worst_point.base is None
 
 
 def test_negdef_scan_is_deterministic():
