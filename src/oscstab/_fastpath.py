@@ -1,4 +1,5 @@
-"""Compiled trajectory kernel, CSV formatter and normal quantiles.
+"""Compiled trajectory kernel, CSV formatter, normal quantiles and
+oscillator quadrature.
 
 The trajectory kernel integrates the ten-state case-study closed loop; it
 exists only to make the long reproduction runs cheap.  It hard-codes that
@@ -38,7 +39,13 @@ here, so a process whose library loads never imports ``scipy.special``.  A
 numpy port is not bit-exact: numpy's SIMD ``log`` rounds some values
 differently from glibc's.
 
-All three live in one C source in this module, compiled with the system C
+The oscillator quadrature (:func:`oscillator_quadrature`) gives
+:func:`oscstab.integrator.coupling_matrix` its channels and their running
+Simpson integrals with the bits of its numpy path: numpy's float64 ``cos``
+and ``sin`` are the C library's here (x86-64, glibc 2.36, numpy 2.4.6), and
+the Simpson terms take numpy's operations in numpy's order.
+
+All four live in one C source in this module, compiled with the system C
 compiler (``cc`` or ``gcc``) on first use, never at import, then loaded with
 :mod:`ctypes`.  The shared library is cached per user in
 ``$XDG_CACHE_HOME/oscstab`` (else ``~/.cache/oscstab``) under a name keyed
@@ -47,8 +54,9 @@ loads a stale build.  When that directory cannot be written the process
 builds into a temporary directory, removed once the library is loaded.
 Without a compiler, or when the build fails, :func:`kernel` raises
 :class:`KernelUnavailable` naming the reason; the integrator then keeps the
-generic stepper and the Python CSV formatter, and the ball scans import
-``scipy.special.ndtri``, which give the same results.
+generic stepper and the Python CSV formatter, the ball scans import
+``scipy.special.ndtri`` and the quadrature runs in numpy, which give the
+same results.
 """
 
 from __future__ import annotations
@@ -460,7 +468,40 @@ void ndtri(const double *p, int64_t n, double *out)
 }
 """
 
-SOURCE = _KERNEL_SOURCE + _WRITER_SOURCE + _NDTRI_SOURCE
+_QUADRATURE_SOURCE = r"""
+/* amp[q] cos(kw[q] s_i) and amp[q] sin(kw[q] s_i) at [q n + i] of cs and sn
+   (gcc fuses the cos and sin of one th into one sincos call) */
+void oscillator_channels(const double *s, int64_t n, int64_t m,
+                         const double *kw, const double *amp, double *cs,
+                         double *sn)
+{
+    for (int64_t q = 0; q < m; ++q)
+        for (int64_t i = 0; i < n; ++i) {
+            const double th = kw[q] * s[i];
+            cs[q * n + i] = amp[q] * cos(th);
+            sn[q * n + i] = amp[q] * sin(th);
+        }
+}
+
+/* integrator._running_simpson of the n >= 3 samples y, its operations in
+   its order: interval [i - 1, i] over the parabola through the samples from
+   i - 1 on for odd i, else (and last, for even n) through those up to i */
+void running_simpson(const double *y, int64_t n, double h, double *out)
+{
+    double acc = out[0] = 0.0;
+    int64_t i = 1;
+    for (; i + 1 < n; i += 2) {
+        const double a = y[i - 1], b = y[i], c = y[i + 1];
+        out[i] = acc += h / 3.0 * (5.0 * a / 4.0 + 2.0 * b - c / 4.0);
+        out[i + 1] = acc += h / 3.0 * (5.0 * c / 4.0 + 2.0 * b - a / 4.0);
+    }
+    if (i < n)
+        out[i] = acc + h / 3.0 * (5.0 * y[i] / 4.0 + 2.0 * y[i - 1]
+                                  - y[i - 2] / 4.0);
+}
+"""
+
+SOURCE = _KERNEL_SOURCE + _WRITER_SOURCE + _NDTRI_SOURCE + _QUADRATURE_SOURCE
 
 
 class KernelUnavailable(RuntimeError):
@@ -561,12 +602,18 @@ def _load(path: str) -> ctypes.CDLL:
     fn = lib.ndtri
     fn.argtypes = [_F64, ctypes.c_int64, _F64]
     fn.restype = None
+    fn = lib.oscillator_channels
+    fn.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, *[_F64] * 4]
+    fn.restype = None
+    fn = lib.running_simpson
+    fn.argtypes = [_F64, ctypes.c_int64, ctypes.c_double, _F64]
+    fn.restype = None
     return lib
 
 
 def kernel() -> ctypes.CDLL:
-    """The loaded library (trajectory kernel, CSV formatter and normal
-    quantiles), built on the first call of the process.
+    """The loaded library (every part the module docstring names), built on
+    the first call of the process.
 
     Raises :class:`KernelUnavailable` when no compiler is found or the build
     fails; the outcome is kept, so later calls raise again without retrying.
@@ -667,3 +714,25 @@ def normal_quantiles() -> Callable[[np.ndarray], np.ndarray]:
         return out
 
     return ndtri
+
+
+def oscillator_quadrature(s: np.ndarray, kw: np.ndarray, amp: np.ndarray):
+    """``(cos, sin, integral)`` on the grid ``s`` (from 0, spacing ``s[1]``):
+    the rows ``amp[q] cos(kw[q] s)`` and ``amp[q] sin(kw[q] s)``, and the
+    running integral of a row, bit for bit ``integrator._running_simpson``,
+    in one buffer that the next call overwrites.  Raises
+    :class:`KernelUnavailable` here, before any channel."""
+    lib = kernel()
+    if s.ndim != 1 or len(s) < 3 or kw.shape != amp.shape:
+        raise ValueError("need 3 or more samples and an amplitude per kw")
+    cos, sin = np.empty((2, len(kw), len(s)))
+    lib.oscillator_channels(s, len(s), len(kw), kw, amp, cos, sin)
+    buf = np.empty(len(s))
+
+    def integral(y: np.ndarray) -> np.ndarray:
+        if y.shape != buf.shape:
+            raise ValueError(f"row {y.shape} is not on the grid {buf.shape}")
+        lib.running_simpson(y, len(y), s[1], buf)
+        return buf
+
+    return cos, sin, integral

@@ -25,7 +25,8 @@ from .integrator import (MIN_QUAD_STEPS, MIN_SUBSTEPS_PER_KAPPA,
                          PROBE_SUBSTEPS, Trajectory, _plan, _write_csv,
                          _write_json, coupling_matrix, integrate_classical,
                          integrate_sampled, prediction_order_probe,
-                         write_trajectory_csv, write_windows_json)
+                         quadrature_path, write_trajectory_csv,
+                         write_windows_json)
 from .lyapunov import (correction_ratio_sup, gain_bound_scan, negdef_scan)
 from .sampling import Region, normal_quantiles, sample_region
 from .vecfield import bracket_generating_check
@@ -445,6 +446,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
         "checks": checks,
         "blockwise": _blockwise(sys_, law, lyap),
         "normal_quantiles": normal_quantiles()[1],
+        "oscillator_quadrature": quadrature_path(),
         "all_pass": all_pass,
         "wall_clock_s": time.perf_counter() - t_start,
     }

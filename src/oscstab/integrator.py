@@ -46,6 +46,7 @@ but never trimmed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -387,13 +388,23 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
                             excluded=tuple(excluded))
 
 
-def _quadrature_channels(kappas, eps: float, quad_steps: int):
-    """``(s, cos, sin)``: the grid of an even number of intervals over one
-    period and the channels of the multipliers on it, amplitudes included."""
+def _quadrature_grid(kappas, eps: float, quad_steps: int) -> np.ndarray:
+    """Samples of an even number of intervals over one usable period."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"period eps must be finite and positive, got {eps}")
+    if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in kappas):
+        raise ValueError(f"frequency multipliers must be integers >= 1, "
+                         f"got {tuple(kappas)}")
     if quad_steps < MIN_QUAD_STEPS:
         raise ValueError(f"quad_steps must be at least {MIN_QUAD_STEPS}")
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count
-    s = np.linspace(0.0, eps, steps + 1)
+    return np.linspace(0.0, eps, steps + 1)
+
+
+def _quadrature_channels(kappas, eps: float, quad_steps: int):
+    """``(s, cos, sin)``: the grid of an even number of intervals over one
+    period and the channels of the multipliers on it, amplitudes included."""
+    s = _quadrature_grid(kappas, eps, quad_steps)
     cos, sin = oscillator_waves(kappas, 2.0 * math.pi / eps, s)
     amp = np.array([oscillator_amplitude(k, eps) for k in kappas])[:, None]
     cos *= amp
@@ -424,6 +435,16 @@ def _running_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
+def quadrature_path() -> str:
+    """``"compiled"`` or ``"numpy (<why the library is unavailable>)"``: the
+    path :func:`coupling_matrix` takes, either with the same bits."""
+    try:
+        _fastpath.kernel()
+    except _fastpath.KernelUnavailable as exc:
+        return f"numpy ({exc})"
+    return "compiled"
+
+
 def coupling_matrix(kappas: Sequence[int], eps: float,
                     quad_steps: int) -> np.ndarray:
     """Antisymmetrized second-order iterated integrals of the oscillators
@@ -438,21 +459,34 @@ def coupling_matrix(kappas: Sequence[int], eps: float,
     multipliers are accepted deliberately, so a resonant pair can be shown
     to couple.  The outer integrals are dot products of single rows with
     the composite-Simpson weights, so an entry depends only on its own two
-    multipliers, bit for bit, and each channel is integrated once.
-    ``quad_steps`` below ``MIN_QUAD_STEPS`` raises ``ValueError``.
+    multipliers, bit for bit, and each channel is integrated once.  The
+    channels and running integrals come from :mod:`oscstab._fastpath`, else
+    from numpy with the same bits (:func:`quadrature_path` says which).  A
+    period that is not finite and positive, a multiplier that is not an
+    integer >= 1 or ``quad_steps`` below ``MIN_QUAD_STEPS`` raises
+    ``ValueError`` before any channel is computed.
     """
-    s, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
+    s = _quadrature_grid(kappas, eps, quad_steps)
     h = s[1]
+    try:
+        cos, sin, integral = _fastpath.oscillator_quadrature(
+            s, np.asarray(kappas) * (2.0 * math.pi / eps),
+            np.array([oscillator_amplitude(k, eps) for k in kappas]))
+    except _fastpath.KernelUnavailable:
+        _, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
+        integral = functools.partial(_running_simpson, h=h)
     w = np.full(len(s), 2.0 * h / 3.0)
     w[1::2] = 4.0 * h / 3.0
     w[0] = w[-1] = h / 3.0
     out = np.empty((len(kappas), len(kappas)))
+    # a compiled integral's buffer is overwritten by the next call
     for c, g in enumerate(sin):
-        iw = w * _running_simpson(g, h)
+        iw = integral(g)
+        iw *= w
         out[:, c] = [f @ iw for f in cos]
         g *= w
     for r, f in enumerate(cos):
-        i_r = _running_simpson(f, h)
+        i_r = integral(f)
         out[r] -= [gw @ i_r for gw in sin]
     return out
 

@@ -9,19 +9,20 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from oscstab import _block
+from oscstab import _block, _fastpath
 from oscstab import brockett as bk
 from oscstab.controller import (feedback_eval, law_with_period,
-                                oscillator_amplitude, synthesized_law,
-                                user_law)
+                                oscillator_amplitude, oscillator_waves,
+                                synthesized_law, user_law)
 from oscstab.integrator import (_quadrature_channels, _running_simpson,
-                                coupling_matrix, integrate_sampled)
+                                coupling_matrix, integrate_sampled,
+                                quadrature_path)
 from oscstab.lyapunov import (LyapunovSpec, correction_ratio_sup,
                               decrease_rate, gain_bound_scan)
 from oscstab.sampling import Region
 from oscstab.vecfield import VectorFieldSystem
 
-from conftest import (SMALL_BLOCK, _dt, heis3_system, per_point,
+from conftest import (SMALL_BLOCK, _dt, heis3_system, needs_cc, per_point,
                       random_polynomial_system)
 
 
@@ -313,3 +314,55 @@ def test_quadrature_channels_are_the_feedback_oscillators(bsys, law_p1):
         u = feedback_eval(law, np.zeros(bsys.n), s)
         assert np.array_equal(u[:, i - 1], cos[q])
         assert np.array_equal(u[:, j - 1], sin[q])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@needs_cc
+@pytest.mark.parametrize("kappas", [(1, 2, 3, 4, 5, 6), (2, 3, 5, 7, 11, 13),
+                                    (3, 3), (1, 2, 6)])
+def test_compiled_quadrature_is_numpys_bit_for_bit(kappas, monkeypatch):
+    compiled = {}
+    for eps in (0.1, 0.05, 0.025):
+        omega = 2.0 * math.pi / eps
+        amp = np.array([oscillator_amplitude(k, eps) for k in kappas])
+        for steps in (10_000, 10_001, 20_000):
+            s, cos, sin = _quadrature_channels(kappas, eps, steps)
+            h = s[1]
+            *got, integral = _fastpath.oscillator_quadrature(
+                s, np.asarray(kappas) * omega, amp)
+            for mine, wave in zip(got, oscillator_waves(kappas, omega, s)):
+                assert _same_bits(mine, wave * amp[:, None])
+            for y in (*got[0], *got[1]):
+                want = _running_simpson(y, h)
+                assert _same_bits(want, cumulative_simpson(y, dx=h, initial=0))
+                assert _same_bits(integral(y), want)
+            compiled[eps, steps] = coupling_matrix(kappas, eps, steps)
+    assert quadrature_path() == "compiled"
+    # kernel() keeps its first outcome: a declined library is that cache
+    # holding the reason, which monkeypatch puts back afterwards
+    monkeypatch.setattr(_fastpath, "_kernel", "no compiler: declined")
+    assert quadrature_path() == "numpy (no compiler: declined)"
+    for (eps, steps), want in compiled.items():
+        assert _same_bits(coupling_matrix(kappas, eps, steps), want)
+
+
+@needs_cc
+def test_compiled_running_integral_is_numpys_on_any_length():
+    # coupling_matrix's grids have odd lengths; the C rule also keeps
+    # scipy's last interval of an even count
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 6, 7, 8, 101, 10_002):
+        s = np.linspace(0.0, rng.uniform(0.01, 1.0), n)
+        _, _, integral = _fastpath.oscillator_quadrature(s, np.ones(1),
+                                                         np.ones(1))
+        for y in (rng.standard_normal(n), -0.0 * rng.standard_normal(n)):
+            assert _same_bits(integral(y), _running_simpson(y, s[1]))
+    with pytest.raises(ValueError, match="not on the grid"):
+        integral(np.ones(4))
+    for s, kw in ((np.zeros(2), np.ones(1)), (np.zeros(3), np.ones(2))):
+        with pytest.raises(ValueError, match="3 or more samples"):
+            _fastpath.oscillator_quadrature(s, kw, np.ones(1))

@@ -23,6 +23,7 @@ import oscstab
 from oscstab import _fastpath, integrator
 from oscstab import brockett as bk
 from oscstab.cli import RunConfig, compare
+from oscstab.controller import oscillator_waves
 
 from conftest import needs_cc
 
@@ -199,7 +200,9 @@ def test_library_builds_without_warnings(tmp_path):
 
 # formats each block from a table and into a buffer of exactly the sizes
 # csv_formatter gives them (heap memory, so reads and writes past either
-# end are caught), then prints one short trajectory of each mode
+# end are caught), then prints one short trajectory of each mode, then the
+# quadrature channels on the smallest grid coupling_matrix takes and each
+# one's running integral, in buffers of the sizes the wrapper allocates
 DRIVER = r"""
 #include <stdlib.h>
 
@@ -228,6 +231,21 @@ int main(void)
         for (int64_t i = 0; i < n * 10; ++i) printf("%%a\n", xs[i]);
         free(xs);
     }
+    const int64_t qn = %(quad_n)d, m = 6;
+    double *s = malloc(qn * sizeof *s), *out = malloc(qn * sizeof *out);
+    double *ch = malloc(2 * m * qn * sizeof *ch);
+    for (int64_t i = 0; i < qn; ++i) s[i] = i * %(quad_h)s;
+    const double kw[6] = {%(kw)s}, amp[6] = {%(amp)s};
+    oscillator_channels(s, qn, m, kw, amp, ch, ch + m * qn);
+    printf("quadrature\n");
+    for (int64_t r = 0; r < 2 * m; ++r) {
+        running_simpson(ch + r * qn, qn, %(quad_h)s, out);
+        for (int64_t i = 0; i < qn; ++i)
+            printf("%%a %%a\n", ch[r * qn + i], out[i]);
+    }
+    free(ch);
+    free(out);
+    free(s);
     return 0;
 }
 """
@@ -269,6 +287,13 @@ def test_library_under_address_and_undefined_sanitizers(tmp_path):
     gamma_amp = [law.gamma * a.amplitude(q) for q in range(len(a.pairs))]
     x0 = bk.PRESETS["fig1-left"]["x0"]
     J, substeps, h = 2, 5, 0.1 / 5
+    # the numpy quadrature path on the grid the driver builds
+    steps = integrator.MIN_QUAD_STEPS
+    s = np.arange(steps + 1) * (a.eps / steps)
+    kw = np.asarray(a.kappas) * a.omega
+    amps = np.array([a.amplitude(q) for q in range(len(a.pairs))])
+    channels = np.concatenate(oscillator_waves(a.kappas, a.omega, s)) \
+        * np.concatenate([amps, amps])[:, None]
     source = _fastpath.SOURCE + DRIVER % {
         "values": ", ".join(
             f"{b}ULL" for b in np.array(values).view(np.uint64)),
@@ -278,7 +303,9 @@ def test_library_under_address_and_undefined_sanitizers(tmp_path):
         "gamma_amp": ", ".join(float(v).hex() for v in gamma_amp),
         "kappas": ", ".join(str(k) for k in a.kappas),
         "J": J, "substeps": substeps, "h": float(h).hex(),
-        "omega": float(a.omega).hex()}
+        "omega": float(a.omega).hex(), "quad_n": len(s),
+        "quad_h": float(s[1]).hex(), "kw": ", ".join(v.hex() for v in kw),
+        "amp": ", ".join(v.hex() for v in amps)}
     build = _sanitized(cc, source, tmp_path / "driver", tmp_path)
     assert build.returncode == 0, build.stderr
     env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
@@ -287,7 +314,14 @@ def test_library_under_address_and_undefined_sanitizers(tmp_path):
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr[-4000:]
 
-    csv, *trajectories = run.stdout.split("trajectory ")
+    rest, quadrature = run.stdout.split("quadrature\n")
+    got = np.array([float.fromhex(v) for v in quadrature.split()])
+    got = got.reshape(len(channels), -1, 2).transpose(2, 0, 1)
+    assert np.array_equal(got[0].view(np.uint64), channels.view(np.uint64))
+    running = np.array([integrator._running_simpson(y, s[1])
+                        for y in channels])
+    assert np.array_equal(got[1].view(np.uint64), running.view(np.uint64))
+    csv, *trajectories = rest.split("trajectory ")
     assert len(trajectories) == 2
     assert csv == "".join(",".join("%.17g" % v for v in row) + "\n"
                           for g in groups for row in g)

@@ -683,6 +683,26 @@ def test_assignment_level_coupling_and_step_floor(bsys, law_p1):
         coupling_matrix((1, 2), 0.1, 5_000)
 
 
+def test_coupling_matrix_refuses_unusable_periods_and_multipliers(
+        monkeypatch):
+    def no_channels(*args):
+        raise AssertionError("a channel was computed")
+
+    monkeypatch.setattr(integrator, "oscillator_waves", no_channels)
+    monkeypatch.setattr(integrator._fastpath, "oscillator_quadrature",
+                        no_channels)
+    # the period refused with the wording of OscillatorAssignment, before a
+    # math domain error, a NaN matrix or a warning can arise
+    for eps in (-0.1, 0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError,
+                           match="period eps must be finite and positive"):
+            coupling_matrix((1, 2), eps, 10_000)
+    # a multiplier 0 gave a zero row; fractional ones are no multipliers
+    for kappas in ((0, 1), (1, -2), (1, 2.0), (1.5,), ("1",)):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            coupling_matrix(kappas, 0.1, 10_000)
+
+
 # --- artifact writers -------------------------------------------------------------
 
 def test_csv_and_json_writers(tmp_path, bsys, lyap_p1, law_p1):

@@ -71,6 +71,7 @@ def test_declined_library_gives_the_same_ball_points_through_scipy(
     kw = dict(negdef_n=256, gain_n=128, c1_n=64, span_n=16, quad_steps=10_000)
     want, _ = cli.verify(cli.RunConfig(outdir=str(tmp_path / "c"), **kw))
     assert want["normal_quantiles"] == "compiled"
+    assert want["oscillator_quadrature"] == "compiled"
     # kernel() keeps its first outcome; a declined one is that cache holding
     # the reason, which monkeypatch puts back afterwards
     monkeypatch.setattr(_fastpath, "_kernel", DECLINED)
@@ -85,7 +86,10 @@ def test_declined_library_gives_the_same_ball_points_through_scipy(
     written = json.loads((tmp_path / "s" / "verify.json").read_text())
     assert got["normal_quantiles"] == written["normal_quantiles"] == (
         f"scipy ({DECLINED})")
-    # the scans see the same points, so they read the same values
+    assert got["oscillator_quadrature"] == (
+        written["oscillator_quadrature"]) == f"numpy ({DECLINED})"
+    # the scans see the same points, so they read the same values, and the
+    # numpy quadrature gives the compiled one's bits
     for name in ("span", "certificate_negdef", "gain_bound",
-                 "synthesis_margin"):
+                 "synthesis_margin", "oscillators"):
         assert got["checks"][name] == want["checks"][name], name
