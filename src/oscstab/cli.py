@@ -192,7 +192,7 @@ def _check_verify_knobs(config: RunConfig) -> None:
             or any(not b < a for a, b in zip(e, e[1:]))):
         raise ConfigError("cf_eps must hold at least 3 strictly decreasing "
                           f"finite positive periods, got {list(e)}")
-    # the order probe steps PROBE_SUBSTEPS per window, whatever the period
+    # the order probe's first fine count, 100 * max kappa, may not pass its cap
     top = PROBE_SUBSTEPS // MIN_SUBSTEPS_PER_KAPPA
     if config.kappas and max(config.kappas) > top:
         raise ConfigError(f"the order probe resolves multipliers up to {top}, "
@@ -421,6 +421,9 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
         "exponent": probe.exponent,
         "residuals": list(probe.residuals),
         "eps": list(probe.eps_values),
+        "substeps": list(probe.substeps),
+        "estimate": list(probe.estimates),
+        "resolved": list(probe.resolved),
     }
 
     # oscillator identities over one period

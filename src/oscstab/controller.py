@@ -65,6 +65,16 @@ class SynthesisError(RuntimeError):
         self.step, self.t, self.window = step, t, window
 
 
+def _check_multipliers(kappas: Sequence[int]) -> Tuple[int, ...]:
+    """``kappas`` as ints; each a Python or numpy integer >= 1, no bool."""
+    kappas = tuple(kappas)
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+               and k >= 1 for k in kappas):
+        raise ValueError(f"frequency multipliers must be integers >= 1, "
+                         f"got {kappas}")
+    return tuple(int(k) for k in kappas)
+
+
 def assign_frequencies(pairs: Sequence[Pair],
                        override: Optional[Sequence[int]] = None) -> Tuple[int, ...]:
     """Integer frequency multipliers for the pair set, in pair order.
@@ -77,11 +87,9 @@ def assign_frequencies(pairs: Sequence[Pair],
         raise ValueError("pair set must be nonempty")
     if override is None:
         return tuple(range(1, len(pairs) + 1))
-    kappas = tuple(int(k) for k in override)
+    kappas = _check_multipliers(override)
     if len(kappas) != len(pairs):
         raise ValueError("need one frequency multiplier per pair")
-    if any(k < 1 for k in kappas):
-        raise ValueError("frequency multipliers must be >= 1")
     if len(set(kappas)) != len(kappas):
         raise ValueError(f"duplicate frequency multipliers: {kappas}")
     return kappas

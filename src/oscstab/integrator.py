@@ -59,9 +59,9 @@ import numpy as np
 
 from . import _block, _fastpath
 from .controller import (FeedbackLaw, SynthesisError, _check_law_system,
-                         drift_field, feedback_eval, law_with_period,
-                         oscillator_amplitude, oscillator_waves,
-                         pair_bracket_field)
+                         _check_multipliers, drift_field, feedback_eval,
+                         law_with_period, oscillator_amplitude,
+                         oscillator_waves, pair_bracket_field)
 from .lyapunov import LyapunovSpec, decrease_rate
 from .vecfield import VectorFieldSystem, input_matrix
 
@@ -75,8 +75,12 @@ __all__ = [
 MIN_SUBSTEPS_PER_KAPPA = 50
 # fewest Simpson intervals of the oscillator quadrature
 MIN_QUAD_STEPS = 10_000
-# reference steps of the order probe: 16 times the default 400 per window
+# the order probe's step doubling: first N/2, tolerance of the change against
+# the residual, half the cap on N (16 times the default 400), noise floor
+PROBE_START = 400
+PROBE_RTOL = 1e-9
 PROBE_SUBSTEPS = 16 * 400
+PROBE_NOISE = 1e-13
 # rows per block of the CSV write loop: bounds either formatter's buffer
 CSV_CHUNK_ROWS = 4096
 
@@ -349,6 +353,23 @@ class OrderProbeResult(NamedTuple):
     eps_values: Tuple[float, ...]
     residuals: Tuple[float, ...]
     excluded: Tuple[float, ...]
+    # per probed period: the final N, |x_N - x_{N/2}|, and whether it passed
+    substeps: Tuple[int, ...] = ()
+    estimates: Tuple[float, ...] = ()
+    resolved: Tuple[bool, ...] = ()
+
+
+def _probe_end(sys, law, x0, e: float, n: int) -> np.ndarray:
+    """End state of one window in ``n`` steps; a failure names e and n."""
+    where = f"in the order probe at eps={e}, N={n}"
+    try:
+        traj = integrate_classical(sys, law, x0, T=e, substeps=n)
+    except (SynthesisError, ArithmeticError) as exc:
+        exc.args = (f"{exc} {where}",)  # type and attributes kept
+        raise
+    if traj.diverged:
+        raise ArithmeticError(f"one-window integration diverged {where}")
+    return traj.states[-1]
 
 
 def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
@@ -356,45 +377,51 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
     """Fit the decay exponent of the one-step prediction residual.
 
     For each period the law is rebuilt (oscillator amplitudes scale with the
-    period), integrated over a single window with ``PROBE_SUBSTEPS`` (6400)
-    steps as the reference, and the residual against the truncated
-    prediction is recorded; the exponent is the log-log slope.  Residuals at
-    solver-noise level (below 1e-13) are excluded and reported.
+    period) and one window is integrated by step doubling (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, II.4): ``N`` doubles from ``2 max(400, 50 max
+    kappa)`` until ``|x_N - x_{N/2}|`` is at most 1e-9 of the residual
+    ``|x_N - prediction|``, both are below the 1e-13 noise floor, or ``N``
+    reaches 12800.  The exponent is the log-log slope of the residuals; those below
+    the floor are excluded and reported.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("need at least 3 strictly decreasing period values")
+    start = max(PROBE_START, MIN_SUBSTEPS_PER_KAPPA * max(law.assignment.kappas))
     used: List[Tuple[float, float]] = []
     excluded: List[float] = []
+    runs: List[Tuple[int, float, bool]] = []
     for e in eps_list:
         lo = law_with_period(law, e)
-        traj = integrate_classical(sys, lo, x0, T=e, substeps=PROBE_SUBSTEPS)
-        if traj.diverged:
-            raise ArithmeticError(f"one-window integration diverged at eps={e}")
-        rho = float(np.linalg.norm(traj.states[-1]
-                                   - chen_fliess_predict(sys, lo, x0).predicted))
-        if rho < 1e-13:
+        predicted = chen_fliess_predict(sys, lo, x0).predicted
+        n, coarse = 2 * start, _probe_end(sys, lo, x0, e, start)
+        while True:
+            fine = _probe_end(sys, lo, x0, e, n)
+            rho = float(np.linalg.norm(fine - predicted))
+            change = float(np.linalg.norm(fine - coarse))
+            ok = change <= PROBE_RTOL * rho or max(rho, change) < PROBE_NOISE
+            if ok or n >= 2 * PROBE_SUBSTEPS:
+                break
+            n, coarse = 2 * n, fine
+        runs.append((n, change, ok))
+        if rho < PROBE_NOISE:
             excluded.append(e)
         else:
             used.append((e, rho))
     if len(used) < 2:
         raise ArithmeticError("too few usable residuals to fit an exponent")
-    le = np.log([u[0] for u in used])
-    lr = np.log([u[1] for u in used])
-    slope = float(np.polyfit(le, lr, 1)[0])
-    return OrderProbeResult(exponent=slope,
-                            eps_values=tuple(u[0] for u in used),
-                            residuals=tuple(u[1] for u in used),
-                            excluded=tuple(excluded))
+    eps_used, rhos = zip(*used)
+    slope = float(np.polyfit(np.log(eps_used), np.log(rhos), 1)[0])
+    substeps, estimates, resolved = zip(*runs)
+    return OrderProbeResult(slope, eps_used, rhos, tuple(excluded),
+                            substeps, estimates, resolved)
 
 
 def _quadrature_grid(kappas, eps: float, quad_steps: int) -> np.ndarray:
     """Samples of an even number of intervals over one usable period."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"period eps must be finite and positive, got {eps}")
-    if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in kappas):
-        raise ValueError(f"frequency multipliers must be integers >= 1, "
-                         f"got {tuple(kappas)}")
+    _check_multipliers(kappas)
     if quad_steps < MIN_QUAD_STEPS:
         raise ValueError(f"quad_steps must be at least {MIN_QUAD_STEPS}")
     steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count

@@ -13,7 +13,7 @@ import dataclasses  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest
 
-from oscstab import _fastpath, lyapunov
+from oscstab import _fastpath, integrator, lyapunov
 from oscstab import brockett as bk
 from oscstab.integrator import integrate_classical, integrate_sampled
 from oscstab.vecfield import VectorFieldSystem
@@ -183,6 +183,21 @@ def small_blocks(monkeypatch):
     for one test."""
     monkeypatch.setattr(lyapunov, "BLOCK", SMALL_BLOCK)
     return SMALL_BLOCK
+
+
+@pytest.fixture
+def probe_runs(monkeypatch):
+    """``(T, substeps, end state)`` of every integration the order probe
+    runs, recorded for one test."""
+    runs = []
+
+    def spy(sys_, law, x0, T, substeps):
+        traj = integrate_classical(sys_, law, x0, T=T, substeps=substeps)
+        runs.append((T, substeps, traj.states[-1]))
+        return traj
+
+    monkeypatch.setattr(integrator, "integrate_classical", spy)
+    return runs
 
 
 # --- case-study fixtures -------------------------------------------------------

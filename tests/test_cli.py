@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oscstab
-from oscstab import _fastpath, cli, integrator
+from oscstab import _fastpath, brockett, cli, integrator
 from oscstab.cli import (ConfigError, RunConfig, compare, fit_exponential,
                          fit_powerlaw, load_config_file, run, verify)
 from oscstab.controller import oscillator_amplitude
@@ -404,9 +404,12 @@ def test_verify_law_modes_agree(tmp_path, monkeypatch):
     # the synthesized law solves for the closed-form one's components, so
     # every check reads the same values, the order probe's too: it runs the
     # closed-form law on the compiled kernel (where there is one) and the
-    # synthesized law on the generic stepper, here at a coarser reference
-    # that keeps the synthesized probe to a second or two
-    monkeypatch.setattr(integrator, "PROBE_SUBSTEPS", 400)
+    # synthesized law on the generic stepper, here with one coarse pair of
+    # 150 and 300 steps per period that keeps the synthesized probe to about
+    # a second
+    monkeypatch.setattr(integrator, "MIN_SUBSTEPS_PER_KAPPA", 25)
+    monkeypatch.setattr(integrator, "PROBE_START", 150)
+    monkeypatch.setattr(integrator, "PROBE_SUBSTEPS", 150)
     kw = dict(VERIFY_KW, gain_n=128, c1_n=64)
     closed, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "c"), **kw))
     synth, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "s"),
@@ -496,6 +499,49 @@ def test_verify_order_band_edges(tmp_path, monkeypatch, exponent, ok):
     assert payload["checks"]["prediction_order"]["exponent"] == exponent
     assert _failed(payload) == (set() if ok else {"prediction_order"})
     assert code == (0 if ok else 2)
+
+
+def test_verify_order_probe_step_budget(tmp_path, probe_runs):
+    # step doubling stops at (1600, 800) or sooner at the defaults: 5,200
+    # steps in all, against 19,200 at a fixed 6,400 per period
+    payload, _ = verify(_cfg(tmp_path, **VERIFY_KW))
+    order = payload["checks"]["prediction_order"]
+    assert sum(n for _, n, _ in probe_runs) <= 8400
+    assert order["substeps"] == [max(n for t, n, _ in probe_runs if t == e)
+                                 for e in payload["config"]["cf_eps"]]
+    assert order["resolved"] == [True] * 3
+    assert all(0.0 < est <= 1e-9 * rho for est, rho in
+               zip(order["estimate"], order["residuals"]))
+
+
+def test_verify_verdict_ignores_an_unresolved_period(tmp_path, monkeypatch):
+    # a cap of 800 leaves the last period short of its 1600 steps: it is
+    # flagged, and the verdict is the exponent's, as before
+    full, _ = verify(_cfg(tmp_path, outdir=str(tmp_path / "full"), **VERIFY_KW))
+    monkeypatch.setattr(integrator, "PROBE_SUBSTEPS", 400)
+    capped, code = verify(_cfg(tmp_path, outdir=str(tmp_path / "cap"),
+                               **VERIFY_KW))
+    order = capped["checks"]["prediction_order"]
+    want = full["checks"]["prediction_order"]
+    assert want["resolved"] == [True] * 3
+    assert order["resolved"] == [True, True, False]
+    assert order["substeps"] == [800, 800, 800]
+    assert order["estimate"][2] > 1e-9 * order["residuals"][2]
+    assert order["residuals"][:2] == want["residuals"][:2]
+    assert code == 0 and order["pass"]
+    assert math.isclose(order["exponent"], want["exponent"], rel_tol=1e-9)
+
+
+def test_order_probe_cap_keeps_multiplier_128(probe_runs):
+    # 50 steps per unit of 128 is 6400, the coarse half of the capped pair
+    cli._check_verify_knobs(RunConfig(kappas=(1, 2, 3, 4, 5, 128)))
+    with pytest.raises(ConfigError, match="up to 128"):
+        cli._check_verify_knobs(RunConfig(kappas=(1, 2, 3, 4, 5, 129)))
+    law = brockett.brockett_law(1.0, 0.5, 0.1, kappas=(1, 2, 3, 4, 5, 128))
+    probe = integrator.prediction_order_probe(
+        law.system, law, np.eye(10)[4], (0.1, 0.05, 0.025))
+    assert [n for _, n, _ in probe_runs] == [6400, 12800] * 3
+    assert probe.substeps == (12800,) * 3
 
 
 def test_verify_span_fails_on_one_point(tmp_path, monkeypatch):

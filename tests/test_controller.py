@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscstab import controller
+from oscstab.brockett import brockett_law
 from oscstab.controller import (OscillatorAssignment, SynthesisError,
                                 assign_frequencies, feedback_eval,
                                 law_with_period, oscillator_waves,
                                 split_component,
                                 synthesize_components, synthesized_law,
                                 user_law)
+from oscstab.integrator import coupling_matrix
 from oscstab.lyapunov import decrease_rate
 from scipy.integrate import simpson
 
@@ -35,6 +37,24 @@ def test_assignment_override_rules(bsys):
         assign_frequencies(bsys.pairs, (1, 2))
     with pytest.raises(ValueError, match="nonempty"):
         assign_frequencies(())
+
+
+def test_multipliers_are_checked_alike_by_the_law_and_the_quadrature(bsys):
+    # a fraction is refused, not truncated (6.5 ran at 6); a bool is no count
+    for bad in (6.5, 2.5, True):
+        kappas = (1, 2, 3, 4, 5, bad)
+        with pytest.raises(ValueError, match=r"^frequency multipliers must be "
+                                             r"integers >= 1, got \("):
+            assign_frequencies(bsys.pairs, kappas)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            brockett_law(1.0, 0.5, 0.1, kappas=kappas)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            coupling_matrix((1, bad), 0.1, 10_000)
+    kappas = assign_frequencies(bsys.pairs, (1, 2, np.int64(3), 4, 5, 6))
+    assert kappas == (1, 2, 3, 4, 5, 6)
+    assert all(type(k) is int for k in kappas)
+    assert np.array_equal(coupling_matrix((1, np.int64(3)), 0.1, 10_000),
+                          coupling_matrix((1, 3), 0.1, 10_000))
 
 
 def test_assignment_type_validates_on_any_construction(bsys):

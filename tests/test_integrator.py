@@ -315,6 +315,78 @@ def test_order_probe_unforced_flow_matches_closed_form(bsys, law_p1):
     assert probe.exponent >= 1.9
 
 
+def test_order_probe_doubles_until_the_change_is_small(bsys, probe_runs):
+    # fast multipliers at a spread state: the first pair, 650 and 1300
+    # steps, leaves a change far above 1e-9 of the residual
+    law = bk.brockett_law(1.0, 0.5, 0.1, kappas=(2, 3, 5, 7, 11, 13))
+    x0 = 0.3 * np.linspace(-1.0, 1.0, 10)
+    probe = prediction_order_probe(bsys, law, x0, (0.1, 0.05, 0.025))
+    assert all(probe.resolved) and not probe.excluded
+    assert min(probe.substeps) > 1300
+    for e, n, est in zip((0.1, 0.05, 0.025), probe.substeps, probe.estimates):
+        # N/2 doubled up to N, the finer end state reused each time
+        ran = [(s, end) for t, s, end in probe_runs if t == e]
+        assert [s for s, _ in ran] == [650 * 2 ** i for i in range(len(ran))]
+        assert ran[-1][0] == n
+        ref = integrate_classical(bsys, law_with_period(law, e), x0, T=e,
+                                  substeps=51_200).states[-1]
+        assert 0.0 < np.linalg.norm(ran[-1][1] - ref) <= est
+        assert est == np.linalg.norm(ran[-1][1] - ran[-2][1])
+
+
+def test_order_probe_stops_a_period_below_the_noise_floor(bsys, law_p1,
+                                                          monkeypatch):
+    # the last residual, 1e-14, is below the noise floor, and so is its
+    # change, 1e-16, far above 1e-9 of it: the first pair stops it
+    x0 = np.eye(10)[4]
+    eps_list = (0.1, 0.05, 0.025, 0.0125)
+    seen = []
+
+    def one_window(sys_, law, x, T, substeps):
+        seen.append(substeps)
+        rho = 1e-14 if T == eps_list[-1] else 1e-10 * (T / 0.1) ** 1.5
+        wobble = 2e-16 * 400 / substeps if T == eps_list[-1] else 0.0
+        end = (chen_fliess_predict(sys_, law, x).predicted
+               + rho * np.eye(10)[0] + wobble * np.eye(10)[1])
+        return integrator.Trajectory(
+            t=np.array([0.0, T]), states=np.array([x, end]),
+            norms=np.linalg.norm([x, end], axis=1), eps=T,
+            substeps=substeps, mode="classical")
+
+    monkeypatch.setattr(integrator, "integrate_classical", one_window)
+    probe = prediction_order_probe(bsys, law_p1, x0, eps_list)
+    assert seen == [400, 800] * 4
+    assert probe.excluded == eps_list[-1:]
+    assert probe.substeps == (800,) * 4 and all(probe.resolved)
+    assert probe.estimates == (0.0, 0.0, 0.0, 2e-16 * 0.5)
+
+
+@pytest.mark.parametrize("failure, kind", [
+    ("diverged", ArithmeticError),
+    (SynthesisError("bracket matrix ill-conditioned", 1e13), SynthesisError),
+    (FloatingPointError("profile not finite"), FloatingPointError),
+], ids=["diverged", "synthesis", "arithmetic"])
+def test_order_probe_failure_names_the_period_and_step_count(
+        bsys, law_p1, monkeypatch, failure, kind):
+    def one_window(sys_, law, x, T, substeps):
+        if T < 0.1 and substeps == 800:
+            if failure == "diverged":
+                return integrator.Trajectory(
+                    t=np.array([0.0]), states=np.array([x]),
+                    norms=np.array([1e7]), eps=T, substeps=substeps,
+                    mode="classical", diverged=True)
+            raise failure
+        end = chen_fliess_predict(sys_, law, x).predicted + 1e-6
+        return integrator.Trajectory(
+            t=np.array([0.0, T]), states=np.array([x, end]),
+            norms=np.linalg.norm([x, end], axis=1), eps=T,
+            substeps=substeps, mode="classical")
+
+    monkeypatch.setattr(integrator, "integrate_classical", one_window)
+    with pytest.raises(kind, match=r"in the order probe at eps=0\.05, N=800$"):
+        prediction_order_probe(bsys, law_p1, np.eye(10)[4], (0.1, 0.05, 0.025))
+
+
 def test_increment_diagnostics_consistency(bsys, lyap_p1, law_p1):
     traj = integrate_classical(bsys, law_p1, X0_LEFT, T=2.0, substeps=400,
                                lyap=lyap_p1)

@@ -76,9 +76,11 @@ def test_declined_library_gives_the_same_ball_points_through_scipy(
     # the reason, which monkeypatch puts back afterwards
     monkeypatch.setattr(_fastpath, "_kernel", DECLINED)
     monkeypatch.setattr(integrator, "_fallback_warned", True)
-    # the generic stepper runs the order probe: a coarser reference keeps it
-    # short
-    monkeypatch.setattr(integrator, "PROBE_SUBSTEPS", 400)
+    # the generic stepper runs the order probe: one coarse pair of 150 and
+    # 300 steps per period keeps it short
+    monkeypatch.setattr(integrator, "MIN_SUBSTEPS_PER_KAPPA", 25)
+    monkeypatch.setattr(integrator, "PROBE_START", 150)
+    monkeypatch.setattr(integrator, "PROBE_SUBSTEPS", 150)
     assert sampling.normal_quantiles()[1] == f"scipy ({DECLINED})"
     for (r, r_min, seed), pts in zip(regions, compiled):
         assert _same_bits(sample_region(r, 257, r_min, seed), pts)
