@@ -717,11 +717,12 @@ def normal_quantiles() -> Callable[[np.ndarray], np.ndarray]:
 
 
 def oscillator_quadrature(s: np.ndarray, kw: np.ndarray, amp: np.ndarray):
-    """``(cos, sin, integral)`` on the grid ``s`` (from 0, spacing ``s[1]``):
-    the rows ``amp[q] cos(kw[q] s)`` and ``amp[q] sin(kw[q] s)``, and the
-    running integral of a row, bit for bit ``integrator._running_simpson``,
-    in one buffer that the next call overwrites.  Raises
-    :class:`KernelUnavailable` here, before any channel."""
+    """``(cos, sin, integral)`` on the grid ``s``: the rows ``amp[q]
+    cos(kw[q] s)`` and ``amp[q] sin(kw[q] s)``, and ``integral(y, h)``, the
+    running integral of 3 to ``len(s)`` samples ``y`` at spacing ``h``, bit
+    for bit ``integrator._running_simpson``, in one buffer that the next
+    call overwrites.  Raises :class:`KernelUnavailable` here, before any
+    channel."""
     lib = kernel()
     if s.ndim != 1 or len(s) < 3 or kw.shape != amp.shape:
         raise ValueError("need 3 or more samples and an amplitude per kw")
@@ -729,10 +730,10 @@ def oscillator_quadrature(s: np.ndarray, kw: np.ndarray, amp: np.ndarray):
     lib.oscillator_channels(s, len(s), len(kw), kw, amp, cos, sin)
     buf = np.empty(len(s))
 
-    def integral(y: np.ndarray) -> np.ndarray:
-        if y.shape != buf.shape:
-            raise ValueError(f"row {y.shape} is not on the grid {buf.shape}")
-        lib.running_simpson(y, len(y), s[1], buf)
-        return buf
+    def integral(y: np.ndarray, h: float) -> np.ndarray:
+        if y.ndim != 1 or not 3 <= len(y) <= len(buf):
+            raise ValueError(f"row {y.shape} does not fit the grid {buf.shape}")
+        lib.running_simpson(y, len(y), h, buf)
+        return buf[:len(y)]
 
     return cos, sin, integral

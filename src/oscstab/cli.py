@@ -21,9 +21,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _block, brockett, sampling
-from .integrator import (MIN_QUAD_STEPS, MIN_SUBSTEPS_PER_KAPPA,
-                         PROBE_SUBSTEPS, Trajectory, _plan, _write_csv,
-                         _write_json, coupling_matrix, integrate_classical,
+from .integrator import (MIN_SUBSTEPS_PER_KAPPA, PROBE_SUBSTEPS, Trajectory,
+                         _couplings, _plan, _quadrature_intervals,
+                         _write_csv, _write_json, integrate_classical,
                          integrate_sampled, prediction_order_probe,
                          quadrature_path, write_trajectory_csv,
                          write_windows_json)
@@ -77,7 +77,7 @@ class RunConfig:
     gain_n: int = 4096
     c1_n: int = 2048
     cf_eps: Tuple[float, ...] = (0.1, 0.05, 0.025)
-    quad_steps: int = 20000
+    quad_steps: int = 4000
 
     def resolved_p(self) -> float:
         if self.p is not None:
@@ -184,9 +184,10 @@ def _check_verify_knobs(config: RunConfig) -> None:
         if getattr(config, key) < 1:
             raise ConfigError(f"{key} must be at least 1, "
                               f"got {getattr(config, key)}")
-    if config.quad_steps < MIN_QUAD_STEPS:
-        raise ConfigError(f"quad_steps must be at least {MIN_QUAD_STEPS}, "
-                          f"got {config.quad_steps}")
+    try:
+        _quadrature_intervals(config.quad_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     e = config.cf_eps
     if (len(e) < 3 or not all(0 < v < math.inf for v in e)
             or any(not b < a for a, b in zip(e, e[1:]))):
@@ -429,7 +430,7 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     # oscillator identities over one period
     a = law.assignment
     eps = a.eps
-    couplings = coupling_matrix(a.kappas, eps, config.quad_steps)
+    couplings, change, intervals = _couplings(a.kappas, eps, config.quad_steps)
     amps = np.array([a.amplitude(q) for q in range(len(a.pairs))])
     scale = np.outer(amps, amps) * eps * eps
     cross = ~np.eye(len(a.pairs), dtype=bool)
@@ -437,7 +438,10 @@ def verify(config: RunConfig) -> Tuple[dict, int]:
     same_worst = float(np.max(np.abs(np.diag(couplings) + 2.0 * eps)
                               / (2.0 * eps)))
     cross_worst = float(np.max(np.abs(couplings[cross]) / scale[cross]))
-    osc = {"same_pair_rel_err": same_worst, "cross_rel_coupling": cross_worst}
+    np.fill_diagonal(scale, 2.0 * eps)  # each entry's unit in the check
+    osc = {"same_pair_rel_err": same_worst, "cross_rel_coupling": cross_worst,
+           "intervals": intervals,
+           "half_step_change": float(np.max(np.abs(change) / scale))}
     osc_pass = same_worst <= 1e-6 and cross_worst <= 1e-8
     checks["oscillators"] = {"pass": bool(osc_pass), **osc}
 

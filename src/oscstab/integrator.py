@@ -46,7 +46,6 @@ but never trimmed.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import os
@@ -73,8 +72,9 @@ __all__ = [
 ]
 
 MIN_SUBSTEPS_PER_KAPPA = 50
-# fewest Simpson intervals of the oscillator quadrature
-MIN_QUAD_STEPS = 10_000
+# fewest quadrature intervals: verify's largest multiplier, 128, errs by
+# 1.4e-7 at 4000 and 8.4e-6 at 2000 against the oscillator check's 1e-6
+MIN_QUAD_STEPS = 4000
 # the order probe's step doubling: first N/2, tolerance of the change against
 # the residual, half the cap on N (16 times the default 400), noise floor
 PROBE_START = 400
@@ -376,24 +376,28 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
                            eps_list: Sequence[float]) -> OrderProbeResult:
     """Fit the decay exponent of the one-step prediction residual.
 
-    For each period the law is rebuilt (oscillator amplitudes scale with the
-    period) and one window is integrated by step doubling (Hairer, Norsett &
-    Wanner, *Solving ODEs I*, II.4): ``N`` doubles from ``2 max(400, 50 max
-    kappa)`` until ``|x_N - x_{N/2}|`` is at most 1e-9 of the residual
-    ``|x_N - prediction|``, both are below the 1e-13 noise floor, or ``N``
-    reaches 12800.  The exponent is the log-log slope of the residuals; those below
-    the floor are excluded and reported.
+    The drift and bracket terms do not depend on the period, so one
+    prediction per probe gives every period's ``x0 + eps (g0 + gamma^2
+    acc)``.  For each period the law is rebuilt (oscillator amplitudes
+    scale with the period) and one window is integrated by step doubling
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4): ``N`` doubles from
+    ``2 max(400, 50 max kappa)`` until ``|x_N - x_{N/2}|`` is at most 1e-9
+    of the residual ``|x_N - prediction|``, both are below the 1e-13 noise
+    floor, or ``N`` reaches 12800.  The exponent is the log-log slope of
+    the residuals; those below the floor are excluded and reported.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("need at least 3 strictly decreasing period values")
     start = max(PROBE_START, MIN_SUBSTEPS_PER_KAPPA * max(law.assignment.kappas))
+    pred = chen_fliess_predict(sys, law, x0)
+    x0, rate = pred.x0, law.gamma ** 2 * pred.bracket_term
     used: List[Tuple[float, float]] = []
     excluded: List[float] = []
     runs: List[Tuple[int, float, bool]] = []
     for e in eps_list:
         lo = law_with_period(law, e)
-        predicted = chen_fliess_predict(sys, lo, x0).predicted
+        predicted = x0 + e * (pred.drift_term + rate)
         n, coarse = 2 * start, _probe_end(sys, lo, x0, e, start)
         while True:
             fine = _probe_end(sys, lo, x0, e, n)
@@ -417,20 +421,28 @@ def prediction_order_probe(sys: VectorFieldSystem, law: FeedbackLaw, x0,
                             substeps, estimates, resolved)
 
 
+def _quadrature_intervals(quad_steps: int) -> int:
+    """``quad_steps``, a Python or numpy integer of at least
+    ``MIN_QUAD_STEPS`` (no bool), rounded up to a multiple of 4, so that the
+    grid and its every other sample both have even interval counts."""
+    if (not isinstance(quad_steps, (int, np.integer))
+            or isinstance(quad_steps, bool) or quad_steps < MIN_QUAD_STEPS):
+        raise ValueError(f"quad_steps must be an integer >= {MIN_QUAD_STEPS}, "
+                         f"got {quad_steps!r}")
+    return -(-int(quad_steps) // 4) * 4
+
+
 def _quadrature_grid(kappas, eps: float, quad_steps: int) -> np.ndarray:
-    """Samples of an even number of intervals over one usable period."""
+    """Samples of :func:`_quadrature_intervals` intervals over one period."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"period eps must be finite and positive, got {eps}")
     _check_multipliers(kappas)
-    if quad_steps < MIN_QUAD_STEPS:
-        raise ValueError(f"quad_steps must be at least {MIN_QUAD_STEPS}")
-    steps = quad_steps + (quad_steps % 2)  # Simpson wants an even count
-    return np.linspace(0.0, eps, steps + 1)
+    return np.linspace(0.0, eps, _quadrature_intervals(quad_steps) + 1)
 
 
 def _quadrature_channels(kappas, eps: float, quad_steps: int):
-    """``(s, cos, sin)``: the grid of an even number of intervals over one
-    period and the channels of the multipliers on it, amplitudes included."""
+    """``(s, cos, sin)``: the grid of :func:`_quadrature_grid` and the
+    channels of the multipliers on it, amplitudes included."""
     s = _quadrature_grid(kappas, eps, quad_steps)
     cos, sin = oscillator_waves(kappas, 2.0 * math.pi / eps, s)
     amp = np.array([oscillator_amplitude(k, eps) for k in kappas])[:, None]
@@ -472,6 +484,45 @@ def quadrature_path() -> str:
     return "compiled"
 
 
+def _simpson_couplings(cos, sin, integral, h: float) -> np.ndarray:
+    """Composite-Simpson ``int f G - int g F`` of every cosine row ``f``
+    against every sine row ``g`` (odd length, spacing ``h``), with the
+    running integrals ``integral(y, h)``; the sine rows are scaled in
+    place."""
+    w = np.full(cos.shape[1], 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+    out = np.empty((len(cos), len(cos)))
+    # a compiled integral's buffer is overwritten by the next call
+    for c, g in enumerate(sin):
+        iw = integral(g, h)
+        iw *= w
+        out[:, c] = [f @ iw for f in cos]
+        g *= w
+    for r, f in enumerate(cos):
+        i_r = integral(f, h)
+        out[r] -= [gw @ i_r for gw in sin]
+    return out
+
+
+def _couplings(kappas, eps: float, quad_steps: int):
+    """``(C, C_N - C_{N/2}, N)``: :func:`coupling_matrix`, the change of
+    the Simpson couplings from N/2 to N intervals, and N."""
+    s = _quadrature_grid(kappas, eps, quad_steps)
+    try:
+        cos, sin, integral = _fastpath.oscillator_quadrature(
+            s, np.asarray(kappas) * (2.0 * math.pi / eps),
+            np.array([oscillator_amplitude(k, eps) for k in kappas]))
+    except _fastpath.KernelUnavailable:
+        _, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
+        integral = _running_simpson
+    # every other sample, copied before the fine pass scales the sine rows
+    half = [np.ascontiguousarray(rows[:, ::2]) for rows in (cos, sin)]
+    fine = _simpson_couplings(cos, sin, integral, s[1])
+    change = fine - _simpson_couplings(*half, integral, s[2])
+    return fine + change / 15.0, change, len(s) - 1
+
+
 def coupling_matrix(kappas: Sequence[int], eps: float,
                     quad_steps: int) -> np.ndarray:
     """Antisymmetrized second-order iterated integrals of the oscillators
@@ -484,38 +535,21 @@ def coupling_matrix(kappas: Sequence[int], eps: float,
     multipliers give -2 eps; distinct integer multipliers are orthogonal
     over the period and give zero up to quadrature error.  Repeated
     multipliers are accepted deliberately, so a resonant pair can be shown
-    to couple.  The outer integrals are dot products of single rows with
-    the composite-Simpson weights, so an entry depends only on its own two
-    multipliers, bit for bit, and each channel is integrated once.  The
-    channels and running integrals come from :mod:`oscstab._fastpath`, else
-    from numpy with the same bits (:func:`quadrature_path` says which).  A
-    period that is not finite and positive, a multiplier that is not an
-    integer >= 1 or ``quad_steps`` below ``MIN_QUAD_STEPS`` raises
-    ``ValueError`` before any channel is computed.
+    to couple.  The channels are evaluated once, on ``N + 1`` samples (N is
+    ``quad_steps`` rounded up to a multiple of 4); composite Simpson on them
+    and on every other sample gives ``C_N`` and ``C_{N/2}``, and one
+    Richardson step, ``C_N + (C_N - C_{N/2}) / 15``, a sixth-order rule
+    (Romberg; Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd
+    ed., 1984, 6.3).  The outer integrals are dot products of single rows
+    with the Simpson weights, so an entry depends only on its own two
+    multipliers, bit for bit.  The channels and running integrals come from
+    :mod:`oscstab._fastpath`, else from numpy with the same bits
+    (:func:`quadrature_path` says which).  A period that is not finite and
+    positive, a multiplier that is not an integer >= 1 or a ``quad_steps``
+    that is not an integer >= ``MIN_QUAD_STEPS`` raises ``ValueError``
+    before any channel is computed.
     """
-    s = _quadrature_grid(kappas, eps, quad_steps)
-    h = s[1]
-    try:
-        cos, sin, integral = _fastpath.oscillator_quadrature(
-            s, np.asarray(kappas) * (2.0 * math.pi / eps),
-            np.array([oscillator_amplitude(k, eps) for k in kappas]))
-    except _fastpath.KernelUnavailable:
-        _, cos, sin = _quadrature_channels(kappas, eps, quad_steps)
-        integral = functools.partial(_running_simpson, h=h)
-    w = np.full(len(s), 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    out = np.empty((len(kappas), len(kappas)))
-    # a compiled integral's buffer is overwritten by the next call
-    for c, g in enumerate(sin):
-        iw = integral(g)
-        iw *= w
-        out[:, c] = [f @ iw for f in cos]
-        g *= w
-    for r, f in enumerate(cos):
-        i_r = integral(f)
-        out[r] -= [gw @ i_r for gw in sin]
-    return out
+    return _couplings(kappas, eps, quad_steps)[0]
 
 
 # --- artifact formats --------------------------------------------------------

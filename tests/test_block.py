@@ -256,14 +256,20 @@ def test_stacked_copies_broadcast_jacobians_once(bsys):
 
 def _reference_coupling(ka, kb, eps, quad_steps):
     # one coupling from scratch: both channels and both running integrals
-    steps = quad_steps + quad_steps % 2
-    s = np.linspace(0.0, eps, steps + 1)
+    # by scipy's Simpson on N and on N/2 intervals, then one Richardson step
+    steps = -(-quad_steps // 4) * 4
     om = 2.0 * math.pi / eps
-    fa = oscillator_amplitude(ka, eps) * np.cos(ka * om * s)
-    fb = oscillator_amplitude(kb, eps) * np.sin(kb * om * s)
-    fwd = simpson(fa * cumulative_simpson(fb, x=s, initial=0.0), x=s)
-    rev = simpson(fb * cumulative_simpson(fa, x=s, initial=0.0), x=s)
-    return float(fwd - rev)
+
+    def simpson_coupling(n):
+        s = np.linspace(0.0, eps, n + 1)
+        fa = oscillator_amplitude(ka, eps) * np.cos(ka * om * s)
+        fb = oscillator_amplitude(kb, eps) * np.sin(kb * om * s)
+        fwd = simpson(fa * cumulative_simpson(fb, x=s, initial=0.0), x=s)
+        rev = simpson(fb * cumulative_simpson(fa, x=s, initial=0.0), x=s)
+        return float(fwd - rev)
+
+    fine, coarse = simpson_coupling(steps), simpson_coupling(steps // 2)
+    return fine + (fine - coarse) / 15.0
 
 
 def test_coupling_matrix_matches_single_couplings_bit_for_bit(law_p1):
@@ -329,17 +335,18 @@ def test_compiled_quadrature_is_numpys_bit_for_bit(kappas, monkeypatch):
     for eps in (0.1, 0.05, 0.025):
         omega = 2.0 * math.pi / eps
         amp = np.array([oscillator_amplitude(k, eps) for k in kappas])
-        for steps in (10_000, 10_001, 20_000):
+        for steps in (4000, 4001, 4002, 10_000, 10_001, 20_000):
             s, cos, sin = _quadrature_channels(kappas, eps, steps)
-            h = s[1]
             *got, integral = _fastpath.oscillator_quadrature(
                 s, np.asarray(kappas) * omega, amp)
             for mine, wave in zip(got, oscillator_waves(kappas, omega, s)):
                 assert _same_bits(mine, wave * amp[:, None])
-            for y in (*got[0], *got[1]):
+            # the running integrals of the grid and of its every other sample
+            for y, h in [(y, s[1]) for y in (*got[0], *got[1])] \
+                    + [(y[::2].copy(), s[2]) for y in (*got[0], *got[1])]:
                 want = _running_simpson(y, h)
                 assert _same_bits(want, cumulative_simpson(y, dx=h, initial=0))
-                assert _same_bits(integral(y), want)
+                assert _same_bits(integral(y, h), want)
             compiled[eps, steps] = coupling_matrix(kappas, eps, steps)
     assert quadrature_path() == "compiled"
     # kernel() keeps its first outcome: a declined library is that cache
@@ -360,9 +367,12 @@ def test_compiled_running_integral_is_numpys_on_any_length():
         _, _, integral = _fastpath.oscillator_quadrature(s, np.ones(1),
                                                          np.ones(1))
         for y in (rng.standard_normal(n), -0.0 * rng.standard_normal(n)):
-            assert _same_bits(integral(y), _running_simpson(y, s[1]))
-    with pytest.raises(ValueError, match="not on the grid"):
-        integral(np.ones(4))
+            assert _same_bits(integral(y, s[1]), _running_simpson(y, s[1]))
+            # any shorter row of 3 or more samples, in the same buffer
+            assert _same_bits(integral(y[:3], 0.5), _running_simpson(y[:3], 0.5))
+    for y in (np.ones(2), np.ones(10_003), np.ones((3, 3))):
+        with pytest.raises(ValueError, match="does not fit the grid"):
+            integral(y, 1.0)
     for s, kw in ((np.zeros(2), np.ones(1)), (np.zeros(3), np.ones(2))):
         with pytest.raises(ValueError, match="3 or more samples"):
             _fastpath.oscillator_quadrature(s, kw, np.ones(1))

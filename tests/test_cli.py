@@ -136,8 +136,8 @@ def test_unknown_system_and_mode_errors(tmp_path):
     (["verify", "--negdef-n", "0"], "negdef_n must be at least 1, got 0"),
     (["verify", "--gain-n", "0"], "gain_n must be at least 1, got 0"),
     (["verify", "--c1-n", "0"], "c1_n must be at least 1, got 0"),
-    (["verify", "--quad-steps", "100"],
-     "quad_steps must be at least 10000, got 100"),
+    (["verify", "--quad-steps", "3999"],
+     "quad_steps must be an integer >= 4000, got 3999"),
     (["verify", "--cf-eps", "0.1,0.05"],
      "cf_eps must hold at least 3 strictly decreasing finite positive "
      "periods, got [0.1, 0.05]"),
@@ -423,8 +423,9 @@ def test_verify_law_modes_agree(tmp_path, monkeypatch):
 def test_verify_detects_resonant_oscillators(tmp_path, monkeypatch):
     # what two equal multipliers give: cross coupling -2 eps like a pair with
     # itself, which the orthogonality check must not let pass
-    monkeypatch.setattr(cli, "coupling_matrix", lambda kappas, eps, steps:
-                        np.full((len(kappas), len(kappas)), -2.0 * eps))
+    monkeypatch.setattr(cli, "_couplings", lambda kappas, eps, steps: (
+        np.full((len(kappas), len(kappas)), -2.0 * eps),
+        np.zeros((len(kappas), len(kappas))), 4000))
     payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
     assert code == 2
     osc = payload["checks"]["oscillators"]
@@ -442,30 +443,38 @@ def test_verify_oscillator_errors_match_loop_reference(tmp_path, monkeypatch):
     def couplings(kappas, eps, steps):
         k = len(kappas)
         c = rng.standard_normal((k, k)) * 1e-6 - 2.0 * eps * np.eye(k)
-        seen.update(kappas=kappas, eps=eps, c=c)
-        return c
+        d = rng.standard_normal((k, k)) * 1e-9
+        seen.update(kappas=kappas, eps=eps, c=c, d=d)
+        return c, d, 4004
 
-    monkeypatch.setattr(cli, "coupling_matrix", couplings)
+    monkeypatch.setattr(cli, "_couplings", couplings)
     payload, _ = verify(_cfg(tmp_path, **VERIFY_KW))
-    kappas, eps, c = seen["kappas"], seen["eps"], seen["c"]
+    kappas, eps, c, d = seen["kappas"], seen["eps"], seen["c"], seen["d"]
     k = len(kappas)
     amp = [oscillator_amplitude(kq, eps) for kq in kappas]
     same = max(abs(float(c[q, q]) + 2.0 * eps) / (2.0 * eps) for q in range(k))
     cross = max(abs(float(c[qa, qb])) / (amp[qa] * amp[qb] * eps * eps)
                 for qa in range(k) for qb in range(k) if qa != qb)
+    change = max(abs(float(d[qa, qb])) / (2.0 * eps if qa == qb else
+                                          amp[qa] * amp[qb] * eps * eps)
+                 for qa in range(k) for qb in range(k))
     osc = payload["checks"]["oscillators"]
-    assert (osc["same_pair_rel_err"], osc["cross_rel_coupling"]) == (same, cross)
+    assert (osc["same_pair_rel_err"], osc["cross_rel_coupling"],
+            osc["half_step_change"], osc["intervals"]) \
+        == (same, cross, change, 4004)
 
 
 def test_verify_fails_nan_couplings(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "coupling_matrix", lambda kappas, eps, steps:
-                        np.full((len(kappas), len(kappas)), np.nan))
+    monkeypatch.setattr(cli, "_couplings", lambda kappas, eps, steps: (
+        np.full((len(kappas), len(kappas)), np.nan),
+        np.full((len(kappas), len(kappas)), np.nan), 4000))
     payload, code = verify(_cfg(tmp_path, **VERIFY_KW))
     assert code == 2
     osc = payload["checks"]["oscillators"]
     assert not osc["pass"]
     assert math.isnan(osc["same_pair_rel_err"])
     assert math.isnan(osc["cross_rel_coupling"])
+    assert math.isnan(osc["half_step_change"])
     others = {k for k, c in payload["checks"].items() if not c["pass"]}
     assert others == {"oscillators"}
 
@@ -512,6 +521,43 @@ def test_verify_order_probe_step_budget(tmp_path, probe_runs):
     assert order["resolved"] == [True] * 3
     assert all(0.0 < est <= 1e-9 * rho for est, rho in
                zip(order["estimate"], order["residuals"]))
+
+
+def test_verify_quadrature_and_prediction_budget(tmp_path, monkeypatch):
+    # a default verify: one channel evaluation on at most 4001 samples, and
+    # one Chen-Fliess prediction for the whole order probe
+    grids, channels, predictions = [], [], []
+
+    def spy(record, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            record.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(integrator, "_quadrature_grid",
+                        spy(grids, integrator._quadrature_grid))
+    monkeypatch.setattr(_fastpath, "oscillator_quadrature",
+                        spy(channels, _fastpath.oscillator_quadrature))
+    monkeypatch.setattr(integrator, "oscillator_waves",
+                        spy(channels, integrator.oscillator_waves))
+    monkeypatch.setattr(integrator, "chen_fliess_predict",
+                        spy(predictions, integrator.chen_fliess_predict))
+    payload, code = verify(RunConfig(outdir=str(tmp_path / "out")))
+    assert code == 0
+    assert grids and all(len(s) <= 4001 for s in grids)
+    assert len(channels) == 1
+    assert len(predictions) == 1
+    osc = payload["checks"]["oscillators"]
+    assert osc["intervals"] == 4000
+    assert 0.0 < osc["half_step_change"] <= 1e-8
+
+
+def test_verify_reports_the_rounded_quadrature_grid(tmp_path):
+    for steps in (4001, 4002):
+        payload, _ = verify(_cfg(tmp_path, **dict(VERIFY_KW, quad_steps=steps)))
+        assert payload["config"]["quad_steps"] == steps
+        assert payload["checks"]["oscillators"]["intervals"] == 4004
 
 
 def test_verify_verdict_ignores_an_unresolved_period(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oscstab import brockett as bk, integrator
+from oscstab.cli import RunConfig
 from oscstab.controller import (OscillatorAssignment, SynthesisError,
                                 feedback_eval, law_with_period,
                                 synthesized_law, user_law)
@@ -751,8 +752,65 @@ def test_assignment_level_coupling_and_step_floor(bsys, law_p1):
     q12, q34 = a.pairs.index((1, 2)), a.pairs.index((3, 4))
     assert abs(c[q12, q12] + 2.0 * a.eps) <= 1e-6 * 2.0 * a.eps
     assert abs(c[q12, q34]) <= 1e-6
-    with pytest.raises(ValueError, match="10000"):
-        coupling_matrix((1, 2), 0.1, 5_000)
+    for steps in (2_000, 3_999):
+        with pytest.raises(ValueError, match=f"integer >= 4000, got {steps}"):
+            coupling_matrix((1, 2), 0.1, steps)
+
+
+def _same_pair_errors(kappas, eps, quad_steps):
+    return np.abs(np.diag(coupling_matrix(kappas, eps, quad_steps))
+                  + 2.0 * eps) / (2.0 * eps)
+
+
+def test_richardson_same_pair_error_at_the_default_intervals():
+    steps = RunConfig.quad_steps
+    for eps in (0.1, 0.025, 1.0):
+        assert np.all(_same_pair_errors((1, 2, 3, 4, 5, 6), eps, steps)
+                      <= 1e-14)
+        # kappa 13 leaves a sixth-order truncation error of about 1.5e-13
+        assert np.all(_same_pair_errors((2, 3, 5, 7, 11, 13), eps, steps)
+                      <= 2e-13)
+    # the resonant pair still couples, at -2 eps
+    val = coupling_matrix((3, 3), 0.1, steps)[0, 1]
+    assert abs(val + 0.2) <= 1e-14 * 0.2
+
+
+def test_richardson_at_least_as_accurate_as_plain_simpson_up_to_64():
+    eps, kappas = 0.1, tuple(range(1, 65))
+    s, cos, sin = integrator._quadrature_channels(kappas, eps, 20_000)
+    plain = integrator._simpson_couplings(
+        cos, sin, integrator._running_simpson, s[1])
+    plain = np.abs(np.diag(plain) + 2.0 * eps) / (2.0 * eps)
+    assert np.all(_same_pair_errors(kappas, eps, RunConfig.quad_steps)
+                  <= plain)
+
+
+def test_largest_accepted_multiplier_passes_at_the_floor():
+    # 128 is the largest multiplier verify accepts; at 2000 intervals its
+    # same-pair error would be 8.4e-6, past the check's 1e-6
+    eps, kappas = 0.1, (1, 2, 3, 4, 5, 128)
+    c = coupling_matrix(kappas, eps, integrator.MIN_QUAD_STEPS)
+    assert np.all(_same_pair_errors(kappas, eps, integrator.MIN_QUAD_STEPS)
+                  <= 1e-6 / 7)
+    amp = np.array([2.0 * math.sqrt(k * math.pi / eps) for k in kappas])
+    cross = ~np.eye(len(kappas), dtype=bool)
+    assert np.all(np.abs(c[cross]) <= 1e-8 * np.outer(amp, amp)[cross]
+                  * eps * eps)
+
+
+@pytest.mark.parametrize("steps, grid", [(4000, 4000), (4001, 4004),
+                                         (4002, 4004), (4004, 4004)])
+def test_quadrature_runs_on_the_grid_rounded_up_to_a_multiple_of_4(steps, grid):
+    got, change, intervals = integrator._couplings((1, 2, 6), 0.1, steps)
+    assert intervals == grid
+    want = coupling_matrix((1, 2, 6), 0.1, grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the Richardson step on the plain Simpson couplings of that grid
+    s, cos, sin = integrator._quadrature_channels((1, 2, 6), 0.1, steps)
+    assert len(s) == grid + 1
+    fine = integrator._simpson_couplings(cos, sin, integrator._running_simpson,
+                                         s[1])
+    assert np.array_equal(got, fine + change / 15.0)
 
 
 def test_coupling_matrix_refuses_unusable_periods_and_multipliers(
@@ -773,6 +831,18 @@ def test_coupling_matrix_refuses_unusable_periods_and_multipliers(
     for kappas in ((0, 1), (1, -2), (1, 2.0), (1.5,), ("1",)):
         with pytest.raises(ValueError, match="integers >= 1"):
             coupling_matrix(kappas, 0.1, 10_000)
+    # a float, a string and a bool are no interval counts: one message,
+    # where numpy's TypeError, a comparison TypeError and "at least" were
+    for steps in (20000.0, "20000", True, np.float64(20000)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"quad_steps must be an integer >= 4000, got {steps!r}")):
+            coupling_matrix((1, 2), 0.1, steps)
+
+
+def test_coupling_matrix_takes_numpy_integer_interval_counts():
+    want = coupling_matrix((1, 2), 0.1, 4000)
+    for steps in (np.int64(4000), np.int32(4000), np.uint16(4000)):
+        assert np.array_equal(coupling_matrix((1, 2), 0.1, steps), want)
 
 
 # --- artifact writers -------------------------------------------------------------
