@@ -17,9 +17,8 @@ from .integrator import (OneStepPrediction, Trajectory, chen_fliess_predict,
 from .lyapunov import (DefinitenessReport, LyapunovSpec, correction_ratio_sup,
                        decrease_rate, gain_bound_scan, negdef_scan)
 from .sampling import Region, sample_region
-from .vecfield import (BracketMatrix, VectorFieldSystem,
-                       assemble_bracket_matrix, bracket_generating_check,
-                       input_matrix, lie_bracket, system_from_fields)
+from .vecfield import (VectorFieldSystem, bracket_generating_check,
+                       input_matrix, system_from_fields)
 
 __version__ = "0.1.0"
 

@@ -46,6 +46,7 @@ but never trimmed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -119,7 +120,6 @@ class Trajectory:
 
     t: np.ndarray
     states: np.ndarray
-    norms: np.ndarray
     eps: float
     substeps: int
     mode: str
@@ -132,8 +132,16 @@ class Trajectory:
     def n_windows(self) -> int:
         return 0 if self.windows is None else len(self.windows.j)
 
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """Euclidean norm of every state, computed on first read."""
+        return np.linalg.norm(self.states, axis=1)
+
 
 def _plan(law: FeedbackLaw, T: float, substeps: int) -> Tuple[int, float]:
+    if (not isinstance(substeps, (int, np.integer))
+            or isinstance(substeps, bool)):
+        raise ValueError(f"substeps must be an integer, got {substeps!r}")
     eps = law.eps
     if not math.isfinite(T):
         raise ValueError(f"horizon T={T} is not finite")
@@ -238,7 +246,7 @@ def _integrate(sys, law, x0, T, substeps, lyap, sampled) -> Trajectory:
     bidx = np.arange(0, n_valid, substeps)
     t[bidx] = bidx // substeps * law.eps
     traj = Trajectory(
-        t=t, states=xs, norms=np.linalg.norm(xs, axis=1), eps=law.eps,
+        t=t, states=xs, eps=law.eps,
         substeps=substeps, mode="sampled" if sampled else "classical",
         diverged=diverged, solver_path=solver_path)
     if lyap is not None:

@@ -21,8 +21,8 @@ import numpy as np
 from . import _block, dualnum
 
 __all__ = [
-    "VectorFieldSystem", "BracketMatrix", "system_from_fields", "input_matrix",
-    "lie_bracket", "assemble_bracket_matrix", "bracket_generating_check",
+    "VectorFieldSystem", "system_from_fields", "input_matrix",
+    "bracket_generating_check",
 ]
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
@@ -92,15 +92,6 @@ class VectorFieldSystem:
         return self.jacobians[j - 1](x)
 
 
-@dataclass(frozen=True)
-class BracketMatrix:
-    """Square matrix with field columns first, bracket columns in pair order."""
-
-    x: np.ndarray
-    matrix: np.ndarray
-    condition: float
-
-
 def system_from_fields(n: int, m: int, fields: Sequence[FieldFn],
                        pairs: Sequence[Tuple[int, int]],
                        name: str = "") -> VectorFieldSystem:
@@ -136,8 +127,7 @@ def _check_point(sys: VectorFieldSystem, x, block: bool = False) -> np.ndarray:
     entries."""
     x = np.asarray(x)
     if x.shape != (sys.n,) and not (
-            block and x.ndim == 2 and x.shape[1] == sys.n and len(x)
-            and x.dtype != object):
+            block and x.ndim == 2 and x.shape[1] == sys.n and len(x)):
         want = (f"({sys.n},) or (k, {sys.n}) with k >= 1" if block
                 else f"({sys.n},)")
         raise ValueError(f"state must have shape {want}, got {x.shape}")
@@ -146,42 +136,8 @@ def _check_point(sys: VectorFieldSystem, x, block: bool = False) -> np.ndarray:
     return x
 
 
-def lie_bracket(sys: VectorFieldSystem, i: int, j: int, x) -> np.ndarray:
-    """First-order Lie bracket ``Df_j(x) f_i(x) - Df_i(x) f_j(x)``.
-
-    Antisymmetric in ``(i, j)``; indices are 1-based.  Accepts dual states
-    for derivative propagation.  A (k, n) float block gives the (k, n)
-    brackets at its rows, bit for bit the per-row results: each of the two
-    fields and Jacobians runs once on the block when it passed the block
-    probe and once per row otherwise (:func:`oscstab._block.rows`), and a
-    non-finite Jacobian at any row raises as at one point.
-    """
-    if not (1 <= i <= sys.m and 1 <= j <= sys.m):
-        raise ValueError(f"field indices out of range: ({i},{j}) with m={sys.m}")
-    x = _check_point(sys, x, block=True)
-    if x.ndim == 2:
-        fi, fj, dfi, dfj = (_block.rows(fn, x) for fn in (
-            sys.fields[i - 1], sys.fields[j - 1],
-            sys.jacobians[i - 1], sys.jacobians[j - 1]))
-        _check_jacobians(dfi, dfj)
-        return (dfj @ fi[..., None] - dfi @ fj[..., None])[..., 0]
-    fi = sys.field(i, x)
-    fj = sys.field(j, x)
-    dfi = sys.jacobian(i, x)
-    dfj = sys.jacobian(j, x)
-    if x.dtype != object:
-        _check_jacobians(dfi, dfj)
-    return dfj @ fi - dfi @ fj
-
-
 # message of the ValueError a non-finite Jacobian raises
 JACOBIAN_ERROR = "non-finite Jacobian entries at the evaluation point"
-
-
-def _check_jacobians(*jacs) -> None:
-    for d in jacs:
-        if not np.all(np.isfinite(d)):
-            raise ValueError(JACOBIAN_ERROR)
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,8 +161,8 @@ def _pair_brackets(sys: VectorFieldSystem, X, f=None, g=None):
     ``X`` has shape (k, n).  Returns ``(F, B, jac_ok)``: ``F`` of shape
     (k, U, n) holds the values of the U inputs that enter a pair, in the
     order of :func:`_pair_rows`, and ``B`` of shape (k, |S|, n) the brackets
-    in pair order, ``B[r, q] = [f_i, f_j](X[r])`` for pair ``q = (i, j)`` as
-    in :func:`lie_bracket`; ``jac_ok[r]`` is False where a Jacobian has a
+    in pair order, ``B[r, q] = Df_j f_i - Df_i f_j`` at ``X[r]`` for pair
+    ``q = (i, j)``; ``jac_ok[r]`` is False where a Jacobian has a
     non-finite entry, and that point's brackets are then not meaningful (the
     caller raises ``ValueError`` with ``JACOBIAN_ERROR``).  Each input field
     that appears in a pair, and its Jacobian, is evaluated at every point of
@@ -293,11 +249,26 @@ def _contracted_jacobians(jacs, X, g):
 
 def _bracket_columns(sys: VectorFieldSystem, x) -> np.ndarray:
     """Field columns, then bracket columns in pair order: (n, n) at one
-    state, (k, n, n) at a (k, n) float block."""
-    block = x.ndim == 2
-    cols = [_block.rows(f, x) if block else f(x) for f in sys.fields]
-    cols += [lie_bracket(sys, i, j, x) for (i, j) in sys.pairs]
-    return np.stack(cols, axis=2) if block else np.column_stack(cols)
+    state of floats or duals, each pair's from its own two fields and
+    Jacobians; (k, n, n) at a (k, n) float block, from one evaluation of
+    each (:func:`_pair_brackets`).  Raises ``ValueError(JACOBIAN_ERROR)``
+    at a non-finite float Jacobian."""
+    if np.ndim(x) == 2:
+        f = _block.stacked(sys.fields, x)
+        _, b, jac_ok = _pair_brackets(sys, x, f)
+        if not jac_ok.all():
+            raise ValueError(JACOBIAN_ERROR)
+        return np.concatenate((f, b), axis=1).swapaxes(1, 2)
+    x = _check_point(sys, x)
+    cols = [f(x) for f in sys.fields]
+    for i, j in sys.pairs:
+        fi, fj = sys.field(i, x), sys.field(j, x)
+        dfi, dfj = sys.jacobian(i, x), sys.jacobian(j, x)
+        if x.dtype != object and not (np.all(np.isfinite(dfi))
+                                      and np.all(np.isfinite(dfj))):
+            raise ValueError(JACOBIAN_ERROR)
+        cols.append(dfj @ fi - dfi @ fj)
+    return np.column_stack(cols)
 
 
 def _condition_1norm(mat: np.ndarray) -> float:
@@ -314,18 +285,6 @@ def _condition_1norm(mat: np.ndarray) -> float:
     return float("inf") if math.isnan(cond) else cond
 
 
-def assemble_bracket_matrix(sys: VectorFieldSystem, x) -> BracketMatrix:
-    """Matrix of field and bracket columns with its condition number.
-
-    Column order is ``f_1, ..., f_m`` followed by the brackets in pair-set
-    order.  Singularity is reported through ``condition = inf`` rather than
-    raised: a rank-deficient point is a legitimate query.
-    """
-    x = _check_point(sys, np.asarray(x, dtype=float))
-    mat = _bracket_columns(sys, x)
-    return BracketMatrix(x=x, matrix=mat, condition=_condition_1norm(mat))
-
-
 def bracket_generating_check(sys: VectorFieldSystem, x):
     """Spanning test for the field-plus-bracket columns at ``x``.
 
@@ -335,12 +294,14 @@ def bracket_generating_check(sys: VectorFieldSystem, x):
     the column scaling that bracket columns typically carry.  A (k, n)
     block of states gives a bool array and a float array of length ``k``,
     bit for bit the per-row results: the (k, n, n) stack of bracket
-    matrices comes from one :func:`lie_bracket` call per pair on the whole
-    block, and one batched SVD.
+    matrices comes from one pass of :func:`_bracket_columns` over the whole
+    block, and one batched SVD.  One state runs as a block of one.
     """
     x = _check_point(sys, np.asarray(x, dtype=float), block=True)
-    svals = np.linalg.svd(_bracket_columns(sys, x), compute_uv=False)
+    svals = np.linalg.svd(_bracket_columns(sys, np.atleast_2d(x)),
+                          compute_uv=False)
+    good, smin = svals[:, -1] > SPAN_TOL * svals[:, 0], svals[:, -1]
     if x.ndim == 2:
-        return svals[:, -1] > SPAN_TOL * svals[:, 0], svals[:, -1]
-    return bool(svals[-1] > SPAN_TOL * svals[0]), float(svals[-1])
+        return good, smin
+    return bool(good[0]), float(smin[0])
 

@@ -133,6 +133,23 @@ def random_polynomial_system(seed: int = 20240) -> VectorFieldSystem:
         pairs=((1, 2),), name="poly3")
 
 
+# --- per-pair reference brackets ----------------------------------------------
+
+def ref_bracket(sys_, i: int, j: int, x) -> np.ndarray:
+    """``Df_j f_i - Df_i f_j`` at one state (1-based indices), from the two
+    fields and Jacobians alone."""
+    return (sys_.jacobian(j, x) @ sys_.field(i, x)
+            - sys_.jacobian(i, x) @ sys_.field(j, x))
+
+
+def ref_bracket_matrix(sys_, x) -> np.ndarray:
+    """Field columns, then the reference brackets in pair order, at one
+    state."""
+    return np.column_stack(
+        [sys_.field(k, x) for k in range(1, sys_.m + 1)]
+        + [ref_bracket(sys_, i, j, x) for i, j in sys_.pairs])
+
+
 # --- finite-difference oracles (independent of the analytic path) -------------
 
 def fd_jacobian(f, x, h: float = 1e-5) -> np.ndarray:

@@ -297,10 +297,11 @@ def test_output_root_env_var(tmp_path, monkeypatch):
 
 
 def _boundary_trajectory(norms, v):
-    """One sample per window: boundary norms ``norms`` and V values ``v``."""
+    """One sample per window: boundary norms ``norms`` (one-state rows)
+    and V values ``v``."""
     norms = np.asarray(norms, dtype=float)
     return integrator.Trajectory(
-        t=0.1 * np.arange(len(norms)), states=norms[:, None], norms=norms,
+        t=0.1 * np.arange(len(norms)), states=norms[:, None],
         eps=0.1, substeps=1, mode="classical", v=np.asarray(v, dtype=float))
 
 

@@ -48,6 +48,32 @@ def test_substep_resolution_enforced(bsys, lyap_p1, law_p1):
         integrate_classical(bsys, law_p1, np.zeros(9), T=1.0, substeps=400)
 
 
+@pytest.mark.parametrize("path", ["compiled", "generic"])
+@pytest.mark.parametrize("substeps", [400.0, np.float64(400.0), True, "400"],
+                         ids=["float", "numpy-float", "bool", "str"])
+def test_non_integer_substeps_are_refused_before_any_step(
+        bsys, law_p1, monkeypatch, path, substeps):
+    def stepped(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(integrator._fastpath, "brockett_trajectory", stepped)
+    monkeypatch.setattr(integrator, "_generic_steps", stepped)
+    law = law_p1 if path == "compiled" else generic(law_p1)
+    for integrate in (integrate_classical, integrate_sampled):
+        with pytest.raises(ValueError, match=re.escape(
+                f"substeps must be an integer, got {substeps!r}")):
+            integrate(bsys, law, X0_LEFT, T=0.1, substeps=substeps)
+
+
+def test_numpy_integer_substeps_step_as_python_ones(bsys, law_p1):
+    for law in (law_p1, generic(law_p1)):
+        want = integrate_classical(bsys, law, X0_LEFT, T=0.1, substeps=400)
+        got = integrate_classical(bsys, law, X0_LEFT, T=0.1,
+                                  substeps=np.int64(400))
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.t, want.t)
+
+
 NONFINITE_X0_CASES = {
     "closed-form-compiled": lambda law: law,
     "closed-form-generic": generic,
@@ -286,8 +312,7 @@ def test_order_probe_uses_residuals_above_the_noise_floor(bsys, law_p1,
         end = chen_fliess_predict(sys_, law, x).predicted + rho * np.eye(10)[0]
         return integrator.Trajectory(
             t=np.array([0.0, T]), states=np.array([x, end]),
-            norms=np.linalg.norm([x, end], axis=1), eps=T,
-            substeps=substeps, mode="classical")
+            eps=T, substeps=substeps, mode="classical")
 
     monkeypatch.setattr(integrator, "integrate_classical", one_window)
     probe = prediction_order_probe(bsys, law_p1, x0, eps_list)
@@ -351,8 +376,7 @@ def test_order_probe_stops_a_period_below_the_noise_floor(bsys, law_p1,
                + rho * np.eye(10)[0] + wobble * np.eye(10)[1])
         return integrator.Trajectory(
             t=np.array([0.0, T]), states=np.array([x, end]),
-            norms=np.linalg.norm([x, end], axis=1), eps=T,
-            substeps=substeps, mode="classical")
+            eps=T, substeps=substeps, mode="classical")
 
     monkeypatch.setattr(integrator, "integrate_classical", one_window)
     probe = prediction_order_probe(bsys, law_p1, x0, eps_list)
@@ -373,15 +397,13 @@ def test_order_probe_failure_names_the_period_and_step_count(
         if T < 0.1 and substeps == 800:
             if failure == "diverged":
                 return integrator.Trajectory(
-                    t=np.array([0.0]), states=np.array([x]),
-                    norms=np.array([1e7]), eps=T, substeps=substeps,
-                    mode="classical", diverged=True)
+                    t=np.array([0.0]), states=np.array([x]), eps=T,
+                    substeps=substeps, mode="classical", diverged=True)
             raise failure
         end = chen_fliess_predict(sys_, law, x).predicted + 1e-6
         return integrator.Trajectory(
             t=np.array([0.0, T]), states=np.array([x, end]),
-            norms=np.linalg.norm([x, end], axis=1), eps=T,
-            substeps=substeps, mode="classical")
+            eps=T, substeps=substeps, mode="classical")
 
     monkeypatch.setattr(integrator, "integrate_classical", one_window)
     with pytest.raises(kind, match=r"in the order probe at eps=0\.05, N=800$"):

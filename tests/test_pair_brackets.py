@@ -1,7 +1,7 @@
 """All-pair bracket algebra against a per-pair reference.
 
 The reference builds every pair-bracket field with its own loop over
-``sys.field`` and ``lie_bracket``; the package evaluates all pairs at once
+``sys.field`` and ``conftest.ref_bracket``; the package evaluates all pairs at once
 from one evaluation of each field and Jacobian.  The summation order
 differs, so rows agree to a tolerance fixed in advance from float64
 rounding: ``1e-12 * max(1, |ref|)`` per entry.
@@ -17,10 +17,9 @@ from oscstab.controller import (pair_bracket_field, synthesize_components,
                                 synthesized_law, user_law)
 from oscstab.integrator import chen_fliess_predict, integrate_sampled
 from oscstab.lyapunov import LyapunovSpec, correction_field, decrease_rate
-from oscstab.vecfield import (VectorFieldSystem, lie_bracket,
-                              system_from_fields)
+from oscstab.vecfield import VectorFieldSystem, system_from_fields
 
-from conftest import _dt, fd_jacobian, heis3_system
+from conftest import _dt, fd_jacobian, heis3_system, ref_bracket
 
 
 def reference_pair_fields(law, x) -> np.ndarray:
@@ -33,7 +32,7 @@ def reference_pair_fields(law, x) -> np.ndarray:
             rows.append(np.zeros(sys_.n))
             continue
         fi, fj = sys_.field(i, x), sys_.field(j, x)
-        rows.append(vt * lie_bracket(sys_, i, j, x)
+        rows.append(vt * ref_bracket(sys_, i, j, x)
                     + 0.5 * ((gv @ fi) * fj - (gv @ fj) * fi))
     return np.array(rows)
 

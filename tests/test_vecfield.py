@@ -7,20 +7,19 @@ from oscstab import _block
 from oscstab.cli import SPAN_RADIUS, RunConfig
 from oscstab.sampling import Region, sample_region
 from oscstab.vecfield import (JACOBIAN_ERROR, VectorFieldSystem,
-                              _condition_1norm, _contracted_jacobians,
-                              assemble_bracket_matrix,
-                              bracket_generating_check, input_matrix,
-                              lie_bracket, system_from_fields)
+                              _bracket_columns, _condition_1norm,
+                              _contracted_jacobians, bracket_generating_check,
+                              input_matrix, system_from_fields)
 
 from conftest import (fd_bracket, heis3_system, merging_fields_system,
-                      random_polynomial_system)
+                      random_polynomial_system, ref_bracket)
 
 
 def test_brockett_pair_bracket_is_constant_2e5(bsys):
     rng = np.random.default_rng(1)
     for _ in range(5):
         x = rng.uniform(-3, 3, 10)
-        br = lie_bracket(bsys, 1, 2, x)
+        br = _bracket_columns(bsys, x)[:, 4]
         assert np.allclose(br, 2.0 * np.eye(10)[4], atol=1e-12)
 
 
@@ -44,23 +43,10 @@ def test_one_point_contraction_rounds_as_separate_products(name, bsys):
     assert w.shape == (1, sys_.m + 1, sys_.n) and not w.any()
 
 
-def test_bracket_antisymmetry_and_diagonal(bsys):
-    rng = np.random.default_rng(2)
-    sys_ = random_polynomial_system()
-    for _ in range(10):
-        x10 = rng.uniform(-2, 2, 10)
-        x3 = rng.uniform(-2, 2, 3)
-        assert np.array_equal(lie_bracket(bsys, 1, 3, x10),
-                              -lie_bracket(bsys, 3, 1, x10))
-        assert np.array_equal(lie_bracket(sys_, 1, 2, x3),
-                              -lie_bracket(sys_, 2, 1, x3))
-        assert np.allclose(lie_bracket(sys_, 1, 1, x3), 0.0, atol=1e-15)
-
-
 def test_bracket_matches_finite_difference_oracle():
     sys_ = random_polynomial_system()
     x = np.array([0.3, -0.1, 0.7])
-    analytic = lie_bracket(sys_, 1, 2, x)
+    analytic = _bracket_columns(sys_, x)[:, 2]
     oracle = fd_bracket(sys_.fields[0], sys_.fields[1], x, h=1e-5)
     assert np.linalg.norm(analytic - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
@@ -73,23 +59,22 @@ def test_dual_built_jacobians_match_analytic():
         x = rng.uniform(-1, 1, 3)
         assert np.allclose(derived.jacobian(1, x), analytic.jacobian(1, x),
                            rtol=1e-12, atol=1e-12)
-        assert np.allclose(lie_bracket(derived, 1, 2, x),
-                           lie_bracket(analytic, 1, 2, x), rtol=1e-12, atol=1e-12)
+        assert np.allclose(_bracket_columns(derived, x),
+                           _bracket_columns(analytic, x), rtol=1e-12, atol=1e-12)
 
 
 def test_nilpotency_witness_brackets_constant(bsys):
     rng = np.random.default_rng(4)
-    base = {pair: lie_bracket(bsys, *pair, np.zeros(10)) for pair in bsys.pairs}
+    base = _bracket_columns(bsys, np.zeros(10))[:, 4:]
     for _ in range(100):
         x = rng.uniform(-5, 5, 10)
-        for pair in bsys.pairs:
-            assert np.max(np.abs(lie_bracket(bsys, *pair, x) - base[pair])) <= 1e-12
+        assert np.max(np.abs(_bracket_columns(bsys, x)[:, 4:] - base)) <= 1e-12
 
 
 def test_assemble_matrix_at_origin_is_diagonal(bsys):
-    bm = assemble_bracket_matrix(bsys, np.zeros(10))
-    assert np.allclose(bm.matrix, np.diag([1, 1, 1, 1, 2, 2, 2, 2, 2, 2]))
-    assert np.isclose(bm.condition, 2.0)
+    mat = _bracket_columns(bsys, np.zeros(10))
+    assert np.allclose(mat, np.diag([1, 1, 1, 1, 2, 2, 2, 2, 2, 2]))
+    assert np.isclose(_condition_1norm(mat), 2.0)
 
 
 def test_assemble_matrix_bracket_columns_constant(bsys):
@@ -98,19 +83,18 @@ def test_assemble_matrix_bracket_columns_constant(bsys):
     for q in range(6):
         expect[4 + q, q] = 2.0
     for _ in range(5):
-        bm = assemble_bracket_matrix(bsys, rng.uniform(-4, 4, 10))
-        assert np.allclose(bm.matrix[:, 4:], expect, atol=1e-12)
+        mat = _bracket_columns(bsys, rng.uniform(-4, 4, 10))
+        assert np.allclose(mat[:, 4:], expect, atol=1e-12)
 
 
 def test_column_order_follows_pair_set(bsys):
     x = np.array([0.7, -0.2, 1.1, 0.4, 0, 0, 0, 0, 0, 0], dtype=float)
-    bm1 = assemble_bracket_matrix(bsys, x)
-    bm2 = assemble_bracket_matrix(bsys, x)
-    assert np.array_equal(bm1.matrix, bm2.matrix)
+    mat = _bracket_columns(bsys, x)
+    assert np.array_equal(mat, _bracket_columns(bsys, x))
     for k in range(1, 5):
-        assert np.array_equal(bm1.matrix[:, k - 1], bsys.field(k, x))
+        assert np.array_equal(mat[:, k - 1], bsys.field(k, x))
     for q, pair in enumerate(bsys.pairs):
-        assert np.array_equal(bm1.matrix[:, 4 + q], lie_bracket(bsys, *pair, x))
+        assert np.array_equal(mat[:, 4 + q], ref_bracket(bsys, *pair, x))
 
 
 def test_condition_matches_numpy_cond_bit_for_bit():
@@ -130,9 +114,9 @@ def test_condition_matches_numpy_cond_bit_for_bit():
 
 def test_duplicate_columns_give_condition_sentinel():
     sys_ = merging_fields_system()
-    bm = assemble_bracket_matrix(sys_, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(bm.matrix[:, 0], bm.matrix[:, 1])
-    assert bm.condition == np.inf
+    mat = _bracket_columns(sys_, np.array([1.0, 0.0, 0.0]))
+    assert np.array_equal(mat[:, 0], mat[:, 1])
+    assert _condition_1norm(mat) == np.inf
 
 
 def test_bracket_generating_brockett_everywhere(bsys):
@@ -176,15 +160,39 @@ def test_block_span_check_is_the_per_row_check_bit_for_bit(bsys, name):
         sys_ = system_from_fields(3, 2, h.fields, h.pairs)
     assert _block.blockwise(sys_.jacobians[0], sys_.n) == (name == "brockett10")
     X = _span_sample(sys_.n)
-    for i, j in sys_.pairs:
-        got = lie_bracket(sys_, i, j, X)
-        assert got.shape == X.shape
-        assert np.array_equal(got, [lie_bracket(sys_, i, j, x) for x in X])
     good, smin = bracket_generating_check(sys_, X)
     rows = [bracket_generating_check(sys_, x) for x in X]
     assert good.dtype == bool and good.all()
     assert np.array_equal(good, [r[0] for r in rows])
     assert np.array_equal(smin, [r[1] for r in rows])
+
+
+@pytest.mark.parametrize("name", ["brockett10", "heis3 from fields", "poly3"])
+def test_block_bracket_columns_are_the_point_columns(bsys, name):
+    # the all-pair algebra of a block against the per-pair formula at each
+    # row: bit for bit where every product has at most one nonzero term, and
+    # on poly3, whose products sum in a different order, within a few
+    # roundings of the magnitudes that enter each bracket entry
+    h = heis3_system()
+    sys_ = {"brockett10": bsys, "poly3": random_polynomial_system(),
+            "heis3 from fields": system_from_fields(3, 2, h.fields, h.pairs),
+            }[name]
+    X = _span_sample(sys_.n)
+    got = _bracket_columns(sys_, X)
+    want = np.array([_bracket_columns(sys_, x) for x in X])
+    assert got.shape == (len(X), sys_.n, sys_.n)
+    if name != "poly3":
+        assert np.array_equal(got, want)
+        return
+    m = sys_.m
+    assert np.array_equal(got[:, :, :m], want[:, :, :m])
+    for q, (i, j) in enumerate(sys_.pairs):
+        scale = np.array([
+            np.abs(sys_.jacobian(j, x)) @ np.abs(sys_.field(i, x))
+            + np.abs(sys_.jacobian(i, x)) @ np.abs(sys_.field(j, x))
+            for x in X])
+        err = np.abs(got[:, :, m + q] - want[:, :, m + q])
+        assert np.all(err <= 4 * np.finfo(float).eps * scale)
 
 
 def _nan_jacobian_beyond(j, blockwise: bool):
@@ -209,7 +217,7 @@ def test_block_span_check_raises_as_the_point_path(blockwise):
     bad_state, bad_jac = X.copy(), X.copy()
     bad_state[3, 1] = np.nan
     bad_jac[2, 0] = 1.5
-    for fn in (lambda x: lie_bracket(sys_, 1, 2, x),
+    for fn in (lambda x: _bracket_columns(sys_, x),
                lambda x: bracket_generating_check(sys_, x)):
         fn(X)
         for block, r, msg in ((bad_state, 3, "state has non-finite entries"),
@@ -220,23 +228,18 @@ def test_block_span_check_raises_as_the_point_path(blockwise):
 
 
 def test_index_and_state_validation(bsys):
-    with pytest.raises(ValueError):
-        lie_bracket(bsys, 0, 2, np.zeros(10))
-    with pytest.raises(ValueError):
-        lie_bracket(bsys, 1, 5, np.zeros(10))
     bad = np.zeros(10)
     bad[3] = np.nan
-    with pytest.raises(ValueError):
-        lie_bracket(bsys, 1, 2, bad)
-    with pytest.raises(ValueError):
-        lie_bracket(bsys, 1, 2, np.zeros(9))
-    # blocks need n columns, and the bracket matrix takes one point
-    with pytest.raises(ValueError, match=r"got \(3, 9\)"):
-        lie_bracket(bsys, 1, 2, np.zeros((3, 9)))
-    with pytest.raises(ValueError, match=r"got \(0, 10\)"):
-        bracket_generating_check(bsys, np.zeros((0, 10)))
-    with pytest.raises(ValueError, match=r"got \(2, 10\)"):
-        assemble_bracket_matrix(bsys, np.zeros((2, 10)))
+    for fn in (lambda x: _bracket_columns(bsys, x),
+               lambda x: bracket_generating_check(bsys, x)):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(bad)
+        with pytest.raises(ValueError, match=r"got \(9,\)"):
+            fn(np.zeros(9))
+    # blocks need n columns and at least one row
+    for block in (np.zeros((3, 9)), np.zeros((0, 10)), bad[None]):
+        with pytest.raises(ValueError, match=r"got \(|non-finite"):
+            bracket_generating_check(bsys, block)
 
 
 def test_construction_invariants():
